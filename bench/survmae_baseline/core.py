@@ -1,0 +1,416 @@
+"""Core survival-data types: records, datasets, step-function curves, folds.
+
+Conventions used throughout the package:
+
+* A subject's observed time is ``min(event time, censor time)`` and the event
+  flag is true when the event happened at or before the censor time (ties go
+  to the event).
+* Survival curves are right-continuous step functions that equal 1 before
+  their first knot and keep their last value beyond the final knot.
+* Everything is pure and deterministic: functions return new objects, random
+  behaviour always flows through an explicit seed.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from .errors import (
+    ConfigurationError,
+    DataFormatError,
+    DegenerateCurveError,
+    InsufficientEventsError,
+)
+
+__all__ = [
+    "DatasetStats",
+    "FoldSplit",
+    "StepCurve",
+    "SurvivalDataset",
+    "SurvivalRecord",
+    "dataset_stats",
+    "load_dataset",
+    "save_dataset",
+    "stratified_kfold",
+]
+
+
+@dataclass(frozen=True)
+class SurvivalRecord:
+    """One subject: covariates, observed time, event flag, optional hidden truth.
+
+    ``true_event_time`` is only populated for semi-synthetic data where the
+    uncensored time is known. It must equal the observed time for events and
+    be at least the observed time for censored subjects.
+    """
+
+    features: tuple
+    time: float
+    event: bool
+    true_event_time: float | None = None
+
+    def __post_init__(self):
+        if not self.time > 0:
+            raise ValueError(f"observed time must be positive, got {self.time}")
+        if self.true_event_time is not None:
+            if self.event and self.true_event_time != self.time:
+                raise ValueError(
+                    "uncensored record must have true_event_time equal to its "
+                    f"observed time (got {self.true_event_time} vs {self.time})"
+                )
+            if not self.event and self.true_event_time < self.time:
+                raise ValueError(
+                    "censored record must have true_event_time >= observed time "
+                    f"(got {self.true_event_time} < {self.time})"
+                )
+
+
+@dataclass(frozen=True)
+class SurvivalDataset:
+    """An ordered, immutable collection of records with shared feature names."""
+
+    records: tuple
+    feature_names: tuple = ()
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    events: np.ndarray = field(init=False, repr=False, compare=False)
+    feature_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    true_times: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        if not self.records:
+            raise ValueError("dataset must contain at least one record")
+        d = len(self.feature_names)
+        for i, r in enumerate(self.records):
+            if len(r.features) != d:
+                raise ValueError(
+                    f"record {i} has {len(r.features)} features, expected {d}"
+                )
+        object.__setattr__(
+            self, "times", np.array([r.time for r in self.records], dtype=float)
+        )
+        object.__setattr__(
+            self, "events", np.array([r.event for r in self.records], dtype=bool)
+        )
+        object.__setattr__(
+            self,
+            "feature_matrix",
+            np.array([r.features for r in self.records], dtype=float).reshape(
+                len(self.records), d
+            ),
+        )
+        if all(r.true_event_time is not None for r in self.records):
+            truths = np.array(
+                [r.true_event_time for r in self.records], dtype=float
+            )
+        else:
+            truths = None
+        object.__setattr__(self, "true_times", truths)
+
+    @property
+    def n(self) -> int:
+        return len(self.records)
+
+    def subset(self, indices) -> "SurvivalDataset":
+        """New dataset holding the records at ``indices``, in that order."""
+        return SurvivalDataset(
+            records=tuple(self.records[int(i)] for i in indices),
+            feature_names=self.feature_names,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, times, events, features=None, true_times=None, feature_names=None
+    ) -> "SurvivalDataset":
+        """Build a dataset from parallel arrays (convenience for tests/tools)."""
+        times = np.asarray(times, dtype=float)
+        events = np.asarray(events, dtype=bool)
+        if times.shape != events.shape:
+            raise ValueError("times and events must have the same length")
+        nrec = times.size
+        if features is None:
+            features = np.empty((nrec, 0))
+        features = np.asarray(features, dtype=float).reshape(nrec, -1)
+        if feature_names is None:
+            feature_names = tuple(f"x{j}" for j in range(features.shape[1]))
+        records = []
+        for i in range(nrec):
+            truth = None if true_times is None else float(true_times[i])
+            records.append(
+                SurvivalRecord(
+                    features=tuple(float(v) for v in features[i]),
+                    time=float(times[i]),
+                    event=bool(events[i]),
+                    true_event_time=truth,
+                )
+            )
+        return cls(records=tuple(records), feature_names=tuple(feature_names))
+
+
+@dataclass(frozen=True)
+class StepCurve:
+    """Right-continuous, non-increasing step function with values in [0, 1].
+
+    The curve equals 1 before its first knot, ``values[k]`` on
+    ``[knots[k], knots[k+1])`` and ``values[-1]`` from the last knot on.
+    """
+
+    knots: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+        if knots.ndim != 1 or values.ndim != 1 or knots.size != values.size:
+            raise ValueError("knots and values must be 1-d arrays of equal length")
+        if knots.size == 0:
+            raise ValueError("curve must have at least one knot")
+        if knots[0] < 0 or not np.all(np.diff(knots) > 0):
+            raise ValueError("knots must be nonnegative and strictly increasing")
+        if np.any(values < 0) or np.any(values > 1):
+            raise ValueError("values must lie in [0, 1]")
+        if np.any(np.diff(values) > 1e-12):
+            raise ValueError("values must be non-increasing")
+
+    @property
+    def t_last(self) -> float:
+        return float(self.knots[-1])
+
+    @property
+    def v_last(self) -> float:
+        return float(self.values[-1])
+
+    def value(self, t):
+        """Right-continuous lookup; 1 before the first knot. Accepts scalars or arrays."""
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr < 0):
+            raise ValueError("curve is only defined for t >= 0")
+        idx = np.searchsorted(self.knots, t_arr, side="right") - 1
+        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
+        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def value_before(self, t):
+        """Left limit: the value just before ``t`` (1 when no knot lies strictly below)."""
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr < 0):
+            raise ValueError("curve is only defined for t >= 0")
+        idx = np.searchsorted(self.knots, t_arr, side="left") - 1
+        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
+        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def integrate(self, a: float, b: float) -> float:
+        """Exact integral of the step function over ``[a, b]``."""
+        if not 0 <= a <= b:
+            raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+        if a == b:
+            return 0.0
+        inner = self.knots[(self.knots > a) & (self.knots < b)]
+        lefts = np.concatenate(([a], inner))
+        rights = np.concatenate((inner, [b]))
+        return float(np.sum(self.value(lefts) * (rights - lefts)))
+
+    def median_time(self) -> float:
+        """First time the curve is at or below one half.
+
+        Falls back to a chord through (0, 1) and the curve's endpoint when the
+        curve never descends that far; raises ``DegenerateCurveError`` if the
+        curve never descends at all.
+        """
+        below = np.nonzero(self.values <= 0.5)[0]
+        if below.size:
+            return float(self.knots[below[0]])
+        if self.v_last >= 1.0:
+            raise DegenerateCurveError("curve never descends; median undefined")
+        return 0.5 * self.t_last / (1.0 - self.v_last)
+
+    def mean_time(self) -> float:
+        """Area under the curve, linearly extended beyond the last knot down to zero."""
+        if self.v_last >= 1.0:
+            raise DegenerateCurveError("curve never descends; mean undefined")
+        area = self.integrate(0.0, self.t_last)
+        if self.v_last > 0.0:
+            t_zero = self.t_last / (1.0 - self.v_last)
+            area += self.v_last * (t_zero - self.t_last) / 2.0
+        return area
+
+
+@dataclass(frozen=True)
+class DatasetStats:
+    """Summary statistics of a dataset; time aggregates are over events only."""
+
+    n: int
+    censor_rate: float
+    t_max_event: float
+    t_median_event: float
+    sigma_event: float
+
+
+def dataset_stats(ds: SurvivalDataset) -> DatasetStats:
+    """Compute :class:`DatasetStats`; needs at least two uncensored subjects."""
+    event_times = ds.times[ds.events]
+    if event_times.size < 2:
+        raise InsufficientEventsError(
+            f"need at least two uncensored subjects, found {event_times.size}"
+        )
+    return DatasetStats(
+        n=ds.n,
+        censor_rate=float(np.mean(~ds.events)),
+        t_max_event=float(np.max(event_times)),
+        t_median_event=float(np.median(event_times)),
+        sigma_event=float(np.std(event_times, ddof=1)),
+    )
+
+
+@dataclass(frozen=True)
+class FoldSplit:
+    """A disjoint partition of record indices into cross-validation folds."""
+
+    folds: tuple
+
+    def train_indices(self, fold: int) -> np.ndarray:
+        test = set(self.folds[fold].tolist())
+        everything = np.concatenate(self.folds)
+        keep = np.sort(everything[~np.isin(everything, list(test))])
+        return keep
+
+    @property
+    def k(self) -> int:
+        return len(self.folds)
+
+
+def stratified_kfold(
+    ds: SurvivalDataset, k: int, seed: int, time_bins: int = 4
+) -> FoldSplit:
+    """Deterministic stratified k-fold split.
+
+    Strata are the cross product of the event flag and ``time_bins`` quantile
+    bins of the observed time. Records are shuffled within each stratum with a
+    generator seeded by ``seed`` and dealt round-robin with a cursor that runs
+    across strata, so fold sizes differ by at most one and censoring is spread
+    as evenly as the counts allow.
+    """
+    if k < 2:
+        raise ConfigurationError(f"need at least two folds, got k={k}")
+    if k > ds.n:
+        raise ConfigurationError(f"cannot split {ds.n} records into {k} folds")
+    times = ds.times
+    edges = np.quantile(times, np.arange(1, time_bins) / time_bins)
+    bins = np.searchsorted(edges, times, side="right")
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    cursor = 0
+    for flag in (False, True):
+        for b in range(time_bins):
+            members = np.nonzero((ds.events == flag) & (bins == b))[0]
+            if members.size == 0:
+                continue
+            for idx in rng.permutation(members):
+                folds[cursor % k].append(int(idx))
+                cursor += 1
+    return FoldSplit(
+        folds=tuple(np.array(sorted(f), dtype=int) for f in folds)
+    )
+
+
+def _parse_float(text: str, line: int, column: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataFormatError(
+            f"line {line}: non-numeric value {text!r} in column {column!r}"
+        ) from None
+
+
+def load_dataset(
+    path, time_column: str = "time", event_column: str = "event"
+) -> SurvivalDataset:
+    """Read a CSV file with a header into a :class:`SurvivalDataset`.
+
+    The time and event columns are looked up by name; a ``true_time`` column,
+    when present, populates the hidden ground truth. Every other column is
+    treated as a numeric feature. Rows keep their file order and parse errors
+    name the offending line (the header is line 1).
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        for needed in (time_column, event_column):
+            if needed not in header:
+                raise DataFormatError(f"{path}: column {needed!r} not found in header")
+        t_idx = header.index(time_column)
+        e_idx = header.index(event_column)
+        truth_idx = header.index("true_time") if "true_time" in header else None
+        feat_idx = [
+            j
+            for j in range(len(header))
+            if j not in (t_idx, e_idx) and j != truth_idx
+        ]
+        records = []
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"line {line}: expected {len(header)} fields, found {len(row)}"
+                )
+            time = _parse_float(row[t_idx], line, time_column)
+            ev_raw = _parse_float(row[e_idx], line, event_column)
+            if ev_raw not in (0.0, 1.0):
+                raise DataFormatError(
+                    f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}"
+                )
+            truth = (
+                _parse_float(row[truth_idx], line, "true_time")
+                if truth_idx is not None
+                else None
+            )
+            feats = tuple(
+                _parse_float(row[j], line, header[j]) for j in feat_idx
+            )
+            try:
+                records.append(
+                    SurvivalRecord(
+                        features=feats,
+                        time=time,
+                        event=bool(ev_raw),
+                        true_event_time=truth,
+                    )
+                )
+            except ValueError as exc:
+                raise DataFormatError(f"line {line}: {exc}") from None
+    if not records:
+        raise DataFormatError(f"{path}: no data rows")
+    return SurvivalDataset(
+        records=tuple(records),
+        feature_names=tuple(header[j] for j in feat_idx),
+    )
+
+
+def save_dataset(ds: SurvivalDataset, path) -> None:
+    """Write a dataset back to CSV in the layout :func:`load_dataset` reads."""
+    path = Path(path)
+    with_truth = ds.true_times is not None
+    header = ["time", "event"] + (["true_time"] if with_truth else []) + list(
+        ds.feature_names
+    )
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in ds.records:
+            row = [repr(float(r.time)), str(int(r.event))]
+            if with_truth:
+                row.append(repr(float(r.true_event_time)))
+            row.extend(repr(float(v)) for v in r.features)
+            writer.writerow(row)

@@ -1,0 +1,414 @@
+"""Survival estimators: Kaplan-Meier, Cox proportional hazards, Weibull AFT.
+
+All fits share the tie convention that events are processed before
+censorings, i.e. a subject censored at time t is still at risk for events at
+t. Kaplan-Meier fits keep their count table so leave-one-out variants can be
+recomputed incrementally.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .core import StepCurve, SurvivalDataset
+from .errors import ConvergenceError, InsufficientEventsError, SeparationError
+
+__all__ = [
+    "CoxModel",
+    "CumulativeHazard",
+    "KaplanMeierFit",
+    "WeibullAFTModel",
+    "breslow_baseline",
+    "censoring_km_fit",
+    "cox_survival_curve",
+    "coxph_fit",
+    "km_fit",
+    "model_from_json",
+    "model_to_json",
+    "weibull_aft_fit",
+]
+
+# Absolute bound on any Cox coefficient before the fit is declared separated.
+_SEPARATION_BOUND = 50.0
+
+
+@dataclass(frozen=True)
+class KaplanMeierFit:
+    """Product-limit fit: count table over event times plus the survival curve.
+
+    ``event_times``, ``at_risk`` and ``n_events`` are parallel arrays (the
+    classic (t_k, n_k, d_k) table). The curve carries a knot at every distinct
+    observed time, so its last knot is the largest observed time even when
+    that subject was censored.
+    """
+
+    event_times: np.ndarray
+    at_risk: np.ndarray
+    n_events: np.ndarray
+    curve: StepCurve
+
+    @property
+    def table(self):
+        """The (t_k, n_k, d_k) rows as a list of tuples."""
+        return list(
+            zip(self.event_times.tolist(), self.at_risk.tolist(), self.n_events.tolist())
+        )
+
+
+def km_fit(times, events) -> KaplanMeierFit:
+    """Kaplan-Meier product-limit estimator.
+
+    Parameters
+    ----------
+    times : sequence of positive floats
+    events : sequence of bools, True where the event was observed
+
+    Notes
+    -----
+    At tied times events are counted before censorings: a subject censored at
+    t remains in the at-risk count n_k for events at t.
+    """
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    if t.ndim != 1 or t.shape != e.shape:
+        raise ValueError("times and events must be 1-d arrays of equal length")
+    if t.size == 0:
+        raise ValueError("cannot fit on an empty sample")
+    if np.any(t <= 0):
+        raise ValueError("times must be positive")
+
+    t_sorted = np.sort(t)
+    event_times, d_k = np.unique(t[e], return_counts=True)
+    if event_times.size:
+        # at risk at t_k: everyone whose observed time is >= t_k
+        n_k = t.size - np.searchsorted(t_sorted, event_times, side="left")
+        surv = np.cumprod((n_k - d_k) / n_k)
+    else:
+        n_k = np.array([], dtype=int)
+        surv = np.array([], dtype=float)
+
+    all_times = np.unique(t)
+    idx = np.searchsorted(event_times, all_times, side="right") - 1
+    values = np.where(idx >= 0, surv[np.maximum(idx, 0)] if surv.size else 1.0, 1.0)
+    if event_times.size == 0:
+        values = np.ones_like(all_times)
+    curve = StepCurve(knots=all_times, values=values)
+    return KaplanMeierFit(
+        event_times=event_times, at_risk=n_k.astype(int), n_events=d_k.astype(int),
+        curve=curve,
+    )
+
+
+def censoring_km_fit(ds: SurvivalDataset) -> KaplanMeierFit:
+    """Kaplan-Meier fit of the censoring distribution (event flags inverted)."""
+    return km_fit(ds.times, ~ds.events)
+
+
+@dataclass(frozen=True)
+class CumulativeHazard:
+    """Nondecreasing step function, zero before its first knot."""
+
+    knots: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+        if knots.size != values.size or knots.ndim != 1:
+            raise ValueError("knots and values must be 1-d arrays of equal length")
+        if np.any(np.diff(values) < -1e-12) or (values.size and values[0] < 0):
+            raise ValueError("cumulative hazard must be nonnegative and nondecreasing")
+
+    def value(self, t):
+        t_arr = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.knots, t_arr, side="right") - 1
+        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
+        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class CoxModel:
+    """Fitted proportional-hazards model with a Breslow baseline."""
+
+    beta: np.ndarray
+    baseline_cumhaz: CumulativeHazard
+    feature_means: np.ndarray
+
+    def risk(self, x) -> float:
+        """Relative risk exp(beta . (x - mean)) of one covariate vector."""
+        x = np.asarray(x, dtype=float)
+        return float(np.exp(self.beta @ (x - self.feature_means)))
+
+
+def _cox_loglik_parts(beta, x_centered, times, events, want_derivs):
+    """Breslow partial log-likelihood and, optionally, gradient and Hessian."""
+    eta = x_centered @ beta
+    # guard against overflow in pathological iterates; step halving recovers
+    with np.errstate(over="ignore"):
+        w = np.exp(eta)
+    order = np.argsort(times, kind="stable")
+    t_sorted = times[order]
+    x_sorted = x_centered[order]
+    w_sorted = w[order]
+    xw_sorted = x_sorted * w_sorted[:, None]
+
+    # suffix sums so S0(u) = sum of w over subjects with t >= u
+    s0_suffix = np.cumsum(w_sorted[::-1])[::-1]
+    s1_suffix = np.cumsum(xw_sorted[::-1], axis=0)[::-1]
+
+    ev_times, d_k = np.unique(times[events], return_counts=True)
+    pos = np.searchsorted(t_sorted, ev_times, side="left")
+    s0 = s0_suffix[pos]
+    s1 = s1_suffix[pos]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = float(np.sum(eta[events]) - np.sum(d_k * np.log(s0)))
+    if not want_derivs:
+        return ll, None, None
+
+    mean_x = s1 / s0[:, None]
+    grad = np.sum(x_centered[events], axis=0) - (d_k[:, None] * mean_x).sum(axis=0)
+
+    s2_terms = np.einsum("ij,ik->ijk", x_sorted, xw_sorted)
+    s2_suffix = np.cumsum(s2_terms[::-1], axis=0)[::-1]
+    s2 = s2_suffix[pos]
+    covs = s2 / s0[:, None, None] - mean_x[:, :, None] * mean_x[:, None, :]
+    hess = -np.sum(d_k[:, None, None] * covs, axis=0)
+    return ll, grad, hess
+
+
+def coxph_fit(
+    ds: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8
+) -> CoxModel:
+    """Fit a Cox proportional-hazards model by damped Newton iteration.
+
+    Uses the Breslow approximation for tied event times and centers the
+    features before fitting. Convergence is declared when the gradient
+    max-norm drops below ``tol``. Raises :class:`SeparationError` when a
+    coefficient runs away (a covariate perfectly orders the risk sets) and
+    :class:`ConvergenceError`, carrying the last iterate, when the iteration
+    budget runs out.
+    """
+    if ds.feature_matrix.shape[1] == 0:
+        raise ValueError("Cox model needs at least one feature")
+    if not ds.events.any():
+        raise InsufficientEventsError("Cox model needs at least one event")
+    means = ds.feature_matrix.mean(axis=0)
+    x_c = ds.feature_matrix - means
+    times, events = ds.times, ds.events
+
+    beta = np.zeros(x_c.shape[1])
+    ll, grad, hess = _cox_loglik_parts(beta, x_c, times, events, True)
+    for _ in range(max_iter):
+        if np.max(np.abs(grad)) < tol:
+            baseline = _breslow_from_centered(beta, x_c, times, events)
+            return CoxModel(beta=beta, baseline_cumhaz=baseline, feature_means=means)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        step = -step  # ascent direction: hess is negative (semi)definite
+        scale = 1.0
+        for _ in range(30):
+            candidate = beta + scale * step
+            cand_ll, _, _ = _cox_loglik_parts(candidate, x_c, times, events, False)
+            if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                "step halving failed to improve the partial likelihood",
+                last_params=beta,
+            )
+        beta = candidate
+        if np.max(np.abs(beta)) > _SEPARATION_BOUND:
+            raise SeparationError(
+                "coefficient magnitude exceeded "
+                f"{_SEPARATION_BOUND}; a covariate separates the risk order"
+            )
+        ll, grad, hess = _cox_loglik_parts(beta, x_c, times, events, True)
+    if np.max(np.abs(grad)) < tol:
+        baseline = _breslow_from_centered(beta, x_c, times, events)
+        return CoxModel(beta=beta, baseline_cumhaz=baseline, feature_means=means)
+    raise ConvergenceError(
+        f"no convergence after {max_iter} Newton iterations", last_params=beta
+    )
+
+
+def _breslow_from_centered(beta, x_centered, times, events) -> CumulativeHazard:
+    with np.errstate(over="ignore"):
+        w = np.exp(x_centered @ beta)
+    order = np.argsort(times, kind="stable")
+    t_sorted = times[order]
+    s0_suffix = np.cumsum(w[order][::-1])[::-1]
+    ev_times, d_k = np.unique(times[events], return_counts=True)
+    pos = np.searchsorted(t_sorted, ev_times, side="left")
+    increments = d_k / s0_suffix[pos]
+    return CumulativeHazard(knots=ev_times, values=np.cumsum(increments))
+
+
+def breslow_baseline(model: CoxModel, ds: SurvivalDataset) -> CumulativeHazard:
+    """Breslow baseline cumulative hazard of ``model`` evaluated on ``ds``."""
+    x_c = ds.feature_matrix - model.feature_means
+    return _breslow_from_centered(model.beta, x_c, ds.times, ds.events)
+
+
+def cox_survival_curve(model: CoxModel, x) -> StepCurve:
+    """Per-subject survival curve exp(-H0(t) * risk) on the baseline knots."""
+    r = model.risk(x)
+    h = model.baseline_cumhaz
+    return StepCurve(knots=h.knots, values=np.exp(-h.values * r))
+
+
+@dataclass(frozen=True)
+class WeibullAFTModel:
+    """Two-parameter Weibull survival model S(t) = exp(-(t/scale)^shape)."""
+
+    shape: float
+    scale: float
+
+    def survival_at(self, t):
+        t_arr = np.asarray(t, dtype=float)
+        out = np.exp(-((t_arr / self.scale) ** self.shape))
+        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+    def median(self) -> float:
+        return self.scale * np.log(2.0) ** (1.0 / self.shape)
+
+    def as_step_curve(self, probs=None) -> StepCurve:
+        """Sample the continuous curve onto a survival-probability grid."""
+        if probs is None:
+            probs = np.arange(99, 0, -1) / 100.0
+        probs = np.asarray(probs, dtype=float)
+        knots = self.scale * (-np.log(probs)) ** (1.0 / self.shape)
+        return StepCurve(knots=knots, values=probs)
+
+
+def _weibull_loglik(a, b, t, e):
+    """Censored Weibull log-likelihood and derivatives in (log shape, log scale)."""
+    k = np.exp(a)
+    u = np.log(t) - b
+    with np.errstate(over="ignore"):
+        z = np.exp(k * u)
+    d = float(e.sum())
+    ll = float(np.sum(e * (a + (k - 1.0) * np.log(t) - k * b)) - np.sum(z))
+    zu = z * u
+    g_a = d + k * (float(np.sum(u[e])) - float(np.sum(zu)))
+    g_b = k * (float(np.sum(z)) - d)
+    h_aa = (g_a - d) - k * k * float(np.sum(zu * u))
+    h_ab = g_b + k * k * float(np.sum(zu))
+    h_bb = -(k * k) * float(np.sum(z))
+    return ll, np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
+
+
+def weibull_aft_fit(
+    ds: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8
+) -> WeibullAFTModel:
+    """Maximum-likelihood Weibull fit honouring censoring.
+
+    Newton iteration in (log shape, log scale) with step halving; raises
+    :class:`ConvergenceError` with the last iterate when it fails.
+    """
+    t, e = ds.times, ds.events
+    if not e.any():
+        raise InsufficientEventsError("Weibull fit needs at least one event")
+    theta = np.array([0.0, np.log(float(t.sum()) / float(e.sum()))])
+    ll, grad, hess = _weibull_loglik(theta[0], theta[1], t, e)
+    for _ in range(max_iter):
+        if np.max(np.abs(grad)) < tol:
+            return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
+        try:
+            step = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = grad  # fall back to plain ascent
+        scale = 1.0
+        for _ in range(40):
+            cand = theta + scale * step
+            cand_ll, _, _ = _weibull_loglik(cand[0], cand[1], t, e)
+            if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                "step halving failed to improve the Weibull likelihood",
+                last_params=np.exp(theta),
+            )
+        theta = cand
+        ll, grad, hess = _weibull_loglik(theta[0], theta[1], t, e)
+    if np.max(np.abs(grad)) < tol:
+        return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
+    raise ConvergenceError(
+        f"no convergence after {max_iter} Newton iterations",
+        last_params=np.exp(theta),
+    )
+
+
+def model_to_json(model, path=None) -> str:
+    """Serialize a fitted model (KM, Cox or Weibull) to a JSON string.
+
+    When ``path`` is given the JSON is also written there.
+    """
+    if isinstance(model, KaplanMeierFit):
+        payload = {
+            "kind": "km",
+            "knots": model.curve.knots.tolist(),
+            "values": model.curve.values.tolist(),
+            "event_times": model.event_times.tolist(),
+            "at_risk": model.at_risk.tolist(),
+            "n_events": model.n_events.tolist(),
+        }
+    elif isinstance(model, CoxModel):
+        payload = {
+            "kind": "coxph",
+            "beta": model.beta.tolist(),
+            "baseline_knots": model.baseline_cumhaz.knots.tolist(),
+            "baseline_values": model.baseline_cumhaz.values.tolist(),
+            "feature_means": model.feature_means.tolist(),
+        }
+    elif isinstance(model, WeibullAFTModel):
+        payload = {"kind": "weibull_aft", "shape": model.shape, "scale": model.scale}
+    else:
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    text = json.dumps(payload, indent=2)
+    if path is not None:
+        Path(path).write_text(text + "\n")
+    return text
+
+
+def model_from_json(source):
+    """Inverse of :func:`model_to_json`; accepts a JSON string or a file path."""
+    if isinstance(source, Path):
+        data = json.loads(source.read_text())
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        data = json.loads(source)
+    else:
+        data = json.loads(Path(source).read_text())
+    kind = data.get("kind")
+    if kind == "km":
+        return KaplanMeierFit(
+            event_times=np.asarray(data["event_times"], dtype=float),
+            at_risk=np.asarray(data["at_risk"], dtype=int),
+            n_events=np.asarray(data["n_events"], dtype=int),
+            curve=StepCurve(
+                knots=np.asarray(data["knots"], dtype=float),
+                values=np.asarray(data["values"], dtype=float),
+            ),
+        )
+    if kind == "coxph":
+        return CoxModel(
+            beta=np.asarray(data["beta"], dtype=float),
+            baseline_cumhaz=CumulativeHazard(
+                knots=np.asarray(data["baseline_knots"], dtype=float),
+                values=np.asarray(data["baseline_values"], dtype=float),
+            ),
+            feature_means=np.asarray(data["feature_means"], dtype=float),
+        )
+    if kind == "weibull_aft":
+        return WeibullAFTModel(shape=float(data["shape"]), scale=float(data["scale"]))
+    raise ValueError(f"unknown model kind {kind!r}")

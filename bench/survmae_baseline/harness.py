@@ -1,0 +1,517 @@
+"""Experiment harness: cross-validated scoring of models under every metric.
+
+The harness exists to answer one question: which evaluation metric ranks
+models the way the hidden true MAE would? It fits simple reference models
+(or synthetic noisy oracles) across stratified folds, scores them with every
+MAE variant plus the auxiliary metrics, and reports ranking agreement against
+the true MAE whenever the dataset carries ground truth.
+"""
+
+from __future__ import annotations
+
+import csv
+import warnings
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+from scipy import stats as sps
+
+from .core import StepCurve, SurvivalDataset, stratified_kfold
+from .errors import (
+    BinningError,
+    ConfigurationError,
+    ConvergenceError,
+    DataFormatError,
+    DegenerateCurveError,
+    DegenerateScoreWarning,
+    InsufficientEventsError,
+    MissingGroundTruthError,
+    SeparationError,
+    UndefinedMetricError,
+)
+from .estimators import (
+    censoring_km_fit,
+    cox_survival_curve,
+    coxph_fit,
+    km_fit,
+    weibull_aft_fit,
+)
+from .mae import (
+    extract_predicted_times,
+    ipcw_t_surrogates,
+    mae_hinge,
+    mae_ipcw_d,
+    mae_uncensored,
+    margin_surrogates,
+    pop_po_surrogates,
+    pseudo_obs_surrogates,
+    true_mae,
+    weighted_mae,
+)
+from .metrics import (
+    concordance_index,
+    d_calibration,
+    integrated_brier_score,
+    log_likelihood,
+    one_calibration,
+)
+
+__all__ = [
+    "AgreementStats",
+    "ExperimentReport",
+    "MAE_METRICS",
+    "METRICS",
+    "ModelSpec",
+    "evaluate_dataset",
+    "load_curve_file",
+    "noisy_oracle_predictions",
+    "parse_model_spec",
+    "rank_agreement",
+    "run_experiment",
+    "save_curve_file",
+]
+
+MODEL_KINDS = frozenset(
+    {"km", "coxph", "weibull_aft", "noisy_oracle", "external_curves"}
+)
+
+MAE_METRICS = (
+    "mae_uncensored",
+    "mae_hinge",
+    "mae_margin",
+    "mae_ipcw_d",
+    "mae_ipcw_t",
+    "mae_po",
+    "mae_pop_po",
+)
+
+METRICS = MAE_METRICS + (
+    "true_mae",
+    "c_index",
+    "ibs",
+    "log_likelihood",
+    "one_calibration_p",
+    "d_calibration_p",
+)
+
+# errors that make one cell missing instead of aborting the experiment
+_CELL_ERRORS = (
+    UndefinedMetricError,
+    MissingGroundTruthError,
+    InsufficientEventsError,
+    DegenerateCurveError,
+    BinningError,
+    ConvergenceError,
+    SeparationError,
+)
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A model to evaluate: a reference fit, a noisy oracle, or external curves."""
+
+    kind: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise ConfigurationError(
+                f"unknown model kind {self.kind!r}; expected one of {sorted(MODEL_KINDS)}"
+            )
+
+
+def parse_model_spec(text: str) -> ModelSpec:
+    """Parse CLI notation: ``km``, ``coxph``, ``weibull_aft``, ``noisy:<sd>``,
+    ``external:<path>``."""
+    if text in ("km", "coxph", "weibull_aft"):
+        return ModelSpec(kind=text)
+    if text.startswith("noisy:"):
+        return ModelSpec(kind="noisy_oracle", params={"noise": float(text[6:])})
+    if text.startswith("external:"):
+        return ModelSpec(kind="external_curves", params={"path": text[9:]})
+    raise ConfigurationError(f"cannot parse model spec {text!r}")
+
+
+_ORACLE_SHAPE = 2.0
+_PROB_GRID = np.arange(99, 0, -1) / 100.0
+# relative knot positions of a Weibull curve with unit median; the entry for
+# probability one half is exactly 1, so the extracted median is exact
+_REL_KNOTS = (np.log(_PROB_GRID) / np.log(0.5)) ** (1.0 / _ORACLE_SHAPE)
+
+
+def noisy_oracle_predictions(ds_test: SurvivalDataset, noise: float, seed: int):
+    """Weibull-shaped curves whose medians are the true times times exp(noise).
+
+    With ``noise == 0`` the extracted medians reproduce the hidden truths
+    exactly. Requires ground truth on the dataset.
+    """
+    if ds_test.true_times is None:
+        raise MissingGroundTruthError("noisy oracle needs true event times")
+    if noise < 0:
+        raise ValueError("noise must be nonnegative")
+    rng = np.random.default_rng(seed)
+    medians = ds_test.true_times * np.exp(rng.normal(0.0, noise, ds_test.n))
+    return [StepCurve(knots=m * _REL_KNOTS, values=_PROB_GRID) for m in medians]
+
+
+def load_curve_file(path) -> dict:
+    """Read a curve file: header ``t,<grid times>``, rows ``<index>,<values>``.
+
+    Returns a mapping from subject index to :class:`StepCurve` on the shared
+    grid.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: file is empty") from None
+        if not header or header[0].strip() != "t":
+            raise DataFormatError(f"{path}: first header field must be 't'")
+        try:
+            grid = np.array([float(v) for v in header[1:]], dtype=float)
+        except ValueError:
+            raise DataFormatError(f"{path}: non-numeric grid time in header") from None
+        curves = {}
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != grid.size + 1:
+                raise DataFormatError(
+                    f"line {line}: expected {grid.size + 1} fields, found {len(row)}"
+                )
+            try:
+                idx = int(row[0])
+                values = np.array([float(v) for v in row[1:]], dtype=float)
+            except ValueError:
+                raise DataFormatError(f"line {line}: non-numeric field") from None
+            if idx in curves:
+                raise DataFormatError(f"line {line}: duplicate subject index {idx}")
+            try:
+                curves[idx] = StepCurve(knots=grid, values=values)
+            except ValueError as exc:
+                raise DataFormatError(f"line {line}: {exc}") from None
+    return curves
+
+
+def save_curve_file(path, grid, value_rows, indices=None) -> None:
+    """Write curves sharing ``grid`` in the format :func:`load_curve_file` reads."""
+    grid = np.asarray(grid, dtype=float)
+    value_rows = np.asarray(value_rows, dtype=float)
+    if indices is None:
+        indices = range(value_rows.shape[0])
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [repr(t) for t in grid.tolist()])
+        for idx, row in zip(indices, value_rows):
+            writer.writerow([int(idx)] + [repr(v) for v in row.tolist()])
+
+
+@dataclass(frozen=True)
+class AgreementStats:
+    """How closely a metric's model ranking tracks the true MAE ranking."""
+
+    kendall_tau: float
+    top3_overlap: int
+    mean_abs_gap: float
+
+
+@dataclass(frozen=True)
+class ExperimentReport:
+    """Everything a cross-validated comparison produced.
+
+    ``per_fold[model][metric]`` is a list with one entry per fold (None when
+    the metric was undefined on that fold); ``mean_scores`` averages the
+    defined entries. Rank orderings cover the MAE family, best (smallest)
+    first. ``agreement`` is empty when the dataset has no ground truth.
+    """
+
+    model_names: tuple
+    metric_names: tuple
+    per_fold: dict
+    mean_scores: dict
+    per_metric_rank: dict
+    true_mae_rank: tuple | None
+    agreement: dict
+
+    def to_json_dict(self) -> dict:
+        def clean(v):
+            if v is None or not np.isfinite(v):
+                return None
+            return float(v)
+
+        return {
+            "models": list(self.model_names),
+            "metrics": list(self.metric_names),
+            "per_fold": {
+                m: {met: [clean(v) for v in rows] for met, rows in d.items()}
+                for m, d in self.per_fold.items()
+            },
+            "mean_scores": {
+                m: {met: clean(v) for met, v in d.items()}
+                for m, d in self.mean_scores.items()
+            },
+            "per_metric_rank": {
+                met: list(order) for met, order in self.per_metric_rank.items()
+            },
+            "true_mae_rank": list(self.true_mae_rank) if self.true_mae_rank else None,
+            "agreement": {
+                met: {
+                    "kendall_tau": clean(a.kendall_tau),
+                    "top3_overlap": a.top3_overlap,
+                    "mean_abs_gap": clean(a.mean_abs_gap),
+                }
+                for met, a in self.agreement.items()
+            },
+        }
+
+
+def _top3(scores: dict) -> set:
+    ordered = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
+    return {name for name, _ in ordered[:3]}
+
+
+def rank_agreement(true_scores: dict, metric_scores: dict):
+    """Kendall tau-b and top-3 overlap between two model score maps.
+
+    Both maps must cover the same models; smaller scores rank better. Ties in
+    the top-3 cut are broken by model name so the result is deterministic.
+    Returns ``(kendall_tau, top3_overlap)``; tau is NaN for fewer than two
+    models.
+    """
+    if set(true_scores) != set(metric_scores):
+        raise ValueError("score maps must cover the same models")
+    names = sorted(true_scores)
+    if len(names) < 2:
+        tau = float("nan")
+    else:
+        tau = float(
+            sps.kendalltau(
+                [true_scores[n] for n in names], [metric_scores[n] for n in names]
+            ).statistic
+        )
+    overlap = len(_top3(true_scores) & _top3(metric_scores))
+    return tau, overlap
+
+
+def _unique_names(models) -> tuple:
+    names = []
+    for spec in models:
+        if spec.kind == "noisy_oracle":
+            base = f"noisy_{spec.params.get('noise', 0.0):g}"
+        elif spec.kind == "external_curves":
+            stem = Path(str(spec.params.get("path", "external"))).stem
+            base = f"external_{stem}" if spec.params.get("path") else "external"
+        else:
+            base = spec.kind
+        name = base
+        bump = 2
+        while name in names:
+            name = f"{base}_{bump}"
+            bump += 1
+        names.append(name)
+    return tuple(names)
+
+
+def _model_curves(spec: ModelSpec, train, test, test_indices, seed):
+    if spec.kind == "km":
+        curve = km_fit(train.times, train.events).curve
+        return [curve] * test.n
+    if spec.kind == "coxph":
+        model = coxph_fit(train)
+        return [cox_survival_curve(model, x) for x in test.feature_matrix]
+    if spec.kind == "weibull_aft":
+        curve = weibull_aft_fit(train).as_step_curve()
+        return [curve] * test.n
+    if spec.kind == "noisy_oracle":
+        return noisy_oracle_predictions(
+            test, float(spec.params.get("noise", 0.0)), seed
+        )
+    if spec.kind == "external_curves":
+        curves = spec.params.get("curves")
+        if curves is None:
+            curves = load_curve_file(spec.params["path"])
+        missing = [int(i) for i in test_indices if int(i) not in curves]
+        if missing:
+            raise ConfigurationError(
+                f"curve file does not cover subjects {missing[:5]}"
+            )
+        return [curves[int(i)] for i in test_indices]
+    raise ConfigurationError(f"unknown model kind {spec.kind!r}")
+
+
+def _attempt(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except _CELL_ERRORS:
+        return None
+
+
+def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -> dict:
+    """Score one set of per-subject curves on one dataset, no folds.
+
+    Reference quantities (KM curve, censoring KM, calibration horizon) come
+    from the dataset itself. Returns a metric-name to score map with None for
+    undefined entries; ``true_mae`` appears only when ground truth is present.
+    """
+    if len(curves) != ds.n:
+        raise ConfigurationError(f"got {len(curves)} curves for {ds.n} subjects")
+    km_self = km_fit(ds.times, ds.events)
+    g_self = censoring_km_fit(ds)
+    scores = {met: None for met in METRICS}
+    preds = _attempt(extract_predicted_times, curves, pred_method)
+    if preds is not None:
+        scores["mae_uncensored"] = _attempt(mae_uncensored, preds, ds)
+        scores["mae_hinge"] = _attempt(mae_hinge, preds, ds)
+        margin_s = _attempt(margin_surrogates, ds, km_self)
+        if margin_s is not None:
+            scores["mae_margin"] = _attempt(weighted_mae, margin_s, preds)
+        scores["mae_ipcw_d"] = _attempt(mae_ipcw_d, preds, ds, g_self)
+        ipcwt_s = _attempt(ipcw_t_surrogates, ds)
+        if ipcwt_s is not None:
+            scores["mae_ipcw_t"] = _attempt(weighted_mae, ipcwt_s, preds)
+        po_s = _attempt(pseudo_obs_surrogates, ds)
+        if po_s is not None:
+            scores["mae_po"] = _attempt(weighted_mae, po_s, preds)
+        pop_s = _attempt(pop_po_surrogates, ds)
+        if pop_s is not None:
+            scores["mae_pop_po"] = _attempt(weighted_mae, pop_s, preds)
+        if ds.true_times is not None:
+            scores["true_mae"] = _attempt(true_mae, preds, ds)
+        scores["c_index"] = _attempt(concordance_index, preds, ds)
+    scores["ibs"] = _attempt(integrated_brier_score, curves, ds, g_self)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateScoreWarning)
+        scores["log_likelihood"] = _attempt(log_likelihood, curves, ds)
+    events = ds.times[ds.events]
+    if events.size:
+        res = _attempt(one_calibration, curves, ds, float(np.median(events)))
+        scores["one_calibration_p"] = res.p_value if res else None
+    res = _attempt(d_calibration, curves, ds)
+    scores["d_calibration_p"] = res.p_value if res else None
+    if ds.true_times is None:
+        scores.pop("true_mae")
+    return scores
+
+
+def run_experiment(
+    ds: SurvivalDataset,
+    models,
+    k: int = 5,
+    seed: int = 0,
+    pred_method: str = "median",
+) -> ExperimentReport:
+    """Cross-validated scoring of ``models`` under every metric.
+
+    Splits ``ds`` with :func:`stratified_kfold`, fits each model on the train
+    side of each fold, scores its predictions on the test side, and aggregates
+    fold means, rank orderings, and (when the dataset carries hidden truths)
+    agreement statistics against the true MAE. Undefined metrics become
+    missing cells rather than failures. Deterministic for a fixed seed.
+    """
+    models = list(models)
+    if not models:
+        raise ConfigurationError("need at least one model")
+    names = _unique_names(models)
+    split = stratified_kfold(ds, k, seed)
+    per_fold = {n: {met: [None] * k for met in METRICS} for n in names}
+    t_max_all = float(ds.times[ds.events].max()) if ds.events.any() else None
+
+    for f in range(k):
+        test_idx = split.folds[f]
+        train = ds.subset(split.train_indices(f))
+        test = ds.subset(test_idx)
+        km_train = km_fit(train.times, train.events)
+        g_train = censoring_km_fit(train)
+        margin_s = _attempt(margin_surrogates, test, km_train)
+        ipcwt_s = _attempt(ipcw_t_surrogates, test)
+        po_s = _attempt(pseudo_obs_surrogates, test)
+        pop_s = _attempt(pop_po_surrogates, test)
+        train_events = train.times[train.events]
+        t_star = float(np.median(train_events)) if train_events.size else None
+
+        for m_idx, (spec, name) in enumerate(zip(models, names)):
+            cell = per_fold[name]
+            child_seed = int(
+                np.random.SeedSequence((seed, f, m_idx)).generate_state(1)[0]
+            )
+            curves = _attempt(_model_curves, spec, train, test, test_idx, child_seed)
+            if curves is None:
+                continue
+            preds = _attempt(extract_predicted_times, curves, pred_method)
+            if preds is not None:
+                cell["mae_uncensored"][f] = _attempt(mae_uncensored, preds, test)
+                cell["mae_hinge"][f] = _attempt(mae_hinge, preds, test)
+                if margin_s is not None:
+                    cell["mae_margin"][f] = _attempt(weighted_mae, margin_s, preds)
+                cell["mae_ipcw_d"][f] = _attempt(mae_ipcw_d, preds, test, g_train)
+                if ipcwt_s is not None:
+                    cell["mae_ipcw_t"][f] = _attempt(weighted_mae, ipcwt_s, preds)
+                if po_s is not None:
+                    cell["mae_po"][f] = _attempt(weighted_mae, po_s, preds)
+                if pop_s is not None:
+                    cell["mae_pop_po"][f] = _attempt(weighted_mae, pop_s, preds)
+                if test.true_times is not None:
+                    cell["true_mae"][f] = _attempt(true_mae, preds, test)
+                cell["c_index"][f] = _attempt(concordance_index, preds, test)
+            cell["ibs"][f] = _attempt(
+                integrated_brier_score, curves, test, g_train, 100, t_max_all
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateScoreWarning)
+                cell["log_likelihood"][f] = _attempt(log_likelihood, curves, test)
+            if t_star is not None:
+                res = _attempt(one_calibration, curves, test, t_star)
+                cell["one_calibration_p"][f] = res.p_value if res else None
+            res = _attempt(d_calibration, curves, test)
+            cell["d_calibration_p"][f] = res.p_value if res else None
+
+    mean_scores = {
+        n: {
+            met: (
+                float(np.mean([v for v in rows if v is not None]))
+                if any(v is not None for v in rows)
+                else None
+            )
+            for met, rows in per_fold[n].items()
+        }
+        for n in names
+    }
+
+    rank_metrics = MAE_METRICS + ("true_mae",)
+    per_metric_rank = {}
+    for met in rank_metrics:
+        present = {n: mean_scores[n][met] for n in names if mean_scores[n][met] is not None}
+        if present:
+            per_metric_rank[met] = tuple(
+                n for n, _ in sorted(present.items(), key=lambda kv: (kv[1], kv[0]))
+            )
+    true_means = {n: mean_scores[n]["true_mae"] for n in names}
+    have_truth = all(v is not None for v in true_means.values())
+    agreement = {}
+    if have_truth:
+        for met in rank_metrics:
+            both = {
+                n: mean_scores[n][met]
+                for n in names
+                if mean_scores[n][met] is not None
+            }
+            if not both:
+                continue
+            truth_sub = {n: true_means[n] for n in both}
+            tau, overlap = rank_agreement(truth_sub, both)
+            gap = float(np.mean([abs(both[n] - truth_sub[n]) for n in both]))
+            agreement[met] = AgreementStats(
+                kendall_tau=tau, top3_overlap=overlap, mean_abs_gap=gap
+            )
+    return ExperimentReport(
+        model_names=names,
+        metric_names=METRICS,
+        per_fold=per_fold,
+        mean_scores=mean_scores,
+        per_metric_rank=per_metric_rank,
+        true_mae_rank=per_metric_rank.get("true_mae"),
+        agreement=agreement,
+    )

@@ -1,0 +1,312 @@
+"""Censored MAE estimators.
+
+Every estimator reduces to the plain mean absolute error when nothing is
+censored. Censored subjects are handled by one of three strategies: dropping
+(uncensored-only), lower-bounding (hinge), or replacing the censored time
+with a surrogate best guess plus a confidence weight (margin, IPCW-T,
+pseudo-observation and its population ablation). IPCW-D instead reweights the
+uncensored subjects by the inverse probability of remaining uncensored.
+
+Surrogate builders return a :class:`SurrogateSet`; :func:`weighted_mae`
+reduces any of them against predicted times.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import StepCurve, SurvivalDataset
+from .errors import (
+    DegenerateCurveError,
+    MissingGroundTruthError,
+    UndefinedMetricError,
+)
+from .estimators import KaplanMeierFit, km_fit
+
+__all__ = [
+    "PredictedTimes",
+    "SurrogateSet",
+    "extract_predicted_times",
+    "ipcw_t_surrogates",
+    "mae_hinge",
+    "mae_ipcw_d",
+    "mae_ipcw_t",
+    "mae_margin",
+    "mae_po",
+    "mae_pop_po",
+    "mae_uncensored",
+    "margin_surrogates",
+    "pop_po_surrogates",
+    "pseudo_obs_surrogates",
+    "true_mae",
+    "weighted_mae",
+]
+
+
+@dataclass(frozen=True)
+class PredictedTimes:
+    """Point predictions of survival time, one per subject, all finite and positive."""
+
+    values: np.ndarray
+    method: str = "median"
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1:
+            raise ValueError("predicted times must form a 1-d array")
+        if not np.all(np.isfinite(values)) or np.any(values <= 0):
+            raise ValueError("predicted times must be finite and positive")
+        if self.method not in ("median", "mean"):
+            raise ValueError(f"unknown extraction method {self.method!r}")
+
+
+@dataclass(frozen=True)
+class SurrogateSet:
+    """Per-subject surrogate event times with weights and inclusion flags.
+
+    Uncensored subjects always carry their observed time with weight 1.
+    ``included`` marks subjects that participate in the weighted mean at all
+    (IPCW-T drops censored subjects with no later event).
+    """
+
+    surrogate: np.ndarray
+    weight: np.ndarray
+    included: np.ndarray
+
+    def __post_init__(self):
+        surrogate = np.asarray(self.surrogate, dtype=float)
+        weight = np.asarray(self.weight, dtype=float)
+        included = np.asarray(self.included, dtype=bool)
+        for name, arr in (("surrogate", surrogate), ("weight", weight), ("included", included)):
+            object.__setattr__(self, name, arr)
+        if not (surrogate.shape == weight.shape == included.shape):
+            raise ValueError("surrogate, weight and included must share a shape")
+        if np.any(weight < 0) or np.any(weight > 1 + 1e-12):
+            raise ValueError("weights must lie in [0, 1]")
+
+
+def extract_predicted_times(curves, method: str = "median") -> PredictedTimes:
+    """Summarize survival curves into point predictions (median by default)."""
+    out = np.empty(len(curves), dtype=float)
+    for i, curve in enumerate(curves):
+        try:
+            out[i] = curve.median_time() if method == "median" else curve.mean_time()
+        except DegenerateCurveError as exc:
+            raise DegenerateCurveError(f"subject {i}: {exc}") from None
+    return PredictedTimes(values=out, method=method)
+
+
+def _check_lengths(preds: PredictedTimes, n: int):
+    if preds.values.size != n:
+        raise ValueError(
+            f"got {preds.values.size} predictions for {n} subjects"
+        )
+
+
+def mae_uncensored(preds: PredictedTimes, ds: SurvivalDataset) -> float:
+    """Mean absolute error over the uncensored subjects only."""
+    _check_lengths(preds, ds.n)
+    if not ds.events.any():
+        raise UndefinedMetricError("no uncensored subjects")
+    err = np.abs(ds.times - preds.values)
+    return float(err[ds.events].mean())
+
+
+def mae_hinge(preds: PredictedTimes, ds: SurvivalDataset) -> float:
+    """One-sided MAE: censored subjects only penalize predictions below their time."""
+    _check_lengths(preds, ds.n)
+    err = np.abs(ds.times - preds.values)
+    hinge = np.maximum(ds.times - preds.values, 0.0)
+    return float(np.where(ds.events, err, hinge).mean())
+
+
+def true_mae(preds: PredictedTimes, ds: SurvivalDataset) -> float:
+    """MAE against the hidden true event times (semi-synthetic data only)."""
+    _check_lengths(preds, ds.n)
+    if ds.true_times is None:
+        raise MissingGroundTruthError("dataset has no true event times")
+    return float(np.abs(ds.true_times - preds.values).mean())
+
+
+def weighted_mae(surrogates: SurrogateSet, preds: PredictedTimes) -> float:
+    """Weighted mean of |surrogate - prediction| over the included subjects."""
+    if surrogates.surrogate.shape != preds.values.shape:
+        raise ValueError("surrogate set and predictions differ in length")
+    inc = surrogates.included
+    total = float(surrogates.weight[inc].sum())
+    if not inc.any() or total <= 0.0:
+        raise UndefinedMetricError("no included subject carries positive weight")
+    err = np.abs(surrogates.surrogate[inc] - preds.values[inc])
+    return float((surrogates.weight[inc] * err).sum() / total)
+
+
+def _uncensored_base(ds: SurvivalDataset):
+    """Surrogate arrays pre-filled with the uncensored convention."""
+    surrogate = ds.times.copy()
+    weight = np.where(ds.events, 1.0, 0.0)
+    included = np.ones(ds.n, dtype=bool)
+    return surrogate, weight, included
+
+
+def margin_surrogates(ds: SurvivalDataset, km_train: KaplanMeierFit) -> SurrogateSet:
+    """Margin surrogates: conditional residual life under a training KM curve.
+
+    A subject censored at t gets surrogate ``t + I(t) / S(t)`` where I(t) is
+    the area under the training curve from t to its last knot, and weight
+    ``1 - S(t)``. When the curve has already hit zero at t the surrogate
+    falls back to t itself with full weight.
+    """
+    curve = km_train.curve
+    surrogate, weight, included = _uncensored_base(ds)
+    for i in np.nonzero(~ds.events)[0]:
+        t_i = float(ds.times[i])
+        s_i = curve.value(t_i)
+        if s_i <= 0.0:
+            surrogate[i] = t_i
+            weight[i] = 1.0
+            continue
+        tail = curve.integrate(t_i, curve.t_last) if t_i < curve.t_last else 0.0
+        surrogate[i] = t_i + tail / s_i
+        weight[i] = 1.0 - s_i
+    return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
+
+
+def ipcw_t_surrogates(ds: SurvivalDataset) -> SurrogateSet:
+    """Surrogate = mean of the strictly later uncensored times, margin weights.
+
+    Censored subjects with no later event are excluded entirely.
+    """
+    surrogate, weight, included = _uncensored_base(ds)
+    ev_times = np.sort(ds.times[ds.events])
+    suffix = np.concatenate((np.cumsum(ev_times[::-1])[::-1], [0.0]))
+    km = km_fit(ds.times, ds.events) if ev_times.size else None
+    for i in np.nonzero(~ds.events)[0]:
+        t_i = float(ds.times[i])
+        pos = np.searchsorted(ev_times, t_i, side="right")
+        later = ev_times.size - pos
+        if later == 0:
+            included[i] = False
+            weight[i] = 0.0
+            continue
+        surrogate[i] = suffix[pos] / later
+        weight[i] = 1.0 - km.curve.value(t_i)
+    return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
+
+
+def _km_restricted_means(ds: SurvivalDataset):
+    """Restricted mean of the KM curve plus all leave-one-censored-out means.
+
+    Returns ``(fit, theta, theta_loo)`` where ``theta_loo[c]`` is the
+    restricted mean after removing one censored subject whose time covers the
+    first ``c`` event knots. All integrals run over [0, last curve knot], the
+    largest observed time, extending the final plateau.
+    """
+    fit = km_fit(ds.times, ds.events)
+    et, n_k, d_k = fit.event_times, fit.at_risk, fit.n_events
+    horizon = fit.curve.t_last
+    p_full = np.cumprod((n_k - d_k) / n_k)
+    p_dec = np.cumprod((n_k - 1 - d_k) / np.maximum(n_k - 1, 1))
+    widths = np.diff(np.append(et, horizon))
+    head = float(et[0])
+    theta = head + float(np.sum(p_full * widths))
+
+    # prefix[c] = integral mass over knots below the cutoff, decremented
+    prefix = np.concatenate(([0.0], np.cumsum(p_dec * widths)))
+    suffix = np.concatenate((np.cumsum((p_full * widths)[::-1])[::-1], [0.0]))
+    # slots where the full curve already reached zero are never indexed:
+    # a censored subject is always at risk through its own time, so the
+    # survival mass at its cutoff stays positive
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.concatenate(([1.0], p_dec / p_full))
+        theta_loo = head + prefix + ratio * suffix
+    return fit, theta, theta_loo
+
+
+def pseudo_obs_surrogates(
+    ds: SurvivalDataset, jackknife: str = "incremental"
+) -> SurrogateSet:
+    """Pseudo-observation surrogates with margin-style weights.
+
+    Each censored subject i receives ``N * theta - (N - 1) * theta_loo(i)``
+    where theta is the restricted mean survival time of the KM curve over the
+    whole sample and theta_loo(i) drops subject i. The leave-one-out fit is
+    recomputed incrementally from the shared count table (at-risk counts fall
+    by one at every knot the subject outlived); ``jackknife="refit"`` keeps a
+    naive path that refits KM from scratch, for equivalence testing.
+    """
+    if not ds.events.any():
+        raise UndefinedMetricError("pseudo-observations need at least one event")
+    if jackknife not in ("incremental", "refit"):
+        raise ValueError(f"unknown jackknife mode {jackknife!r}")
+    surrogate, weight, included = _uncensored_base(ds)
+    fit, theta, theta_loo = _km_restricted_means(ds)
+    horizon = fit.curve.t_last
+    n = ds.n
+    censored = np.nonzero(~ds.events)[0]
+    if jackknife == "incremental":
+        cuts = np.searchsorted(fit.event_times, ds.times[censored], side="right")
+        loo = theta_loo[cuts]
+    else:
+        theta = fit.curve.integrate(0.0, horizon)
+        loo = np.empty(censored.size)
+        keep_all = np.arange(n)
+        for j, i in enumerate(censored):
+            keep = np.delete(keep_all, i)
+            sub = km_fit(ds.times[keep], ds.events[keep])
+            loo[j] = sub.curve.integrate(0.0, min(sub.curve.t_last, horizon))
+            if sub.curve.t_last < horizon:
+                loo[j] += sub.curve.v_last * (horizon - sub.curve.t_last)
+    surrogate[censored] = n * theta - (n - 1) * loo
+    weight[censored] = 1.0 - fit.curve.value(ds.times[censored])
+    return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
+
+
+def pop_po_surrogates(ds: SurvivalDataset) -> SurrogateSet:
+    """Population ablation: every censored subject gets the group KM mean."""
+    if not ds.events.any():
+        raise UndefinedMetricError("population surrogate needs at least one event")
+    surrogate, weight, included = _uncensored_base(ds)
+    fit, theta, _ = _km_restricted_means(ds)
+    censored = ~ds.events
+    surrogate[censored] = theta
+    weight[censored] = 1.0 - fit.curve.value(ds.times[censored])
+    return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
+
+
+def mae_ipcw_d(
+    preds: PredictedTimes, ds: SurvivalDataset, g_train: KaplanMeierFit
+) -> float:
+    """IPCW MAE: uncensored errors weighted by 1/G(t-) under the censoring KM.
+
+    G is evaluated at the left limit of each event time. Subjects whose
+    weight denominator hits zero are dropped from the numerator while the
+    denominator stays at the full subject count.
+    """
+    _check_lengths(preds, ds.n)
+    g = g_train.curve.value_before(ds.times)
+    usable = ds.events & (g > 0.0)
+    if not usable.any():
+        raise UndefinedMetricError("no uncensored subject with positive censoring mass")
+    err = np.abs(ds.times[usable] - preds.values[usable])
+    return float(np.sum(err / g[usable]) / ds.n)
+
+
+def mae_margin(
+    preds: PredictedTimes, ds: SurvivalDataset, km_train: KaplanMeierFit
+) -> float:
+    return weighted_mae(margin_surrogates(ds, km_train), preds)
+
+
+def mae_ipcw_t(preds: PredictedTimes, ds: SurvivalDataset) -> float:
+    return weighted_mae(ipcw_t_surrogates(ds), preds)
+
+
+def mae_po(preds: PredictedTimes, ds: SurvivalDataset) -> float:
+    return weighted_mae(pseudo_obs_surrogates(ds), preds)
+
+
+def mae_pop_po(preds: PredictedTimes, ds: SurvivalDataset) -> float:
+    return weighted_mae(pop_po_surrogates(ds), preds)
