@@ -10,6 +10,7 @@ that measures how faithfully each metric ranks models against the true MAE.
 """
 
 from .core import (
+    CurveBatch,
     DatasetStats,
     FoldSplit,
     StepCurve,
@@ -28,6 +29,7 @@ from .errors import (
     DegenerateCurveError,
     DegenerateScoreWarning,
     InsufficientEventsError,
+    InvalidCurveError,
     MissingGroundTruthError,
     SeparationError,
     UndefinedMetricError,
@@ -48,6 +50,7 @@ from .estimators import (
 )
 from .harness import (
     AgreementStats,
+    CurveTable,
     ExperimentReport,
     ModelSpec,
     evaluate_dataset,

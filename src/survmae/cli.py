@@ -121,14 +121,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_eval(args) -> int:
     ds = _load(args)
-    curves_by_index = load_curve_file(args.curves)
-    missing = [i for i in range(ds.n) if i not in curves_by_index]
-    if missing:
-        raise ConfigurationError(
-            f"curve file does not cover subjects {missing[:5]} "
-            f"({len(missing)} missing of {ds.n})"
-        )
-    curves = [curves_by_index[i] for i in range(ds.n)]
+    curves = load_curve_file(args.curves).select(range(ds.n))
     scores = evaluate_dataset(ds, curves, pred_method=args.pred_method)
     cleaned = {
         k: (None if v is None or not np.isfinite(v) else float(v))

@@ -7,6 +7,9 @@ Conventions used throughout the package:
   to the event).
 * Survival curves are right-continuous step functions that equal 1 before
   their first knot and keep their last value beyond the final knot.
+  :class:`StepCurve` holds one curve; :class:`CurveBatch` holds the curves
+  of many subjects as arrays and is the type predictions travel in. Both
+  reject non-finite knots or values and NaN query times.
 * Everything is pure and deterministic: functions return new objects, random
   behaviour always flows through an explicit seed.
 """
@@ -24,9 +27,11 @@ from .errors import (
     DataFormatError,
     DegenerateCurveError,
     InsufficientEventsError,
+    InvalidCurveError,
 )
 
 __all__ = [
+    "CurveBatch",
     "DatasetStats",
     "FoldSplit",
     "StepCurve",
@@ -152,6 +157,16 @@ class SurvivalDataset:
         return cls(records=tuple(records), feature_names=tuple(feature_names))
 
 
+def _query_times(t) -> np.ndarray:
+    """``t`` as a float array; rejects NaN and negative times."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr >= 0):
+        if np.any(np.isnan(t_arr)):
+            raise ValueError("query times must not be NaN")
+        raise ValueError("curve is only defined for t >= 0")
+    return t_arr
+
+
 @dataclass(frozen=True)
 class StepCurve:
     """Right-continuous, non-increasing step function with values in [0, 1].
@@ -172,6 +187,10 @@ class StepCurve:
             raise ValueError("knots and values must be 1-d arrays of equal length")
         if knots.size == 0:
             raise ValueError("curve must have at least one knot")
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("knots must be finite")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         if knots[0] < 0 or not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be nonnegative and strictly increasing")
         if np.any(values < 0) or np.any(values > 1):
@@ -189,18 +208,14 @@ class StepCurve:
 
     def value(self, t):
         """Right-continuous lookup; 1 before the first knot. Accepts scalars or arrays."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise ValueError("curve is only defined for t >= 0")
+        t_arr = _query_times(t)
         idx = np.searchsorted(self.knots, t_arr, side="right") - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def value_before(self, t):
         """Left limit: the value just before ``t`` (1 when no knot lies strictly below)."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise ValueError("curve is only defined for t >= 0")
+        t_arr = _query_times(t)
         idx = np.searchsorted(self.knots, t_arr, side="left") - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
@@ -241,6 +256,260 @@ class StepCurve:
         return area
 
 
+def _first_bad_row(knots, values, real):
+    """``(row, reason)`` of the first row that breaks a :class:`StepCurve`
+    rule, or None. ``real`` masks the entries that are not padding (None: all
+    are real). A rule that shared knots break is broken by every row. Rows
+    whose values are one broadcast row are checked once."""
+    n = values.shape[0]
+    if n and values.strides[0] == 0 and real is None:
+        values = values[:1]
+    pairs = None if real is None else real[:, 1:]
+
+    def rows(flags, mask):
+        if mask is not None:
+            flags = flags & mask
+        return np.broadcast_to(flags.any(axis=-1), (n,))
+
+    checks = (
+        (rows(~np.isfinite(knots), real), "knots must be finite"),
+        (rows(~np.isfinite(values), real), "values must be finite"),
+        (
+            rows(knots[..., :1] < 0, None) | rows(np.diff(knots) <= 0, pairs),
+            "knots must be nonnegative and strictly increasing",
+        ),
+        (rows((values < 0) | (values > 1), real), "values must lie in [0, 1]"),
+        (rows(np.diff(values) > 1e-12, pairs), "values must be non-increasing"),
+    )
+    first = None
+    for bad, reason in checks:
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), reason)
+    return first
+
+
+@dataclass(frozen=True, eq=False)
+class CurveBatch:
+    """Survival curves of ``n`` subjects held as arrays, one row per subject.
+
+    ``values`` is an ``n x K`` matrix. ``knots`` is either one row of ``K``
+    knots that every subject shares (the fast path for curves on a common
+    grid) or an ``n x K`` matrix. Ragged rows pass ``lengths`` with an
+    ``n x K`` knot matrix: row ``i`` uses its first ``lengths[i]`` entries and
+    ignores the rest. Row ``i`` is the :class:`StepCurve` ``batch[i]``.
+
+    Every :class:`StepCurve` rule is checked on all rows at once; a broken
+    rule raises :class:`InvalidCurveError` naming the first bad row.
+    """
+
+    knots: np.ndarray
+    values: np.ndarray
+    lengths: np.ndarray | None = None
+
+    def __post_init__(self):
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if (
+            values.ndim != 2
+            or knots.ndim not in (1, 2)
+            or knots.shape[-1] != values.shape[1]
+            or (knots.ndim == 2 and knots.shape != values.shape)
+        ):
+            raise ValueError("values must be n x K and knots K or n x K")
+        n, width = values.shape
+        if width == 0:
+            raise ValueError("curve must have at least one knot")
+        real = None
+        if self.lengths is None:
+            lengths = np.full(n, width)
+        else:
+            lengths = np.asarray(self.lengths, dtype=int)
+            if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > width):
+                raise ValueError(f"lengths must hold one count in [1, {width}] per row")
+            if np.any(lengths < width):
+                if knots.ndim == 1:
+                    raise ValueError("ragged rows need an n x K knot matrix")
+                real = np.arange(width) < lengths[:, None]
+        bad = _first_bad_row(knots, values, real)
+        if bad is not None:
+            raise InvalidCurveError(*bad)
+        rows = np.arange(n)
+        if real is not None:
+            # padding knots lie beyond every query time and repeat the last value
+            knots = np.where(real, knots, np.inf)
+            values = np.where(real, values, values[rows, lengths - 1][:, None])
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def broadcast(cls, curve: StepCurve, n: int) -> "CurveBatch":
+        """``n`` subjects that all share ``curve``."""
+        return cls(
+            knots=curve.knots,
+            values=np.broadcast_to(curve.values, (n, curve.values.size)),
+        )
+
+    @classmethod
+    def from_curves(cls, curves) -> "CurveBatch":
+        """Batch of a sequence of :class:`StepCurve`; a batch is returned as is.
+
+        Curves that all have the same knots share one knot row; otherwise
+        rows are padded to the longest curve.
+        """
+        if isinstance(curves, CurveBatch):
+            return curves
+        curves = list(curves)
+        if not curves:
+            raise ValueError("need at least one curve")
+        first = curves[0]
+        if all(c is first for c in curves):
+            return cls.broadcast(first, len(curves))
+        if all(np.array_equal(c.knots, first.knots) for c in curves):
+            return cls(knots=first.knots, values=np.stack([c.values for c in curves]))
+        lengths = np.array([c.knots.size for c in curves])
+        knots = np.zeros((len(curves), lengths.max()))
+        values = np.zeros_like(knots)
+        for i, c in enumerate(curves):
+            knots[i, : c.knots.size] = c.knots
+            values[i, : c.values.size] = c.values
+        return cls(knots=knots, values=values, lengths=lengths)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, i) -> StepCurve:
+        i = range(len(self))[i]
+        size = self.lengths[i]
+        knots = self.knots if self.knots.ndim == 1 else self.knots[i]
+        return StepCurve(knots=knots[:size], values=self.values[i, :size])
+
+    def take(self, rows) -> "CurveBatch":
+        """The batch of the given rows, in that order."""
+        rows = np.asarray(rows, dtype=int)
+        knots = self.knots if self.knots.ndim == 1 else self.knots[rows]
+        return CurveBatch(knots=knots, values=self.values[rows], lengths=self.lengths[rows])
+
+    @property
+    def t_last(self) -> np.ndarray:
+        if self.knots.ndim == 1:
+            return np.full(len(self), self.knots[-1])
+        return self.knots[self._rows, self.lengths - 1]
+
+    @property
+    def v_last(self) -> np.ndarray:
+        return self.values[:, -1]
+
+    def _row_times(self, t) -> np.ndarray:
+        """``t`` as one query time per row; a scalar serves every row."""
+        t_arr = _query_times(t)
+        if t_arr.shape not in ((), (len(self),)):
+            raise ValueError(f"need one time per row ({len(self)}), got shape {t_arr.shape}")
+        return np.broadcast_to(t_arr, (len(self),))
+
+    def _counts(self, t, side):
+        """Per row, its knots at or below (``side="right"``) or strictly below
+        (``side="left"``) that row's entry of ``t``."""
+        if self.knots.ndim == 1:
+            return np.searchsorted(self.knots, t, side=side)
+        below = self.knots <= t[:, None] if side == "right" else self.knots < t[:, None]
+        return np.count_nonzero(below, axis=1)
+
+    def _grid_counts(self, grid, side):
+        """``n x G`` counts of each row's knots at or below (``side="right"``)
+        or strictly below (``side="left"``) every point of ``grid``."""
+        if self.knots.ndim == 1:
+            return np.broadcast_to(np.searchsorted(self.knots, grid, side=side), (len(self), grid.size))
+        order = np.argsort(grid, kind="stable")
+        # a knot counts toward every grid point from the first one it does not exceed
+        first = np.searchsorted(grid[order], self.knots, side="left" if side == "right" else "right")
+        size = grid.size + 1
+        hist = np.bincount((self._rows[:, None] * size + first).ravel(), minlength=len(self) * size)
+        counts = np.empty((len(self), grid.size), dtype=np.intp)
+        counts[:, order] = np.cumsum(hist.reshape(len(self), size), axis=1)[:, :-1]
+        return counts
+
+    def _pick(self, counts):
+        """Values at the last knot counted (one column per query), 1 where none is."""
+        idx = counts - 1
+        rows = self._rows if idx.ndim == 1 else self._rows[:, None]
+        return np.where(idx >= 0, self.values[rows, np.maximum(idx, 0)], 1.0)
+
+    def _on_grid(self, grid, side):
+        grid = _query_times(grid)
+        if grid.ndim != 1:
+            raise ValueError("grid must be a 1-d array of times")
+        return self._pick(self._grid_counts(grid, side))
+
+    def value(self, t) -> np.ndarray:
+        """Row ``i`` at ``t[i]`` (right-continuous); a scalar ``t`` serves every row."""
+        return self._pick(self._counts(self._row_times(t), "right"))
+
+    def value_before(self, t) -> np.ndarray:
+        """Left limits: row ``i`` just before ``t[i]``; a scalar ``t`` serves every row."""
+        return self._pick(self._counts(self._row_times(t), "left"))
+
+    def knots_before(self, t) -> np.ndarray:
+        """Per row, how many of its knots lie strictly before ``t[i]``."""
+        return self._counts(self._row_times(t), "left")
+
+    def value_on(self, grid) -> np.ndarray:
+        """``n x G`` matrix of every row at every time of the shared ``grid``."""
+        return self._on_grid(grid, "right")
+
+    def value_before_on(self, grid) -> np.ndarray:
+        """``n x G`` matrix of the left limits of every row on ``grid``."""
+        return self._on_grid(grid, "left")
+
+    def median_times(self) -> np.ndarray:
+        """:meth:`StepCurve.median_time` of every row."""
+        below = self.values <= 0.5
+        hit = below.any(axis=1)
+        v_last = self.v_last
+        flat = np.flatnonzero(~hit & (v_last >= 1.0))
+        if flat.size:
+            raise DegenerateCurveError(
+                f"subject {flat[0]}: curve never descends; median undefined"
+            )
+        first = np.argmax(below, axis=1)
+        at_knot = self.knots[first] if self.knots.ndim == 1 else self.knots[self._rows, first]
+        with np.errstate(divide="ignore"):
+            chord = 0.5 * self.t_last / (1.0 - v_last)
+        return np.where(hit, at_knot, chord)
+
+    def mean_times(self) -> np.ndarray:
+        """:meth:`StepCurve.mean_time` of every row.
+
+        Loops over the rows: the area sums must keep each row's own length
+        and order to give the same floats as the single curve.
+        """
+        out = np.empty(len(self))
+        for i in range(len(self)):
+            size = self.lengths[i]
+            knots = (self.knots if self.knots.ndim == 1 else self.knots[i])[:size]
+            values = self.values[i, :size]
+            t_last, v_last = float(knots[-1]), float(values[-1])
+            if v_last >= 1.0:
+                raise DegenerateCurveError(
+                    f"subject {i}: curve never descends; mean undefined"
+                )
+            area = 0.0
+            if t_last > 0.0:
+                inner = (knots > 0.0) & (knots < t_last)
+                lefts = np.concatenate(([0.0], knots[inner]))
+                rights = np.concatenate((knots[inner], [t_last]))
+                start = values[0] if knots[0] == 0.0 else 1.0
+                heights = np.concatenate(([start], values[inner]))
+                area = float(np.sum(heights * (rights - lefts)))
+            if v_last > 0.0:
+                t_zero = t_last / (1.0 - v_last)
+                area += v_last * (t_zero - t_last) / 2.0
+            out[i] = area
+        return out
+
+
 @dataclass(frozen=True)
 class DatasetStats:
     """Summary statistics of a dataset; time aggregates are over events only."""
@@ -275,10 +544,9 @@ class FoldSplit:
     folds: tuple
 
     def train_indices(self, fold: int) -> np.ndarray:
-        test = set(self.folds[fold].tolist())
-        everything = np.concatenate(self.folds)
-        keep = np.sort(everything[~np.isin(everything, list(test))])
-        return keep
+        others = list(self.folds)
+        del others[fold]
+        return np.sort(np.concatenate(others))
 
     @property
     def k(self) -> int:

@@ -10,6 +10,7 @@ __all__ = [
     "DegenerateCurveError",
     "DegenerateScoreWarning",
     "InsufficientEventsError",
+    "InvalidCurveError",
     "MissingGroundTruthError",
     "SeparationError",
     "UndefinedMetricError",
@@ -18,6 +19,15 @@ __all__ = [
 
 class DataFormatError(ValueError):
     """A data file could not be parsed; the message names the offending line."""
+
+
+class InvalidCurveError(ValueError):
+    """A row of a curve batch breaks a curve rule. Carries the row and the bare reason."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
 
 
 class InsufficientEventsError(ValueError):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import StepCurve, SurvivalDataset
+from .core import CurveBatch, StepCurve, SurvivalDataset
 from .errors import ConvergenceError, InsufficientEventsError, SeparationError
 
 __all__ = [
@@ -145,6 +145,15 @@ class CoxModel:
         x = np.asarray(x, dtype=float)
         return float(np.exp(self.beta @ (x - self.feature_means)))
 
+    def risks(self, features) -> np.ndarray:
+        """Relative risks of the rows of ``features``, equal to :meth:`risk` of each row.
+
+        Each row is one vector dot product, as in :meth:`risk`; a single
+        matrix-vector product may sum in another order.
+        """
+        x_c = np.asarray(features, dtype=float) - self.feature_means
+        return np.exp(np.matmul(x_c[:, None, :], self.beta)[:, 0])
+
 
 def _cox_loglik_parts(beta, x_centered, times, events, want_derivs):
     """Breslow partial log-likelihood and, optionally, gradient and Hessian."""
@@ -259,10 +268,19 @@ def breslow_baseline(model: CoxModel, ds: SurvivalDataset) -> CumulativeHazard:
     return _breslow_from_centered(model.beta, x_c, ds.times, ds.events)
 
 
-def cox_survival_curve(model: CoxModel, x) -> StepCurve:
-    """Per-subject survival curve exp(-H0(t) * risk) on the baseline knots."""
-    r = model.risk(x)
+def cox_survival_curve(model: CoxModel, x):
+    """Survival curve exp(-H0(t) * risk) on the baseline knots.
+
+    A covariate vector ``x`` gives its :class:`StepCurve`; a matrix with one
+    row per subject gives a :class:`CurveBatch` on the shared baseline knots
+    whose row i is ``exp(-H0 * risks[i])``.
+    """
     h = model.baseline_cumhaz
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        risks = model.risks(x)
+        return CurveBatch(knots=h.knots, values=np.exp(-h.values[None, :] * risks[:, None]))
+    r = model.risk(x)
     return StepCurve(knots=h.knots, values=np.exp(-h.values * r))
 
 

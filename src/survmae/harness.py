@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import stats as sps
 
-from .core import StepCurve, SurvivalDataset, stratified_kfold
+from .core import CurveBatch, SurvivalDataset, stratified_kfold
 from .errors import (
     BinningError,
     ConfigurationError,
@@ -26,6 +27,7 @@ from .errors import (
     DegenerateCurveError,
     DegenerateScoreWarning,
     InsufficientEventsError,
+    InvalidCurveError,
     MissingGroundTruthError,
     SeparationError,
     UndefinedMetricError,
@@ -59,6 +61,7 @@ from .metrics import (
 
 __all__ = [
     "AgreementStats",
+    "CurveTable",
     "ExperimentReport",
     "MAE_METRICS",
     "METRICS",
@@ -143,8 +146,10 @@ _REL_KNOTS = (np.log(_PROB_GRID) / np.log(0.5)) ** (1.0 / _ORACLE_SHAPE)
 def noisy_oracle_predictions(ds_test: SurvivalDataset, noise: float, seed: int):
     """Weibull-shaped curves whose medians are the true times times exp(noise).
 
-    With ``noise == 0`` the extracted medians reproduce the hidden truths
-    exactly. Requires ground truth on the dataset.
+    Returns a :class:`CurveBatch`: knot row i is ``median_i * _REL_KNOTS`` and
+    every row shares the probability grid. With ``noise == 0`` the extracted
+    medians reproduce the hidden truths exactly. Requires ground truth on the
+    dataset.
     """
     if ds_test.true_times is None:
         raise MissingGroundTruthError("noisy oracle needs true event times")
@@ -152,16 +157,55 @@ def noisy_oracle_predictions(ds_test: SurvivalDataset, noise: float, seed: int):
         raise ValueError("noise must be nonnegative")
     rng = np.random.default_rng(seed)
     medians = ds_test.true_times * np.exp(rng.normal(0.0, noise, ds_test.n))
-    return [StepCurve(knots=m * _REL_KNOTS, values=_PROB_GRID) for m in medians]
+    return CurveBatch(
+        knots=medians[:, None] * _REL_KNOTS[None, :],
+        values=np.broadcast_to(_PROB_GRID, (ds_test.n, _PROB_GRID.size)),
+    )
 
 
-def load_curve_file(path) -> dict:
+class CurveTable(Mapping):
+    """The curves of a curve file: a mapping from subject index to curve.
+
+    The rows are held as one :class:`CurveBatch` on the file's grid, in file
+    order; looking up one subject gives its ``StepCurve``, and
+    :meth:`select` gives the batch of many subjects.
+    """
+
+    def __init__(self, indices, batch: CurveBatch):
+        self.batch = batch
+        self._row = {int(idx): row for row, idx in enumerate(indices)}
+
+    def __getitem__(self, subject):
+        return self.batch[self._row[subject]]
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def select(self, subjects) -> CurveBatch:
+        """The batch of ``subjects``, in that order; all must be in the file."""
+        subjects = [int(i) for i in subjects]
+        missing = [i for i in subjects if i not in self._row]
+        if missing:
+            raise ConfigurationError(
+                f"curve file does not cover subjects {missing[:5]} "
+                f"({len(missing)} missing of {len(subjects)})"
+            )
+        return self.batch.take([self._row[i] for i in subjects])
+
+
+def load_curve_file(path) -> CurveTable:
     """Read a curve file: header ``t,<grid times>``, rows ``<index>,<values>``.
 
-    Returns a mapping from subject index to :class:`StepCurve` on the shared
-    grid.
+    Returns a :class:`CurveTable` mapping subject index to curve on the shared
+    grid. The curve rules are checked on all rows at once; every error names
+    the first bad line.
     """
     path = Path(path)
+    indices, rows, lines = [], [], []
+    failure = None  # (line, reason) of a row that could not be read
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -174,26 +218,36 @@ def load_curve_file(path) -> dict:
             grid = np.array([float(v) for v in header[1:]], dtype=float)
         except ValueError:
             raise DataFormatError(f"{path}: non-numeric grid time in header") from None
-        curves = {}
+        if grid.size == 0 or not np.all(np.isfinite(grid)):
+            raise DataFormatError("line 1: need at least one grid time, all finite")
+        seen = set()
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != grid.size + 1:
-                raise DataFormatError(
-                    f"line {line}: expected {grid.size + 1} fields, found {len(row)}"
-                )
+                failure = (line, f"expected {grid.size + 1} fields, found {len(row)}")
+                break
             try:
                 idx = int(row[0])
-                values = np.array([float(v) for v in row[1:]], dtype=float)
+                values = np.fromiter(map(float, row[1:]), dtype=float, count=grid.size)
             except ValueError:
-                raise DataFormatError(f"line {line}: non-numeric field") from None
-            if idx in curves:
-                raise DataFormatError(f"line {line}: duplicate subject index {idx}")
-            try:
-                curves[idx] = StepCurve(knots=grid, values=values)
-            except ValueError as exc:
-                raise DataFormatError(f"line {line}: {exc}") from None
-    return curves
+                failure = (line, "non-numeric field")
+                break
+            if idx in seen:
+                failure = (line, f"duplicate subject index {idx}")
+                break
+            seen.add(idx)
+            indices.append(idx)
+            rows.append(values)
+            lines.append(line)
+    try:
+        # a bad curve on a line before the failure is the first error
+        batch = CurveBatch(knots=grid, values=np.array(rows).reshape(len(rows), grid.size))
+    except InvalidCurveError as exc:
+        raise DataFormatError(f"line {lines[exc.row]}: {exc.reason}") from None
+    if failure is not None:
+        raise DataFormatError("line {}: {}".format(*failure))
+    return CurveTable(indices, batch)
 
 
 def save_curve_file(path, grid, value_rows, indices=None) -> None:
@@ -315,16 +369,13 @@ def _unique_names(models) -> tuple:
     return tuple(names)
 
 
-def _model_curves(spec: ModelSpec, train, test, test_indices, seed):
+def _model_curves(spec: ModelSpec, train, test, test_indices, seed) -> CurveBatch:
     if spec.kind == "km":
-        curve = km_fit(train.times, train.events).curve
-        return [curve] * test.n
+        return CurveBatch.broadcast(km_fit(train.times, train.events).curve, test.n)
     if spec.kind == "coxph":
-        model = coxph_fit(train)
-        return [cox_survival_curve(model, x) for x in test.feature_matrix]
+        return cox_survival_curve(coxph_fit(train), test.feature_matrix)
     if spec.kind == "weibull_aft":
-        curve = weibull_aft_fit(train).as_step_curve()
-        return [curve] * test.n
+        return CurveBatch.broadcast(weibull_aft_fit(train).as_step_curve(), test.n)
     if spec.kind == "noisy_oracle":
         return noisy_oracle_predictions(
             test, float(spec.params.get("noise", 0.0)), seed
@@ -333,12 +384,7 @@ def _model_curves(spec: ModelSpec, train, test, test_indices, seed):
         curves = spec.params.get("curves")
         if curves is None:
             curves = load_curve_file(spec.params["path"])
-        missing = [int(i) for i in test_indices if int(i) not in curves]
-        if missing:
-            raise ConfigurationError(
-                f"curve file does not cover subjects {missing[:5]}"
-            )
-        return [curves[int(i)] for i in test_indices]
+        return curves.select(test_indices)
     raise ConfigurationError(f"unknown model kind {spec.kind!r}")
 
 
@@ -352,12 +398,14 @@ def _attempt(fn, *args, **kwargs):
 def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -> dict:
     """Score one set of per-subject curves on one dataset, no folds.
 
+    ``curves`` is a :class:`CurveBatch` or a sequence of ``StepCurve``.
     Reference quantities (KM curve, censoring KM, calibration horizon) come
     from the dataset itself. Returns a metric-name to score map with None for
     undefined entries; ``true_mae`` appears only when ground truth is present.
     """
     if len(curves) != ds.n:
         raise ConfigurationError(f"got {len(curves)} curves for {ds.n} subjects")
+    curves = CurveBatch.from_curves(curves)
     km_self = km_fit(ds.times, ds.events)
     g_self = censoring_km_fit(ds)
     scores = {met: None for met in METRICS}

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepCurve, SurvivalDataset
+from .core import CurveBatch, SurvivalDataset
 from .errors import (
-    DegenerateCurveError,
     MissingGroundTruthError,
     UndefinedMetricError,
 )
@@ -89,13 +88,14 @@ class SurrogateSet:
 
 
 def extract_predicted_times(curves, method: str = "median") -> PredictedTimes:
-    """Summarize survival curves into point predictions (median by default)."""
-    out = np.empty(len(curves), dtype=float)
-    for i, curve in enumerate(curves):
-        try:
-            out[i] = curve.median_time() if method == "median" else curve.mean_time()
-        except DegenerateCurveError as exc:
-            raise DegenerateCurveError(f"subject {i}: {exc}") from None
+    """Summarize survival curves into point predictions (median by default).
+
+    ``curves`` is a :class:`CurveBatch` or a sequence of ``StepCurve``; a
+    curve that never descends raises :class:`DegenerateCurveError` naming its
+    subject.
+    """
+    batch = CurveBatch.from_curves(curves)
+    out = batch.median_times() if method == "median" else batch.mean_times()
     return PredictedTimes(values=out, method=method)
 
 

@@ -3,6 +3,8 @@
 These complement the MAE family: the concordance index measures ranking only,
 Brier scores measure probability accuracy at fixed horizons, and the two
 calibration tests check predicted probabilities against observed frequencies.
+The curve metrics take a :class:`~survmae.core.CurveBatch` or a sequence of
+``StepCurve`` (converted once on entry).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
-from .core import SurvivalDataset
+from .core import CurveBatch, SurvivalDataset
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
 from .estimators import KaplanMeierFit, km_fit
 from .mae import PredictedTimes
@@ -87,7 +89,7 @@ def brier_score_at(
         raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
     if t_star < 0:
         raise ValueError("t_star must be nonnegative")
-    s_star = np.array([c.value(t_star) for c in curves])
+    s_star = CurveBatch.from_curves(curves).value(t_star)
     dead = (ds.times <= t_star) & ds.events
     alive = ds.times > t_star
     g_dead = g_train.curve.value_before(ds.times)
@@ -128,7 +130,7 @@ def integrated_brier_score(
     if grid_size == 1:
         return brier_score_at(curves, ds, t_max, g_train)
     grid = np.linspace(0.0, t_max, grid_size)
-    s_matrix = np.stack([c.value(grid) for c in curves])  # subjects x grid
+    s_matrix = CurveBatch.from_curves(curves).value_on(grid)  # subjects x grid
     g_dead = g_train.curve.value_before(ds.times)[:, None]
     g_grid = g_train.curve.value(grid)[None, :]
     dead = (ds.times[:, None] <= grid[None, :]) & ds.events[:, None]
@@ -159,32 +161,30 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
     """
     if len(curves) != ds.n:
         raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
-    contributions = np.empty(ds.n)
-    degenerate = False
-    for i, curve in enumerate(curves):
-        t_i = float(ds.times[i])
-        if not ds.events[i]:
-            s_i = curve.value(t_i)
-            if s_i <= 0.0:
-                degenerate = True
-                contributions[i] = -np.inf
-            else:
-                contributions[i] = np.log(s_i)
-            continue
-        edges = curve.knots if curve.knots[0] == 0.0 else np.concatenate(([0.0], curve.knots))
-        j = np.searchsorted(edges, t_i, side="left")
-        if j == 0 or j >= edges.size:
-            # at zero or beyond the last knot: no bin carries this event
-            degenerate = True
-            contributions[i] = -np.inf
-            continue
-        mass = curve.value(edges[j - 1]) - curve.value(edges[j])
-        width = edges[j] - edges[j - 1]
-        if mass <= 0.0:
-            degenerate = True
-            contributions[i] = -np.inf
-        else:
-            contributions[i] = np.log(mass / width)
+    batch = CurveBatch.from_curves(curves)
+    times, events = ds.times, ds.events
+    rows = np.arange(ds.n)
+    # censored subjects: log S(t)
+    surv = batch.value(times)
+    alive = surv > 0.0
+    # events: the bin edges are the knots, led by 0 unless the first knot is
+    # 0; edge j is the first at or above t, at knot position j - lead
+    lead = batch.knots[..., 0] != 0.0
+    j = batch.knots_before(times) + (lead & (times > 0.0))
+    binned = (j >= 1) & (j < batch.lengths + lead)
+    hi = np.where(binned, j - lead, 0)
+    lo = hi - 1  # -1 is the leading 0, where the curve is 1
+    knots = np.broadcast_to(batch.knots, batch.values.shape)
+    lo_t = np.where(lo >= 0, knots[rows, np.maximum(lo, 0)], 0.0)
+    lo_v = np.where(lo >= 0, batch.values[rows, np.maximum(lo, 0)], 1.0)
+    mass = lo_v - batch.values[rows, hi]
+    dense = binned & (mass > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        density = np.where(dense, mass / (knots[rows, hi] - lo_t), 1.0)
+    usable = np.where(events, dense, alive)
+    contributions = np.full(ds.n, -np.inf)
+    contributions[usable] = np.log(np.where(events, density, surv)[usable])
+    degenerate = not usable.all()
     if degenerate:
         warnings.warn(
             "zero density or survival mass at an observed time",
@@ -218,7 +218,7 @@ def one_calibration(
         raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
     if n_bins < 2:
         raise BinningError("need at least two bins")
-    s_star = np.array([c.value(t_star) for c in curves])
+    s_star = CurveBatch.from_curves(curves).value(t_star)
     order = np.argsort(s_star, kind="stable")
     groups = np.array_split(order, n_bins)
     if any(g.size == 0 for g in groups):
@@ -257,18 +257,19 @@ def d_calibration(curves, ds: SurvivalDataset, n_bins: int = 10) -> CalibrationR
     if n_bins < 2:
         raise BinningError("need at least two bins")
     width = 1.0 / n_bins
-    masses = np.zeros(n_bins)
-    for i, curve in enumerate(curves):
-        p = curve.value(float(ds.times[i]))
-        if ds.events[i]:
-            masses[min(int(p * n_bins), n_bins - 1)] += 1.0
-            continue
-        if p <= 0.0:
-            masses[0] += 1.0
-            continue
-        top = min(int(p * n_bins), n_bins - 1)
-        masses[:top] += width / p
-        masses[top] += (p - top * width) / p
+    p = CurveBatch.from_curves(curves).value(ds.times)
+    top = np.minimum((p * n_bins).astype(int), n_bins - 1)
+    rows = np.arange(ds.n)
+    # one row of bin masses per subject
+    mass = np.zeros((ds.n, n_bins))
+    whole = ds.events | (p <= 0.0)
+    mass[rows[whole], top[whole]] = 1.0  # p = 0 lies in the lowest bin
+    spread = ~whole
+    p_s, top_s = p[spread, None], top[spread, None]
+    mass[spread] = np.where(np.arange(n_bins) < top_s, width / p_s, 0.0)
+    mass[rows[spread], top[spread]] = ((p_s - top_s * width) / p_s)[:, 0]
+    # added up in subject order, as one subject at a time would
+    masses = np.cumsum(mass, axis=0)[-1]
     expected = ds.n / n_bins
     statistic = float(np.sum((masses - expected) ** 2 / expected))
     p_value = float(sps.chi2.sf(statistic, df=n_bins - 1))

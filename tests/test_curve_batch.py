@@ -1,0 +1,475 @@
+"""Tests for CurveBatch: validation, lookups, extraction and the batched metrics.
+
+The per-subject ``StepCurve`` path is the slow oracle: every batched result
+must equal it exactly (``np.array_equal``), on shared-grid, per-row and
+ragged batches.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+from scipy import stats as sps
+
+from survmae import (
+    CurveBatch,
+    DataFormatError,
+    DegenerateCurveError,
+    DegenerateScoreWarning,
+    InvalidCurveError,
+    StepCurve,
+    SurvivalDataset,
+    UndefinedMetricError,
+    brier_score_at,
+    censoring_km_fit,
+    cox_survival_curve,
+    coxph_fit,
+    d_calibration,
+    extract_predicted_times,
+    integrated_brier_score,
+    km_fit,
+    load_curve_file,
+    log_likelihood,
+    noisy_oracle_predictions,
+    one_calibration,
+)
+from survmae.harness import _PROB_GRID, _REL_KNOTS
+
+PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+# ------------------------------------------------------- per-subject oracles
+
+
+def oracle_brier(curves, ds, t_star, g_train):
+    s_star = np.array([c.value(t_star) for c in curves])
+    dead = (ds.times <= t_star) & ds.events
+    alive = ds.times > t_star
+    g_dead = g_train.curve.value_before(ds.times)
+    g_alive = g_train.curve.value(t_star)
+    usable_dead = dead & (g_dead > 0.0)
+    usable_alive = alive & (g_alive > 0.0)
+    if (dead | alive).any() and not (usable_dead.any() or usable_alive.any()):
+        raise UndefinedMetricError("all subjects lost their censoring weight")
+    total = float(np.sum(s_star[usable_dead] ** 2 / g_dead[usable_dead]))
+    if usable_alive.any():
+        total += float(np.sum((1.0 - s_star[usable_alive]) ** 2) / g_alive)
+    return total / ds.n
+
+
+def oracle_ibs(curves, ds, g_train, grid_size, t_max):
+    if grid_size == 1:
+        return oracle_brier(curves, ds, t_max, g_train)
+    grid = np.linspace(0.0, t_max, grid_size)
+    s_matrix = np.stack([c.value(grid) for c in curves])
+    g_dead = g_train.curve.value_before(ds.times)[:, None]
+    g_grid = g_train.curve.value(grid)[None, :]
+    dead = (ds.times[:, None] <= grid[None, :]) & ds.events[:, None]
+    alive = ds.times[:, None] > grid[None, :]
+    usable_dead = dead & (g_dead > 0.0)
+    usable_alive = alive & (g_grid > 0.0)
+    needy = (dead | alive).any(axis=0)
+    covered = (usable_dead | usable_alive).any(axis=0)
+    if np.any(needy & ~covered):
+        raise UndefinedMetricError("all subjects lost their censoring weight")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrib = np.where(usable_dead, s_matrix**2 / g_dead, 0.0)
+        contrib += np.where(usable_alive, (1.0 - s_matrix) ** 2 / g_grid, 0.0)
+    scores = contrib.sum(axis=0) / ds.n
+    area = float(np.sum((scores[:-1] + scores[1:]) / 2.0 * np.diff(grid)))
+    return area / t_max
+
+
+def oracle_log_likelihood(curves, ds):
+    contributions = np.empty(ds.n)
+    for i, curve in enumerate(curves):
+        t_i = float(ds.times[i])
+        if not ds.events[i]:
+            s_i = curve.value(t_i)
+            contributions[i] = -np.inf if s_i <= 0.0 else np.log(s_i)
+            continue
+        edges = curve.knots if curve.knots[0] == 0.0 else np.concatenate(([0.0], curve.knots))
+        j = np.searchsorted(edges, t_i, side="left")
+        if j == 0 or j >= edges.size:
+            contributions[i] = -np.inf
+            continue
+        mass = curve.value(edges[j - 1]) - curve.value(edges[j])
+        width = edges[j] - edges[j - 1]
+        contributions[i] = -np.inf if mass <= 0.0 else np.log(mass / width)
+    return float(np.mean(contributions))
+
+
+def oracle_one_calibration(curves, ds, t_star, n_bins):
+    s_star = np.array([c.value(t_star) for c in curves])
+    groups = np.array_split(np.argsort(s_star, kind="stable"), n_bins)
+    statistic = 0.0
+    table = []
+    for g in groups:
+        n_g = g.size
+        expected = float(np.sum(1.0 - s_star[g]))
+        observed = n_g * (1.0 - km_fit(ds.times[g], ds.events[g]).curve.value(t_star))
+        table.append((expected, observed))
+        if expected <= 0.0:
+            expected = 0.5
+        elif expected >= n_g:
+            expected = n_g - 0.5
+        statistic += (observed - expected) ** 2 / (expected * (1.0 - expected / n_g))
+    return float(statistic), float(sps.chi2.sf(statistic, df=n_bins - 2)), tuple(table)
+
+
+def oracle_d_calibration(curves, ds, n_bins):
+    width = 1.0 / n_bins
+    masses = np.zeros(n_bins)
+    for i, curve in enumerate(curves):
+        p = curve.value(float(ds.times[i]))
+        if ds.events[i]:
+            masses[min(int(p * n_bins), n_bins - 1)] += 1.0
+            continue
+        if p <= 0.0:
+            masses[0] += 1.0
+            continue
+        top = min(int(p * n_bins), n_bins - 1)
+        masses[:top] += width / p
+        masses[top] += (p - top * width) / p
+    expected = ds.n / n_bins
+    statistic = float(np.sum((masses - expected) ** 2 / expected))
+    return statistic, float(sps.chi2.sf(statistic, df=n_bins - 1)), tuple(
+        (expected, float(m)) for m in masses
+    )
+
+
+def outcome(fn, *args):
+    """A call's result, or the type of the error it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateScoreWarning)
+            return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_same(a, b):
+    """Exact equality of floats, arrays and tuples thereof (NaN equals NaN)."""
+    if isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, type):
+        assert a is b
+    else:
+        assert np.array_equal(a, b, equal_nan=True), (a, b)
+
+
+# ------------------------------------------------------------- strategies
+
+# knots, times and values on coarse grids, so that ties between query times
+# and knots, values of exactly 0, 1/2 and 1, and flat curves all occur
+KNOT_STEP = 0.25
+LEVELS = (0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0)
+
+
+@st.composite
+def knot_rows(draw, max_size=7):
+    ticks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_size, unique=True))
+    return np.sort(np.array(ticks, dtype=float)) * KNOT_STEP
+
+
+@st.composite
+def value_rows(draw, size):
+    levels = draw(st.lists(st.sampled_from(LEVELS), min_size=size, max_size=size))
+    return np.sort(np.array(levels))[::-1].copy()
+
+
+@st.composite
+def curve_lists(draw, n=None):
+    """Per-subject StepCurves: one shared grid, or knots of each subject's own."""
+    if n is None:
+        n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        knots = draw(knot_rows())
+        rows = [knots] * n
+    else:
+        rows = [draw(knot_rows()) for _ in range(n)]
+    return [StepCurve(knots=k, values=draw(value_rows(k.size))) for k in rows]
+
+
+@st.composite
+def curves_and_data(draw):
+    n = draw(st.integers(2, 12))
+    curves = draw(curve_lists(n=n))
+    times = np.array(draw(st.lists(st.integers(1, 45), min_size=n, max_size=n))) * KNOT_STEP
+    events = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return curves, SurvivalDataset.from_arrays(times, events)
+
+
+def query_times(draw, curves):
+    """One query time per curve: 0, one of its knots, or a point on the grid."""
+    out = []
+    for c in curves:
+        choice = draw(st.integers(0, 2))
+        if choice == 0:
+            out.append(0.0)
+        elif choice == 1:
+            out.append(float(draw(st.sampled_from(c.knots.tolist()))))
+        else:
+            out.append(draw(st.integers(0, 45)) * KNOT_STEP / 2)
+    return np.array(out)
+
+
+# ---------------------------------------------------------- non-finite input
+
+NON_FINITE = [
+    pytest.param([np.nan], [0.5], id="nan-knot"),
+    pytest.param([1.0, 2.0], [0.5, np.nan], id="nan-value"),
+    pytest.param([1.0, np.inf], [0.5, 0.2], id="inf-knot"),
+]
+
+
+@pytest.mark.parametrize("knots, values", NON_FINITE)
+def test_step_curve_rejects_non_finite(knots, values):
+    with pytest.raises(ValueError, match="must be finite"):
+        StepCurve(knots=knots, values=values)
+
+
+@pytest.mark.parametrize("knots, values", NON_FINITE)
+def test_curve_batch_rejects_non_finite_and_names_the_row(knots, values):
+    good_knots = np.arange(1.0, len(knots) + 1.0)
+    good_values = np.linspace(0.9, 0.1, len(values))
+    knot_rows = np.array([good_knots, knots, good_knots])
+    value_rows = np.array([good_values, values, good_values])
+    with pytest.raises(InvalidCurveError, match="row 1: .*must be finite") as err:
+        CurveBatch(knots=knot_rows, values=value_rows)
+    assert err.value.row == 1
+
+
+@pytest.mark.parametrize("knots, values", NON_FINITE)
+def test_curve_batch_rejects_non_finite_shared_grid(knots, values):
+    with pytest.raises(InvalidCurveError, match="must be finite"):
+        CurveBatch(knots=knots, values=np.array([values, values]))
+
+
+@pytest.mark.parametrize("method", ["value", "value_before"])
+@pytest.mark.parametrize("query", [np.nan, [1.0, np.nan]], ids=["scalar", "array"])
+def test_nan_query_times_rejected(method, query):
+    curve = StepCurve(knots=[1.0, 2.0], values=[0.8, 0.3])
+    batch = CurveBatch(knots=[1.0, 2.0], values=[[0.8, 0.3], [0.9, 0.1]])
+    with pytest.raises(ValueError, match="NaN"):
+        getattr(curve, method)(query)
+    with pytest.raises(ValueError, match="NaN"):
+        getattr(batch, method)(query)
+    with pytest.raises(ValueError, match="NaN"):
+        getattr(batch, method + "_on")(np.atleast_1d(query))
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        pytest.param("t,1,nan\n0,0.9,0.5\n", "line 1", id="nan-grid"),
+        pytest.param("t,1,inf\n0,0.9,0.5\n", "line 1", id="inf-grid"),
+        pytest.param("t,1,2\n0,0.9,0.5\n1,nan,0.5\n", "line 3: values must be finite", id="nan-row"),
+        pytest.param("t,1,2\n0,0.9,inf\n", "line 2: values must be finite", id="inf-row"),
+    ],
+)
+def test_curve_file_rejects_non_finite(tmp_path, content, fragment):
+    path = tmp_path / "curves.csv"
+    path.write_text(content)
+    with pytest.raises(DataFormatError, match=fragment):
+        load_curve_file(path)
+
+
+def test_curve_file_names_the_first_bad_line(tmp_path):
+    # line 3 breaks a curve rule and line 4 has too few fields: a
+    # line-by-line read meets line 3 first
+    path = tmp_path / "curves.csv"
+    path.write_text("t,1,2\n0,0.9,0.5\n1,0.5,0.9\n2,0.5\n")
+    with pytest.raises(DataFormatError, match="line 3: values must be non-increasing"):
+        load_curve_file(path)
+    path.write_text("t,1,2\n0,0.9,0.5\n1,0.5\n2,x,0.1\n")
+    with pytest.raises(DataFormatError, match="line 3: expected 3 fields"):
+        load_curve_file(path)
+
+
+def test_curve_table_selects_rows_by_subject(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("t,1,2\n5,0.9,0.5\n2,0.8,0.1\n")
+    table = load_curve_file(path)
+    assert list(table) == [5, 2] and len(table) == 2
+    picked = table.select([2, 5, 2])
+    assert_array_equal(picked.values, [[0.8, 0.1], [0.9, 0.5], [0.8, 0.1]])
+    assert_array_equal(table[5].values, [0.9, 0.5])
+    with pytest.raises(ValueError, match=r"does not cover subjects \[3\]"):
+        table.select([2, 3])
+
+
+# -------------------------------------------------------------- structure
+
+
+def test_batch_row_is_the_step_curve():
+    batch = CurveBatch(knots=[1.0, 2.0, 4.0], values=[[0.8, 0.5, 0.2], [0.9, 0.9, 0.4]])
+    assert len(batch) == 2
+    assert_array_equal(batch[1].knots, [1.0, 2.0, 4.0])
+    assert_array_equal(batch[-1].values, [0.9, 0.9, 0.4])
+    with pytest.raises(IndexError):
+        batch[2]
+
+
+def test_validation_names_the_first_bad_row():
+    knots = [[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]]
+    values = [[0.8, 0.5], [0.5, 0.8], [0.8, 0.5]]
+    with pytest.raises(InvalidCurveError, match="row 1: values must be non-increasing"):
+        CurveBatch(knots=knots, values=values)
+    with pytest.raises(InvalidCurveError, match="row 0: knots must be nonnegative"):
+        CurveBatch(knots=[2.0, 1.0], values=[[0.8, 0.5]])
+    with pytest.raises(InvalidCurveError, match="row 1: values must lie in"):
+        CurveBatch(knots=[1.0], values=[[0.5], [1.5]])
+    with pytest.raises(ValueError):
+        CurveBatch(knots=[1.0, 2.0], values=[0.8, 0.5])  # values must be 2-d
+    with pytest.raises(ValueError):
+        CurveBatch(knots=np.empty(0), values=np.empty((2, 0)))
+
+
+def test_ragged_padding_is_ignored():
+    # the padding holds garbage that would break every rule if it were read
+    knots = [[1.0, 3.0, np.nan], [2.0, 1.0, -1.0]]
+    values = [[0.7, 0.2, 9.0], [0.6, np.nan, 5.0]]
+    batch = CurveBatch(knots=knots, values=values, lengths=[2, 1])
+    assert_array_equal(batch.t_last, [3.0, 2.0])
+    assert_array_equal(batch.value(np.array([10.0, 10.0])), [0.2, 0.6])
+    assert_array_equal(batch[1].knots, [2.0])
+    with pytest.raises(ValueError, match="lengths"):
+        CurveBatch(knots=knots, values=values, lengths=[0, 1])
+
+
+def test_from_curves_layouts():
+    a = StepCurve(knots=[1.0, 2.0], values=[0.8, 0.3])
+    b = StepCurve(knots=[1.0, 2.0], values=[0.7, 0.1])
+    c = StepCurve(knots=[0.5], values=[0.4])
+    assert CurveBatch.from_curves([a] * 3).knots.ndim == 1
+    assert CurveBatch.from_curves([a, b]).knots.ndim == 1
+    ragged = CurveBatch.from_curves([a, c])
+    assert_array_equal(ragged.lengths, [2, 1])
+    assert CurveBatch.from_curves(ragged) is ragged
+    with pytest.raises(ValueError):
+        CurveBatch.from_curves([])
+
+
+# ---------------------------------------------- batch equals the StepCurve path
+
+
+@PROPERTY
+@given(data=st.data())
+def test_lookups_match_step_curves(data):
+    curves = data.draw(curve_lists())
+    batch = CurveBatch.from_curves(curves)
+    t = query_times(data.draw, curves)
+    assert_array_equal(batch.value(t), [c.value(ti) for c, ti in zip(curves, t)])
+    assert_array_equal(batch.value_before(t), [c.value_before(ti) for c, ti in zip(curves, t)])
+    for scalar in (0.0, float(t[0])):
+        assert_array_equal(batch.value(scalar), [c.value(scalar) for c in curves])
+    grid = np.unique(np.concatenate(([0.0], t, np.concatenate([c.knots for c in curves]))))
+    grid = data.draw(st.permutations(grid.tolist()))
+    assert_array_equal(batch.value_on(grid), np.stack([c.value(grid) for c in curves]))
+    assert_array_equal(
+        batch.value_before_on(grid), np.stack([c.value_before(grid) for c in curves])
+    )
+    for i, c in enumerate(curves):
+        assert_array_equal(batch[i].knots, c.knots)
+        assert_array_equal(batch[i].values, c.values)
+
+
+@PROPERTY
+@given(curves=curve_lists())
+def test_extraction_matches_step_curves(curves):
+    batch = CurveBatch.from_curves(curves)
+    for batched, single in (
+        (batch.median_times, StepCurve.median_time),
+        (batch.mean_times, StepCurve.mean_time),
+    ):
+        expected = [outcome(single, c) for c in curves]
+        if DegenerateCurveError in expected:
+            with pytest.raises(DegenerateCurveError, match=f"subject {expected.index(DegenerateCurveError)}:"):
+                batched()
+        else:
+            assert_array_equal(batched(), expected)
+
+
+@PROPERTY
+@given(case=curves_and_data(), data=st.data())
+def test_curve_metrics_match_step_curves(case, data):
+    curves, ds = case
+    batch = CurveBatch.from_curves(curves)
+    g = censoring_km_fit(ds)
+    t_star = data.draw(st.integers(0, 45)) * KNOT_STEP
+    t_max = data.draw(st.integers(1, 45)) * KNOT_STEP
+    grid_size = data.draw(st.sampled_from([1, 2, 7, 100]))
+    n_bins = data.draw(st.integers(2, 4))
+    pairs = [
+        (outcome(brier_score_at, batch, ds, t_star, g), outcome(oracle_brier, curves, ds, t_star, g)),
+        (
+            outcome(integrated_brier_score, batch, ds, g, grid_size, t_max),
+            outcome(oracle_ibs, curves, ds, g, grid_size, t_max),
+        ),
+        (outcome(log_likelihood, batch, ds), outcome(oracle_log_likelihood, curves, ds)),
+        (outcome(d_calibration, batch, ds, n_bins), outcome(oracle_d_calibration, curves, ds, n_bins)),
+    ]
+    if ds.n >= n_bins:
+        pairs.append(
+            (
+                outcome(one_calibration, batch, ds, t_star, n_bins),
+                outcome(oracle_one_calibration, curves, ds, t_star, n_bins),
+            )
+        )
+    for got, want in pairs:
+        if hasattr(got, "p_value"):
+            got = (got.statistic, got.p_value, got.bin_table)
+        assert_same(got, want)
+    # a list of StepCurves is scored exactly as its batch
+    assert_same(outcome(log_likelihood, curves, ds), outcome(log_likelihood, batch, ds))
+    assert_same(
+        outcome(lambda: extract_predicted_times(curves, "mean").values),
+        outcome(lambda: extract_predicted_times(batch, "mean").values),
+    )
+
+
+# ------------------------------------------------------- producers of batches
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60), d=st.integers(1, 6))
+def test_cox_batch_equals_per_subject_curves(seed, n, d):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    times = rng.exponential(1.0, n) * np.exp(-0.5 * x[:, 0])
+    events = rng.random(n) < 0.7
+    events[0] = True
+    try:
+        model = coxph_fit(SurvivalDataset.from_arrays(times, events, x))
+    except (ArithmeticError, RuntimeError, ValueError):
+        return  # separation or no convergence: nothing to compare
+    x_new = rng.normal(size=(n, d)) * 3.0
+    assert_array_equal(model.risks(x_new), [model.risk(row) for row in x_new])
+    batch = cox_survival_curve(model, x_new)
+    assert batch.knots.ndim == 1
+    for i, row in enumerate(x_new):
+        single = cox_survival_curve(model, row)
+        assert_array_equal(batch[i].knots, single.knots)
+        assert_array_equal(batch[i].values, single.values)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 0.05, 0.5, 2.0]))
+def test_noisy_oracle_batch_equals_per_subject_curves(seed, noise):
+    rng = np.random.default_rng(seed)
+    truths = rng.uniform(0.1, 10.0, 30)
+    ds = SurvivalDataset.from_arrays(truths, np.ones(30, dtype=bool), true_times=truths)
+    batch = noisy_oracle_predictions(ds, noise, seed)
+    medians = truths * np.exp(np.random.default_rng(seed).normal(0.0, noise, 30))
+    for i, m in enumerate(medians):
+        single = StepCurve(knots=m * _REL_KNOTS, values=_PROB_GRID)
+        assert_array_equal(batch[i].knots, single.knots)
+        assert_array_equal(batch[i].values, single.values)
