@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -132,7 +133,11 @@ class SurvivalDataset:
     def from_arrays(
         cls, times, events, features=None, true_times=None, feature_names=None
     ) -> "SurvivalDataset":
-        """Build a dataset from parallel arrays (convenience for tests/tools)."""
+        """Build a dataset from parallel arrays (convenience for tests/tools).
+
+        A NaN or infinite time, true time or feature raises ``ValueError``
+        naming the first such subject index.
+        """
         times = np.asarray(times, dtype=float)
         events = np.asarray(events, dtype=bool)
         if times.shape != events.shape:
@@ -141,6 +146,14 @@ class SurvivalDataset:
         if features is None:
             features = np.empty((nrec, 0))
         features = np.asarray(features, dtype=float).reshape(nrec, -1)
+        finite = [("time", np.isfinite(times))]
+        if true_times is not None:
+            true_times = np.asarray(true_times, dtype=float)
+            finite.append(("true time", np.isfinite(true_times)))
+        finite.append(("feature", np.isfinite(features).all(axis=1)))
+        for what, ok in finite:
+            if not ok.all():
+                raise ValueError(f"subject {int(np.argmin(ok))}: non-finite {what} value")
         if feature_names is None:
             feature_names = tuple(f"x{j}" for j in range(features.shape[1]))
         records = []
@@ -589,11 +602,16 @@ def stratified_kfold(
 
 def _parse_float(text: str, line: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataFormatError(
             f"line {line}: non-numeric value {text!r} in column {column!r}"
         ) from None
+    if not math.isfinite(value):
+        raise DataFormatError(
+            f"line {line}: non-finite value {text!r} in column {column!r}"
+        )
+    return value
 
 
 def load_dataset(

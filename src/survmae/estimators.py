@@ -59,6 +59,20 @@ class KaplanMeierFit:
         )
 
 
+def _product_limit(t: np.ndarray, e: np.ndarray):
+    """Product-limit table of one sample: ``(t_k, n_k, d_k, S(t_k))``.
+
+    ``t_k`` are the distinct event times, ``n_k`` the subjects at risk at each
+    (events before censorings), ``d_k`` the events there and ``S(t_k)`` the
+    running product of ``(n_k - d_k) / n_k``. All four are empty when the
+    sample has no event.
+    """
+    event_times, d_k = np.unique(t[e], return_counts=True)
+    # at risk at t_k: everyone whose observed time is >= t_k
+    n_k = t.size - np.searchsorted(np.sort(t), event_times, side="left")
+    return event_times, n_k, d_k, np.cumprod((n_k - d_k) / n_k)
+
+
 def km_fit(times, events) -> KaplanMeierFit:
     """Kaplan-Meier product-limit estimator.
 
@@ -81,21 +95,12 @@ def km_fit(times, events) -> KaplanMeierFit:
     if np.any(t <= 0):
         raise ValueError("times must be positive")
 
-    t_sorted = np.sort(t)
-    event_times, d_k = np.unique(t[e], return_counts=True)
-    if event_times.size:
-        # at risk at t_k: everyone whose observed time is >= t_k
-        n_k = t.size - np.searchsorted(t_sorted, event_times, side="left")
-        surv = np.cumprod((n_k - d_k) / n_k)
-    else:
-        n_k = np.array([], dtype=int)
-        surv = np.array([], dtype=float)
-
+    event_times, n_k, d_k, surv = _product_limit(t, e)
     all_times = np.unique(t)
-    idx = np.searchsorted(event_times, all_times, side="right") - 1
-    values = np.where(idx >= 0, surv[np.maximum(idx, 0)] if surv.size else 1.0, 1.0)
-    if event_times.size == 0:
-        values = np.ones_like(all_times)
+    # 1 before the first event time, else S at the last event time <= t
+    values = np.concatenate(([1.0], surv))[
+        np.searchsorted(event_times, all_times, side="right")
+    ]
     curve = StepCurve(knots=all_times, values=values)
     return KaplanMeierFit(
         event_times=event_times, at_risk=n_k.astype(int), n_events=d_k.astype(int),

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sps
 
 from .core import CurveBatch, SurvivalDataset, stratified_kfold
 from .errors import (
@@ -327,6 +326,32 @@ def _top3(scores: dict) -> set:
     return {name for name, _ in ordered[:3]}
 
 
+def _kendall_tau_b(x, y) -> float:
+    """Kendall's tau-b of two equal-length score lists, as ``scipy.stats.kendalltau``.
+
+    Counts every pair once with integer counts and returns
+    ``(concordant - discordant) / sqrt(tot - x_ties) / sqrt(tot - y_ties)``
+    clipped to [-1, 1], the formula and order of operations scipy uses. NaN
+    when either list holds a NaN or is tied throughout.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    i, j = np.triu_indices(x.size, k=1)
+    # comparisons, not differences: inf - inf is NaN
+    sign_x = (x[i] > x[j]).astype(np.int64) - (x[i] < x[j])
+    sign_y = (y[i] > y[j]).astype(np.int64) - (y[i] < y[j])
+    tot = i.size
+    x_ties = int(np.count_nonzero(sign_x == 0))
+    y_ties = int(np.count_nonzero(sign_y == 0))
+    if x_ties == tot or y_ties == tot:
+        return float("nan")
+    con_minus_dis = int(np.sum(sign_x * sign_y))
+    tau = con_minus_dis / np.sqrt(tot - x_ties) / np.sqrt(tot - y_ties)
+    return float(min(1.0, max(-1.0, tau)))
+
+
 def rank_agreement(true_scores: dict, metric_scores: dict):
     """Kendall tau-b and top-3 overlap between two model score maps.
 
@@ -341,10 +366,8 @@ def rank_agreement(true_scores: dict, metric_scores: dict):
     if len(names) < 2:
         tau = float("nan")
     else:
-        tau = float(
-            sps.kendalltau(
-                [true_scores[n] for n in names], [metric_scores[n] for n in names]
-            ).statistic
+        tau = _kendall_tau_b(
+            [true_scores[n] for n in names], [metric_scores[n] for n in names]
         )
     overlap = len(_top3(true_scores) & _top3(metric_scores))
     return tau, overlap

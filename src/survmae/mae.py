@@ -158,19 +158,31 @@ def margin_surrogates(ds: SurvivalDataset, km_train: KaplanMeierFit) -> Surrogat
     the area under the training curve from t to its last knot, and weight
     ``1 - S(t)``. When the curve has already hit zero at t the surrogate
     falls back to t itself with full weight.
+
+    All censored subjects are handled in one pass: I(t) is the partial piece
+    ``S(t) * (next knot - t)`` plus a reverse cumulative sum of the curve's
+    piece areas from that knot on, O((n + K) log K) for n subjects and K
+    knots. It adds the pieces in another order than integrating each subject
+    separately (:meth:`StepCurve.integrate`), so the surrogates may differ
+    from that in the last bits; weights and inclusion flags are the same.
     """
     curve = km_train.curve
     surrogate, weight, included = _uncensored_base(ds)
-    for i in np.nonzero(~ds.events)[0]:
-        t_i = float(ds.times[i])
-        s_i = curve.value(t_i)
-        if s_i <= 0.0:
-            surrogate[i] = t_i
-            weight[i] = 1.0
-            continue
-        tail = curve.integrate(t_i, curve.t_last) if t_i < curve.t_last else 0.0
-        surrogate[i] = t_i + tail / s_i
-        weight[i] = 1.0 - s_i
+    censored = np.nonzero(~ds.events)[0]
+    t_c = ds.times[censored]
+    s_c = curve.value(t_c)
+    # area of each piece [knots[k], knots[k+1]) and, per k, the area from
+    # knots[k] to the last knot
+    areas = curve.values[:-1] * np.diff(curve.knots)
+    from_knot = np.append(np.cumsum(areas[::-1])[::-1], 0.0)
+    nxt = np.searchsorted(curve.knots, t_c, side="right")
+    inside = nxt < curve.knots.size  # t before the last knot
+    nxt = np.minimum(nxt, curve.knots.size - 1)
+    tail = np.where(inside, s_c * (curve.knots[nxt] - t_c) + from_knot[nxt], 0.0)
+    alive = s_c > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        surrogate[censored] = np.where(alive, t_c + tail / s_c, t_c)
+    weight[censored] = np.where(alive, 1.0 - s_c, 1.0)
     return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
 
 
@@ -182,17 +194,16 @@ def ipcw_t_surrogates(ds: SurvivalDataset) -> SurrogateSet:
     surrogate, weight, included = _uncensored_base(ds)
     ev_times = np.sort(ds.times[ds.events])
     suffix = np.concatenate((np.cumsum(ev_times[::-1])[::-1], [0.0]))
-    km = km_fit(ds.times, ds.events) if ev_times.size else None
-    for i in np.nonzero(~ds.events)[0]:
-        t_i = float(ds.times[i])
-        pos = np.searchsorted(ev_times, t_i, side="right")
-        later = ev_times.size - pos
-        if later == 0:
-            included[i] = False
-            weight[i] = 0.0
-            continue
-        surrogate[i] = suffix[pos] / later
-        weight[i] = 1.0 - km.curve.value(t_i)
+    censored = np.nonzero(~ds.events)[0]
+    pos = np.searchsorted(ev_times, ds.times[censored], side="right")
+    later = ev_times.size - pos
+    has_later = later > 0
+    included[censored[~has_later]] = False
+    kept = censored[has_later]
+    if kept.size:
+        km = km_fit(ds.times, ds.events)
+        surrogate[kept] = suffix[pos[has_later]] / later[has_later]
+        weight[kept] = 1.0 - km.curve.value(ds.times[kept])
     return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
 
 

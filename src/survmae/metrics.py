@@ -13,11 +13,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc
 
 from .core import CurveBatch, SurvivalDataset
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
-from .estimators import KaplanMeierFit, km_fit
+from .estimators import KaplanMeierFit, _product_limit
 from .mae import PredictedTimes
 
 __all__ = [
@@ -194,6 +194,11 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
     return float(np.mean(contributions))
 
 
+def _chi2_sf(statistic: float, df: int) -> float:
+    """Chi-square upper tail probability; NaN when there is no degree of freedom."""
+    return float(chdtrc(df, statistic)) if df >= 1 else float("nan")
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     """Outcome of a calibration test: statistic, p-value, per-bin table."""
@@ -209,10 +214,12 @@ def one_calibration(
     """Hosmer-Lemeshow style test of the predicted probabilities at one horizon.
 
     Subjects are sorted by predicted S(t*) into ``n_bins`` equal-count bins.
-    Expected events per bin sum 1 - S(t*); observed events come from a
-    within-bin Kaplan-Meier curve evaluated at ``t_star``, which keeps
-    censored subjects informative. The statistic is compared to a chi-square
-    with ``n_bins - 2`` degrees of freedom.
+    Expected events per bin sum 1 - S(t*); observed events are ``n_g`` times
+    one minus the within-bin Kaplan-Meier survival at ``t_star``, read from
+    the bin's product-limit table (the same value ``km_fit(...).curve`` gives
+    there), which keeps censored subjects informative. The statistic is
+    compared to a chi-square with ``n_bins - 2`` degrees of freedom; with two
+    bins that leaves none, and the p-value is NaN.
     """
     if len(curves) != ds.n:
         raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
@@ -228,15 +235,17 @@ def one_calibration(
     for g in groups:
         n_g = g.size
         expected = float(np.sum(1.0 - s_star[g]))
-        km_g = km_fit(ds.times[g], ds.events[g])
-        observed = n_g * (1.0 - km_g.curve.value(t_star))
+        event_times, _, _, surv = _product_limit(ds.times[g], ds.events[g])
+        reached = np.searchsorted(event_times, t_star, side="right")
+        s_g = float(surv[reached - 1]) if reached else 1.0
+        observed = n_g * (1.0 - s_g)
         table.append((expected, observed))
         if expected <= 0.0:
             expected = 0.5
         elif expected >= n_g:
             expected = n_g - 0.5
         statistic += (observed - expected) ** 2 / (expected * (1.0 - expected / n_g))
-    p_value = float(sps.chi2.sf(statistic, df=n_bins - 2))
+    p_value = _chi2_sf(statistic, n_bins - 2)
     return CalibrationResult(
         statistic=float(statistic), p_value=p_value, bin_table=tuple(table)
     )
@@ -272,7 +281,7 @@ def d_calibration(curves, ds: SurvivalDataset, n_bins: int = 10) -> CalibrationR
     masses = np.cumsum(mass, axis=0)[-1]
     expected = ds.n / n_bins
     statistic = float(np.sum((masses - expected) ** 2 / expected))
-    p_value = float(sps.chi2.sf(statistic, df=n_bins - 1))
+    p_value = _chi2_sf(statistic, n_bins - 1)
     return CalibrationResult(
         statistic=statistic,
         p_value=p_value,

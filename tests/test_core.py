@@ -369,3 +369,39 @@ def test_load_dataset_errors(tmp_path, body, fragment):
     with pytest.raises(DataFormatError) as err:
         load_dataset(p)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "row,column",
+    [
+        ("{},1,{},0.5", "time"),  # event row: true_time equals time below
+        ("{},0,9.0,0.5", "time"),
+        ("2.0,0,{},0.5", "true_time"),  # censored row
+        ("2.0,1,2.0,{}", "f1"),
+    ],
+)
+def test_load_dataset_rejects_non_finite(tmp_path, text, row, column):
+    p = tmp_path / "bad.csv"
+    p.write_text("time,event,true_time,f1\n1.0,1,1.0,0.2\n" + row.format(text, text) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(p)
+    assert "line 3" in str(err.value)
+    assert repr(column) in str(err.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["times", "true_times", "features"])
+def test_from_arrays_rejects_non_finite(value, column):
+    arrays = {
+        "times": np.array([1.0, 2.0, 3.0, 4.0]),
+        "events": np.array([True, False, False, True]),
+        "true_times": np.array([1.0, 5.0, 6.0, 4.0]),
+        "features": np.zeros((4, 2)),
+    }
+    if column == "features":
+        arrays["features"][2, 1] = value
+    else:
+        arrays[column][2] = value
+    with pytest.raises(ValueError, match="subject 2: non-finite"):
+        SurvivalDataset.from_arrays(**arrays)
