@@ -15,7 +15,6 @@ from .core import (
     FoldSplit,
     StepCurve,
     SurvivalDataset,
-    SurvivalRecord,
     dataset_stats,
     load_dataset,
     save_dataset,

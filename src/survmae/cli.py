@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,18 +45,7 @@ def _load(args):
 
 def _cmd_stats(args) -> int:
     stats = dataset_stats(_load(args))
-    print(
-        json.dumps(
-            {
-                "n": stats.n,
-                "censor_rate": stats.censor_rate,
-                "t_max_event": stats.t_max_event,
-                "t_median_event": stats.t_median_event,
-                "sigma_event": stats.sigma_event,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(asdict(stats), indent=2))
     return 0
 
 
@@ -78,20 +68,13 @@ def _cmd_synth(args) -> int:
     spec = CensoringSpec(kind=args.kind, params=params)
     out = make_semi_synthetic(ds, spec, seed=args.seed)
     save_dataset(out, args.output)
-    source_stats = dataset_stats(ds)
     sidecar = {
         "kind": args.kind,
         "seed": args.seed,
         "source": str(args.data),
         "n": out.n,
         "achieved_censor_rate": float(np.mean(~out.events)),
-        "source_stats": {
-            "n": source_stats.n,
-            "censor_rate": source_stats.censor_rate,
-            "t_max_event": source_stats.t_max_event,
-            "t_median_event": source_stats.t_median_event,
-            "sigma_event": source_stats.sigma_event,
-        },
+        "source_stats": asdict(dataset_stats(ds)),
     }
     if args.external:
         sidecar["external_reference"] = str(args.external)

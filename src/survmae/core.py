@@ -1,10 +1,13 @@
-"""Core survival-data types: records, datasets, step-function curves, folds.
+"""Core survival-data types: columnar datasets, step-function curves, folds.
 
 Conventions used throughout the package:
 
 * A subject's observed time is ``min(event time, censor time)`` and the event
   flag is true when the event happened at or before the censor time (ties go
   to the event).
+* A :class:`SurvivalDataset` holds its subjects as parallel arrays (times,
+  event flags, a feature matrix, optional hidden true times); the arrays are
+  the data, and every rule is checked on all subjects at once.
 * Survival curves are right-continuous step functions that equal 1 before
   their first knot and keep their last value beyond the final knot.
   :class:`StepCurve` holds one curve; :class:`CurveBatch` holds the curves
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,6 @@ __all__ = [
     "FoldSplit",
     "StepCurve",
     "SurvivalDataset",
-    "SurvivalRecord",
     "dataset_stats",
     "load_dataset",
     "save_dataset",
@@ -45,129 +47,115 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: covariates, observed time, event flag, optional hidden truth.
+def _first_bad_subject(times, events, true_times, features):
+    """``(index, reason)`` of the first subject that breaks a dataset rule, or
+    None (``true_times`` None: no truths to check). A subject that breaks
+    several rules is reported with the first one listed."""
+    truths = times if true_times is None else true_times
+    checks = (
+        (~np.isfinite(times), "non-finite time value"),
+        (~np.isfinite(truths), "non-finite true time value"),
+        (~np.isfinite(features).all(axis=1), "non-finite feature value"),
+        (~(times > 0), "observed time must be positive, got {t}"),
+        (
+            events & (truths != times),
+            "uncensored record must have true_event_time equal to its observed "
+            "time (got {truth} vs {t})",
+        ),
+        (
+            ~events & (truths < times),
+            "censored record must have true_event_time >= observed time "
+            "(got {truth} < {t})",
+        ),
+    )
+    first = None
+    for bad, reason in checks:
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), reason)
+    if first is None:
+        return None
+    i, reason = first
+    return i, reason.format(t=float(times[i]), truth=float(truths[i]))
 
-    ``true_event_time`` is only populated for semi-synthetic data where the
-    uncensored time is known. It must equal the observed time for events and
-    be at least the observed time for censored subjects.
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values``."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SurvivalDataset:
+    """Subjects held as parallel columns, one entry per subject.
+
+    ``feature_matrix`` has one row per subject and one column per name in
+    ``feature_names``. ``true_times`` holds the hidden true event times of
+    semi-synthetic data, or None: a true time must equal the observed time
+    of an event and be at least the observed time of a censored subject.
+    The columns are stored as read-only copies. A subject that breaks a rule
+    (a non-finite value, a time that is not positive, an inconsistent true
+    time) raises ``ValueError`` naming its index.
     """
 
-    features: tuple
-    time: float
-    event: bool
-    true_event_time: float | None = None
-
-    def __post_init__(self):
-        if not self.time > 0:
-            raise ValueError(f"observed time must be positive, got {self.time}")
-        if self.true_event_time is not None:
-            if self.event and self.true_event_time != self.time:
-                raise ValueError(
-                    "uncensored record must have true_event_time equal to its "
-                    f"observed time (got {self.true_event_time} vs {self.time})"
-                )
-            if not self.event and self.true_event_time < self.time:
-                raise ValueError(
-                    "censored record must have true_event_time >= observed time "
-                    f"(got {self.true_event_time} < {self.time})"
-                )
-
-
-@dataclass(frozen=True)
-class SurvivalDataset:
-    """An ordered, immutable collection of records with shared feature names."""
-
-    records: tuple
+    times: np.ndarray
+    events: np.ndarray
+    feature_matrix: np.ndarray
+    true_times: np.ndarray | None = None
     feature_names: tuple = ()
-    times: np.ndarray = field(init=False, repr=False, compare=False)
-    events: np.ndarray = field(init=False, repr=False, compare=False)
-    feature_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    true_times: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        if not self.records:
+        times = _frozen(self.times, float)
+        events = _frozen(self.events, bool)
+        features = _frozen(self.feature_matrix, float)
+        truths = None if self.true_times is None else _frozen(self.true_times, float)
+        names = tuple(self.feature_names)
+        if times.ndim != 1 or events.shape != times.shape:
+            raise ValueError("times and events must be 1-d arrays of the same length")
+        if times.size == 0:
             raise ValueError("dataset must contain at least one record")
-        d = len(self.feature_names)
-        for i, r in enumerate(self.records):
-            if len(r.features) != d:
-                raise ValueError(
-                    f"record {i} has {len(r.features)} features, expected {d}"
-                )
-        object.__setattr__(
-            self, "times", np.array([r.time for r in self.records], dtype=float)
-        )
-        object.__setattr__(
-            self, "events", np.array([r.event for r in self.records], dtype=bool)
-        )
-        object.__setattr__(
-            self,
-            "feature_matrix",
-            np.array([r.features for r in self.records], dtype=float).reshape(
-                len(self.records), d
-            ),
-        )
-        if all(r.true_event_time is not None for r in self.records):
-            truths = np.array(
-                [r.true_event_time for r in self.records], dtype=float
+        if truths is not None and truths.shape != times.shape:
+            raise ValueError("true_times must hold one time per subject")
+        if features.shape != (times.size, len(names)):
+            raise ValueError(
+                f"feature_matrix has shape {features.shape}, expected "
+                f"{(times.size, len(names))} (one column per feature name)"
             )
-        else:
-            truths = None
+        bad = _first_bad_subject(times, events, truths, features)
+        if bad is not None:
+            raise ValueError("subject {}: {}".format(*bad))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "feature_matrix", features)
         object.__setattr__(self, "true_times", truths)
+        object.__setattr__(self, "feature_names", names)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.times.size
 
     def subset(self, indices) -> "SurvivalDataset":
-        """New dataset holding the records at ``indices``, in that order."""
+        """New dataset holding the subjects at ``indices``, in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
         return SurvivalDataset(
-            records=tuple(self.records[int(i)] for i in indices),
-            feature_names=self.feature_names,
+            self.times[idx],
+            self.events[idx],
+            self.feature_matrix[idx],
+            None if self.true_times is None else self.true_times[idx],
+            self.feature_names,
         )
 
     @classmethod
     def from_arrays(
         cls, times, events, features=None, true_times=None, feature_names=None
     ) -> "SurvivalDataset":
-        """Build a dataset from parallel arrays (convenience for tests/tools).
-
-        A NaN or infinite time, true time or feature raises ``ValueError``
-        naming the first such subject index.
-        """
-        times = np.asarray(times, dtype=float)
-        events = np.asarray(events, dtype=bool)
-        if times.shape != events.shape:
-            raise ValueError("times and events must have the same length")
-        nrec = times.size
+        """Build a dataset with defaults: no features, names ``x0, x1, ...``."""
         if features is None:
-            features = np.empty((nrec, 0))
-        features = np.asarray(features, dtype=float).reshape(nrec, -1)
-        finite = [("time", np.isfinite(times))]
-        if true_times is not None:
-            true_times = np.asarray(true_times, dtype=float)
-            finite.append(("true time", np.isfinite(true_times)))
-        finite.append(("feature", np.isfinite(features).all(axis=1)))
-        for what, ok in finite:
-            if not ok.all():
-                raise ValueError(f"subject {int(np.argmin(ok))}: non-finite {what} value")
+            features = np.empty((np.size(times), 0))
         if feature_names is None:
-            feature_names = tuple(f"x{j}" for j in range(features.shape[1]))
-        records = []
-        for i in range(nrec):
-            truth = None if true_times is None else float(true_times[i])
-            records.append(
-                SurvivalRecord(
-                    features=tuple(float(v) for v in features[i]),
-                    time=float(times[i]),
-                    event=bool(events[i]),
-                    true_event_time=truth,
-                )
-            )
-        return cls(records=tuple(records), feature_names=tuple(feature_names))
+            feature_names = tuple(f"x{j}" for j in range(np.shape(features)[-1]))
+        return cls(times, events, features, true_times, feature_names)
 
 
 def _query_times(t) -> np.ndarray:
@@ -219,19 +207,21 @@ class StepCurve:
     def v_last(self) -> float:
         return float(self.values[-1])
 
-    def value(self, t):
-        """Right-continuous lookup; 1 before the first knot. Accepts scalars or arrays."""
+    def _lookup(self, t, side):
+        """Value at the last knot at or below (``side="right"``) or strictly
+        below (``side="left"``) ``t``; 1 where there is none."""
         t_arr = _query_times(t)
-        idx = np.searchsorted(self.knots, t_arr, side="right") - 1
+        idx = np.searchsorted(self.knots, t_arr, side=side) - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
+    def value(self, t):
+        """Right-continuous lookup; 1 before the first knot. Accepts scalars or arrays."""
+        return self._lookup(t, "right")
+
     def value_before(self, t):
         """Left limit: the value just before ``t`` (1 when no knot lies strictly below)."""
-        t_arr = _query_times(t)
-        idx = np.searchsorted(self.knots, t_arr, side="left") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return self._lookup(t, "left")
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral of the step function over ``[a, b]``."""
@@ -552,7 +542,7 @@ def dataset_stats(ds: SurvivalDataset) -> DatasetStats:
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """A disjoint partition of record indices into cross-validation folds."""
+    """A disjoint partition of subject indices into cross-validation folds."""
 
     folds: tuple
 
@@ -572,7 +562,7 @@ def stratified_kfold(
     """Deterministic stratified k-fold split.
 
     Strata are the cross product of the event flag and ``time_bins`` quantile
-    bins of the observed time. Records are shuffled within each stratum with a
+    bins of the observed time. Subjects are shuffled within each stratum with a
     generator seeded by ``seed`` and dealt round-robin with a cursor that runs
     across strata, so fold sizes differ by at most one and censoring is spread
     as evenly as the counts allow.
@@ -643,45 +633,50 @@ def load_dataset(
             for j in range(len(header))
             if j not in (t_idx, e_idx) and j != truth_idx
         ]
-        records = []
+        times, events, truths, features, lines = [], [], [], [], []
+        failure = None  # the error of the first row that could not be read
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"line {line}: expected {len(header)} fields, found {len(row)}"
-                )
-            time = _parse_float(row[t_idx], line, time_column)
-            ev_raw = _parse_float(row[e_idx], line, event_column)
-            if ev_raw not in (0.0, 1.0):
-                raise DataFormatError(
-                    f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}"
-                )
-            truth = (
-                _parse_float(row[truth_idx], line, "true_time")
-                if truth_idx is not None
-                else None
-            )
-            feats = tuple(
-                _parse_float(row[j], line, header[j]) for j in feat_idx
-            )
             try:
-                records.append(
-                    SurvivalRecord(
-                        features=feats,
-                        time=time,
-                        event=bool(ev_raw),
-                        true_event_time=truth,
+                if len(row) != len(header):
+                    raise DataFormatError(
+                        f"line {line}: expected {len(header)} fields, found {len(row)}"
                     )
+                time = _parse_float(row[t_idx], line, time_column)
+                ev_raw = _parse_float(row[e_idx], line, event_column)
+                if ev_raw not in (0.0, 1.0):
+                    raise DataFormatError(
+                        f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}"
+                    )
+                truth = (
+                    _parse_float(row[truth_idx], line, "true_time")
+                    if truth_idx is not None
+                    else None
                 )
-            except ValueError as exc:
-                raise DataFormatError(f"line {line}: {exc}") from None
-    if not records:
+                feats = [_parse_float(row[j], line, header[j]) for j in feat_idx]
+            except DataFormatError as exc:
+                failure = exc
+                break
+            times.append(time)
+            events.append(ev_raw == 1.0)
+            truths.append(truth)
+            features.append(feats)
+            lines.append(line)
+    names = tuple(header[j] for j in feat_idx)
+    times = np.array(times, dtype=float)
+    events = np.array(events, dtype=bool)
+    truths = None if truth_idx is None else np.array(truths, dtype=float)
+    features = np.array(features, dtype=float).reshape(times.size, len(names))
+    # a rule broken on a line before the failure is the first error
+    bad = _first_bad_subject(times, events, truths, features)
+    if bad is not None:
+        raise DataFormatError(f"line {lines[bad[0]]}: {bad[1]}")
+    if failure is not None:
+        raise failure
+    if not times.size:
         raise DataFormatError(f"{path}: no data rows")
-    return SurvivalDataset(
-        records=tuple(records),
-        feature_names=tuple(header[j] for j in feat_idx),
-    )
+    return SurvivalDataset(times, events, features, truths, names)
 
 
 def save_dataset(ds: SurvivalDataset, path) -> None:
@@ -694,9 +689,12 @@ def save_dataset(ds: SurvivalDataset, path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in ds.records:
-            row = [repr(float(r.time)), str(int(r.event))]
+        truths = ds.true_times.tolist() if with_truth else [None] * ds.n
+        for time, event, truth, feats in zip(
+            ds.times.tolist(), ds.events.tolist(), truths, ds.feature_matrix.tolist()
+        ):
+            row = [repr(time), str(int(event))]
             if with_truth:
-                row.append(repr(float(r.true_event_time)))
-            row.extend(repr(float(v)) for v in r.features)
+                row.append(repr(truth))
+            row.extend(repr(v) for v in feats)
             writer.writerow(row)

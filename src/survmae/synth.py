@@ -11,7 +11,7 @@ index): each subject's draw is independent of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .core import (
     DatasetStats,
     StepCurve,
     SurvivalDataset,
-    SurvivalRecord,
     dataset_stats,
     load_dataset,
 )
@@ -82,27 +81,16 @@ def flip_censor_bits(ds: SurvivalDataset) -> SurvivalDataset:
     Hidden true event times are dropped: they describe the original event
     process and are meaningless once the flags are flipped.
     """
-    records = tuple(
-        SurvivalRecord(
-            features=r.features, time=r.time, event=not r.event, true_event_time=None
-        )
-        for r in ds.records
-    )
-    return SurvivalDataset(records=records, feature_names=ds.feature_names)
+    return SurvivalDataset(ds.times, ~ds.events, ds.feature_matrix, None, ds.feature_names)
 
 
 def keep_uncensored(ds: SurvivalDataset) -> SurvivalDataset:
     """Keep only uncensored subjects; their times become known ground truth."""
-    records = tuple(
-        SurvivalRecord(
-            features=r.features, time=r.time, event=True, true_event_time=r.time
-        )
-        for r in ds.records
-        if r.event
-    )
-    if not records:
+    kept = np.flatnonzero(ds.events)
+    if not kept.size:
         raise InsufficientEventsError("dataset has no uncensored subject")
-    return SurvivalDataset(records=records, feature_names=ds.feature_names)
+    uncensored = ds.subset(kept)
+    return replace(uncensored, true_times=uncensored.times)
 
 
 def _subject_rng(seed: int, index: int) -> np.random.Generator:
@@ -184,29 +172,21 @@ def apply_censoring(d_prime: SurvivalDataset, censor_times) -> SurvivalDataset:
     """Censor each subject whose drawn censor time lands before its event.
 
     Ties go to the event, matching the global convention. The true event time
-    is retained on every record.
+    is retained for every subject.
     """
     censor_times = np.asarray(censor_times, dtype=float)
     if censor_times.shape != (d_prime.n,):
         raise ValueError("need exactly one censor time per subject")
-    records = []
-    for r, c in zip(d_prime.records, censor_times):
-        truth = r.true_event_time if r.true_event_time is not None else r.time
-        if c < r.time:
-            records.append(
-                SurvivalRecord(
-                    features=r.features, time=float(c), event=False,
-                    true_event_time=truth,
-                )
-            )
-        else:
-            records.append(
-                SurvivalRecord(
-                    features=r.features, time=r.time, event=True,
-                    true_event_time=truth,
-                )
-            )
-    return SurvivalDataset(records=tuple(records), feature_names=d_prime.feature_names)
+    times = d_prime.times
+    censored = censor_times < times
+    truths = times if d_prime.true_times is None else d_prime.true_times
+    return SurvivalDataset(
+        np.where(censored, censor_times, times),
+        ~censored,
+        d_prime.feature_matrix,
+        truths,
+        d_prime.feature_names,
+    )
 
 
 def _max_event_time(ds: SurvivalDataset) -> float:

@@ -110,6 +110,16 @@ def test_synth_writes_dataset_and_sidecar(plain_csv, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_synth_sidecar_source_stats_equal_stats_output(plain_csv, tmp_path, capsys):
+    assert main(["stats", str(plain_csv)]) == 0
+    stats_text = capsys.readouterr().out
+    out = tmp_path / "synth.csv"
+    assert main(["synth", str(plain_csv), "--kind", "uniform", "-o", str(out)]) == 0
+    sidecar = json.loads(out.with_suffix(".json").read_text())
+    assert sidecar["source_stats"] == json.loads(stats_text)
+    assert json.dumps(sidecar["source_stats"], indent=2) + "\n" == stats_text
+
+
 def test_synth_hyphenated_kind_is_an_alias(plain_csv, tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -1,4 +1,4 @@
-"""Tests for records, datasets, step curves, folds, and CSV round-trips."""
+"""Tests for datasets, step curves, folds, and CSV round-trips."""
 
 import statistics
 
@@ -14,7 +14,6 @@ from survmae import (
     InsufficientEventsError,
     StepCurve,
     SurvivalDataset,
-    SurvivalRecord,
     dataset_stats,
     load_dataset,
     save_dataset,
@@ -22,24 +21,40 @@ from survmae import (
 )
 
 
-# ---------------------------------------------------------------- records
+# --------------------------------------------------------------- datasets
 
 
-def test_record_rejects_nonpositive_time():
+def test_from_arrays_rejects_nonpositive_time():
     with pytest.raises(ValueError):
-        SurvivalRecord(features=(), time=0.0, event=True)
+        SurvivalDataset.from_arrays([0.0], [True])
     with pytest.raises(ValueError):
-        SurvivalRecord(features=(), time=-1.0, event=False)
+        SurvivalDataset.from_arrays([-1.0], [False])
 
 
-def test_record_truth_consistency():
-    SurvivalRecord(features=(), time=2.0, event=True, true_event_time=2.0)
-    SurvivalRecord(features=(), time=2.0, event=False, true_event_time=5.0)
-    SurvivalRecord(features=(), time=2.0, event=False, true_event_time=2.0)
+def test_from_arrays_checks_truth_consistency():
+    SurvivalDataset.from_arrays([2.0], [True], true_times=[2.0])
+    SurvivalDataset.from_arrays([2.0], [False], true_times=[5.0])
+    SurvivalDataset.from_arrays([2.0], [False], true_times=[2.0])
     with pytest.raises(ValueError):
-        SurvivalRecord(features=(), time=2.0, event=True, true_event_time=3.0)
+        SurvivalDataset.from_arrays([2.0], [True], true_times=[3.0])
     with pytest.raises(ValueError):
-        SurvivalRecord(features=(), time=2.0, event=False, true_event_time=1.0)
+        SurvivalDataset.from_arrays([2.0], [False], true_times=[1.0])
+
+
+@pytest.mark.parametrize(
+    "event,truth,fragment",
+    [
+        (True, 3.0, "subject 2: uncensored record must have true_event_time equal"),
+        (True, 1.0, "subject 2: uncensored record must have true_event_time equal"),
+        (False, 1.0, "subject 2: censored record must have true_event_time >="),
+    ],
+)
+def test_truth_break_names_its_subject(event, truth, fragment):
+    times = [1.0, 2.0, 2.0, 4.0]
+    events = [True, False, event, True]
+    truths = [1.0, 5.0, truth, 4.0]
+    with pytest.raises(ValueError, match=fragment):
+        SurvivalDataset.from_arrays(times, events, true_times=truths)
 
 
 def test_dataset_arrays_and_subset():
@@ -70,14 +85,11 @@ def test_dataset_with_truths():
     assert_array_equal(ds.subset([1]).true_times, [4.0])
 
 
-def test_dataset_validation():
+def test_dataset_rejects_empty_and_misnamed_features():
     with pytest.raises(ValueError):
-        SurvivalDataset(records=())
+        SurvivalDataset(np.empty(0), np.empty(0, dtype=bool), np.empty((0, 0)))
     with pytest.raises(ValueError):
-        SurvivalDataset(
-            records=(SurvivalRecord(features=(1.0,), time=1.0, event=True),),
-            feature_names=("a", "b"),
-        )
+        SurvivalDataset([1.0], [True], [[1.0]], feature_names=("a", "b"))
 
 
 # ------------------------------------------------------------------ stats
@@ -309,8 +321,8 @@ def test_load_dataset_basic(tmp_path):
     p.write_text("time,event,f1\n1.0,1,0.2\n2.0,0,0.5\n")
     ds = load_dataset(p)
     assert ds.n == 2
-    assert ds.records[0].event and ds.records[0].time == 1.0
-    assert not ds.records[1].event
+    assert ds.events[0] and ds.times[0] == 1.0
+    assert not ds.events[1]
     assert ds.feature_names == ("f1",)
     assert_array_equal(ds.feature_matrix[:, 0], [0.2, 0.5])
     assert ds.true_times is None
@@ -328,7 +340,7 @@ def test_load_dataset_custom_columns(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("duration,status\n3.5,1\n")
     ds = load_dataset(p, time_column="duration", event_column="status")
-    assert ds.records[0].time == 3.5
+    assert ds.times[0] == 3.5
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -405,3 +417,11 @@ def test_from_arrays_rejects_non_finite(value, column):
         arrays[column][2] = value
     with pytest.raises(ValueError, match="subject 2: non-finite"):
         SurvivalDataset.from_arrays(**arrays)
+    with pytest.raises(ValueError, match="subject 2: non-finite"):
+        SurvivalDataset(
+            arrays["times"],
+            arrays["events"],
+            arrays["features"],
+            arrays["true_times"],
+            ("a", "b"),
+        )

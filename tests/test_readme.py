@@ -1,0 +1,18 @@
+"""Every fenced ``python`` block of README.md runs, each in a fresh namespace."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", range(len(BLOCKS)))
+def test_readme_block_runs(block):
+    exec(compile(BLOCKS[block], f"README.md python block {block}", "exec"), {})
