@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -604,6 +605,21 @@ def _parse_float(text: str, line: int, column: str) -> float:
     return value
 
 
+def _read_columns(lines, dtype):
+    """The comma-separated ``lines`` (a file's lines below its header, each
+    with its own line ending), read by NumPy's C reader into a 1-d array of
+    the structured ``dtype``, or None when the reader fails or warns: a field
+    it cannot convert, a row of another width, no rows. Callers then read the
+    lines with ``csv``, which names the fault. Every number the reader accepts
+    is the double ``float()`` gives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+
+
 def load_dataset(
     path, time_column: str = "time", event_column: str = "event"
 ) -> SurvivalDataset:
@@ -611,8 +627,12 @@ def load_dataset(
 
     The time and event columns are looked up by name; a ``true_time`` column,
     when present, populates the hidden ground truth. Every other column is
-    treated as a numeric feature. Rows keep their file order and parse errors
-    name the offending line (the header is line 1).
+    treated as a numeric feature. A header that names a column twice, or the
+    same column for time and event, is rejected. Rows keep their file order
+    and parse errors name the offending line (the header is line 1).
+
+    The file is read once, so it may be a pipe. A valid file is parsed in one
+    pass of NumPy's C reader; any other file is parsed again line by line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -625,6 +645,15 @@ def load_dataset(
         for needed in (time_column, event_column):
             if needed not in header:
                 raise DataFormatError(f"{path}: column {needed!r} not found in header")
+        if time_column == event_column:
+            raise DataFormatError(
+                f"line 1: column {time_column!r} cannot be both time and event"
+            )
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise DataFormatError(f"line 1: column {name!r} appears more than once")
+            seen.add(name)
         t_idx = header.index(time_column)
         e_idx = header.index(event_column)
         truth_idx = header.index("true_time") if "true_time" in header else None
@@ -633,9 +662,26 @@ def load_dataset(
             for j in range(len(header))
             if j not in (t_idx, e_idx) and j != truth_idx
         ]
+        names = tuple(header[j] for j in feat_idx)
+        rest = fh.readlines()
+        table = _read_columns(rest, [("row", float, (len(header),))])
+        if table is not None:
+            data = table["row"]
+            flags = data[:, e_idx]
+            if np.all((flags == 0.0) | (flags == 1.0)):
+                try:
+                    return SurvivalDataset(
+                        data[:, t_idx],
+                        flags == 1.0,
+                        data[:, feat_idx],
+                        None if truth_idx is None else data[:, truth_idx],
+                        names,
+                    )
+                except ValueError:
+                    pass  # a rule is broken: the line-by-line read names the line
         times, events, truths, features, lines = [], [], [], [], []
         failure = None  # the error of the first row that could not be read
-        for line, row in enumerate(reader, start=2):
+        for line, row in enumerate(csv.reader(rest), start=2):
             if not row:
                 continue
             try:
@@ -663,7 +709,6 @@ def load_dataset(
             truths.append(truth)
             features.append(feats)
             lines.append(line)
-    names = tuple(header[j] for j in feat_idx)
     times = np.array(times, dtype=float)
     events = np.array(events, dtype=bool)
     truths = None if truth_idx is None else np.array(truths, dtype=float)
@@ -686,15 +731,11 @@ def save_dataset(ds: SurvivalDataset, path) -> None:
     header = ["time", "event"] + (["true_time"] if with_truth else []) + list(
         ds.feature_names
     )
+    columns = [map(repr, ds.times.tolist()), map(str, ds.events.astype(int).tolist())]
+    if with_truth:
+        columns.append(map(repr, ds.true_times.tolist()))
+    columns.extend(map(repr, col) for col in ds.feature_matrix.T.tolist())
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        truths = ds.true_times.tolist() if with_truth else [None] * ds.n
-        for time, event, truth, feats in zip(
-            ds.times.tolist(), ds.events.tolist(), truths, ds.feature_matrix.tolist()
-        ):
-            row = [repr(time), str(int(event))]
-            if with_truth:
-                row.append(repr(truth))
-            row.extend(repr(v) for v in feats)
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        # formatted numbers hold no comma, quote or line break: csv would not quote them
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset, stratified_kfold
+from .core import CurveBatch, SurvivalDataset, _read_columns, stratified_kfold
 from .errors import (
     BinningError,
     ConfigurationError,
@@ -199,8 +199,11 @@ def load_curve_file(path) -> CurveTable:
     """Read a curve file: header ``t,<grid times>``, rows ``<index>,<values>``.
 
     Returns a :class:`CurveTable` mapping subject index to curve on the shared
-    grid. The curve rules are checked on all rows at once; every error names
-    the first bad line.
+    grid. The grid is checked as a row of knots first; the curve rules are
+    checked on all rows at once; every error names the first bad line.
+
+    The file is read once, so it may be a pipe. A valid file is parsed in one
+    pass of NumPy's C reader; any other file is parsed again line by line.
     """
     path = Path(path)
     indices, rows, lines = [], [], []
@@ -219,8 +222,23 @@ def load_curve_file(path) -> CurveTable:
             raise DataFormatError(f"{path}: non-numeric grid time in header") from None
         if grid.size == 0 or not np.all(np.isfinite(grid)):
             raise DataFormatError("line 1: need at least one grid time, all finite")
+        try:
+            CurveBatch(knots=grid, values=np.ones((1, grid.size)))
+        except InvalidCurveError as exc:
+            raise DataFormatError(f"line 1: {exc.reason}") from None
+        rest = fh.readlines()
+        table = _read_columns(rest, [("index", np.int64), ("values", float, (grid.size,))])
+        if table is not None:
+            subjects = table["index"]
+            if np.unique(subjects).size == subjects.size:
+                try:
+                    batch = CurveBatch(knots=grid, values=table["values"])
+                except InvalidCurveError:
+                    pass  # a rule is broken: the line-by-line read names the line
+                else:
+                    return CurveTable(subjects.tolist(), batch)
         seen = set()
-        for line, row in enumerate(reader, start=2):
+        for line, row in enumerate(csv.reader(rest), start=2):
             if not row:
                 continue
             if len(row) != grid.size + 1:
@@ -256,10 +274,12 @@ def save_curve_file(path, grid, value_rows, indices=None) -> None:
     if indices is None:
         indices = range(value_rows.shape[0])
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [repr(t) for t in grid.tolist()])
-        for idx, row in zip(indices, value_rows):
-            writer.writerow([int(idx)] + [repr(v) for v in row.tolist()])
+        csv.writer(fh).writerow(["t"] + [repr(t) for t in grid.tolist()])
+        # formatted numbers hold no comma, quote or line break: csv would not quote them
+        fh.writelines(
+            ",".join([str(int(idx)), *map(repr, row)]) + "\r\n"
+            for idx, row in zip(indices, value_rows.tolist())
+        )
 
 
 @dataclass(frozen=True)

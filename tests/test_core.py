@@ -383,6 +383,31 @@ def test_load_dataset_errors(tmp_path, body, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "body,columns,message",
+    [
+        ("time,event,time\n1.0,1,2.0\n", {}, "line 1: column 'time' appears more than once"),
+        ("time,event,x,x\n1.0,1,2.0,3.0\n", {}, "line 1: column 'x' appears more than once"),
+        (
+            "time,event,true_time,true_time\n1.0,1,1.0,1.0\n",
+            {},
+            "line 1: column 'true_time' appears more than once",
+        ),
+        (
+            "time,event\n1.0,1\n",
+            {"event_column": "time"},
+            "line 1: column 'time' cannot be both time and event",
+        ),
+    ],
+)
+def test_load_dataset_rejects_ambiguous_header(tmp_path, body, columns, message):
+    p = tmp_path / "ambiguous.csv"
+    p.write_text(body)
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(p, **columns)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "row,column",

@@ -129,6 +129,11 @@ def test_curve_file_round_trip(tmp_path):
         ("t,1,2\n0,0.9,high\n", "line 2: non-numeric"),
         ("t,1,2\n0,0.9,0.5\n0,0.8,0.4\n", "line 3: duplicate"),
         ("t,1,2\n0,0.5,0.9\n", "line 2"),
+        ("t,2,1\n0,0.9,0.5\n", "line 1: knots must be nonnegative and strictly increasing"),
+        ("t,-1,1\n0,0.9,0.5\n", "line 1: knots must be nonnegative and strictly increasing"),
+        ("t,1,1\n0,0.9,0.5\n", "line 1: knots must be nonnegative and strictly increasing"),
+        ("t,2,1\n", "line 1: knots must be nonnegative and strictly increasing"),
+        ("t,-1,1\n", "line 1: knots must be nonnegative and strictly increasing"),
     ],
 )
 def test_curve_file_rejects_malformed_input(tmp_path, content, fragment):
