@@ -22,8 +22,9 @@ import numpy as np
 
 from .core import dataset_stats, load_dataset, save_dataset
 from .errors import ConfigurationError
-from .estimators import coxph_fit, km_fit, model_to_json, weibull_aft_fit
+from .estimators import model_to_json
 from .harness import (
+    REFERENCE_MODELS,
     evaluate_dataset,
     load_curve_file,
     parse_model_spec,
@@ -85,16 +86,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    ds = _load(args)
-    if args.model == "km":
-        model = km_fit(ds.times, ds.events)
-    elif args.model == "coxph":
-        model = coxph_fit(ds)
-    elif args.model == "weibull_aft":
-        model = weibull_aft_fit(ds)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigurationError(f"unknown model {args.model!r}")
-    text = model_to_json(model, path=args.output)
+    fit, _ = REFERENCE_MODELS[args.model]
+    text = model_to_json(fit(_load(args)), path=args.output)
     if args.output:
         print(f"wrote {args.output}")
     else:
@@ -177,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a reference model, export JSON")
     p_fit.add_argument("data", help="CSV dataset")
-    p_fit.add_argument("--model", required=True, choices=["km", "coxph", "weibull_aft"])
+    p_fit.add_argument("--model", required=True, choices=list(REFERENCE_MODELS))
     p_fit.add_argument("-o", "--output", help="output JSON path (default: stdout)")
     _add_column_options(p_fit)
     p_fit.set_defaults(func=_cmd_fit)

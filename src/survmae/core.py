@@ -620,6 +620,28 @@ def _read_columns(lines, dtype):
             return None
 
 
+def _split_csv(path: Path):
+    """The header row of the csv file at ``path`` and the file's other lines.
+    The file is read once, so it may be a pipe."""
+    with path.open(newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise DataFormatError(f"{path}: file is empty") from None
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise DataFormatError(f"line 1: {exc}") from None
+        return header, fh.readlines()
+
+
+def _csv_rows(lines):
+    """The csv rows of ``lines``. A row that csv cannot read (a field over its
+    size limit, say) is yielded as its ``csv.Error`` and ends the rows."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        yield exc
+
+
 def load_dataset(
     path, time_column: str = "time", event_column: str = "event"
 ) -> SurvivalDataset:
@@ -635,80 +657,66 @@ def load_dataset(
     pass of NumPy's C reader; any other file is parsed again line by line.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    header, rest = _split_csv(path)
+    header = [h.strip() for h in header]
+    for needed in (time_column, event_column):
+        if needed not in header:
+            raise DataFormatError(f"{path}: column {needed!r} not found in header")
+    if time_column == event_column:
+        raise DataFormatError(f"line 1: column {time_column!r} cannot be both time and event")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise DataFormatError(f"line 1: column {name!r} appears more than once")
+        seen.add(name)
+    t_idx = header.index(time_column)
+    e_idx = header.index(event_column)
+    truth_idx = header.index("true_time") if "true_time" in header else None
+    feat_idx = [j for j in range(len(header)) if j not in (t_idx, e_idx, truth_idx)]
+    names = tuple(header[j] for j in feat_idx)
+    table = _read_columns(rest, [("row", float, (len(header),))])
+    if table is not None:
+        data = table["row"]
+        flags = data[:, e_idx]
+        if np.all((flags == 0.0) | (flags == 1.0)):
+            try:
+                return SurvivalDataset(
+                    data[:, t_idx],
+                    flags == 1.0,
+                    data[:, feat_idx],
+                    None if truth_idx is None else data[:, truth_idx],
+                    names,
+                )
+            except ValueError:
+                pass  # a rule is broken: the line-by-line read names the line
+    times, events, truths, features, lines = [], [], [], [], []
+    failure = None  # the error of the first row that could not be read
+    for line, row in enumerate(_csv_rows(rest), start=2):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        for needed in (time_column, event_column):
-            if needed not in header:
-                raise DataFormatError(f"{path}: column {needed!r} not found in header")
-        if time_column == event_column:
-            raise DataFormatError(
-                f"line 1: column {time_column!r} cannot be both time and event"
-            )
-        seen = set()
-        for name in header:
-            if name in seen:
-                raise DataFormatError(f"line 1: column {name!r} appears more than once")
-            seen.add(name)
-        t_idx = header.index(time_column)
-        e_idx = header.index(event_column)
-        truth_idx = header.index("true_time") if "true_time" in header else None
-        feat_idx = [
-            j
-            for j in range(len(header))
-            if j not in (t_idx, e_idx) and j != truth_idx
-        ]
-        names = tuple(header[j] for j in feat_idx)
-        rest = fh.readlines()
-        table = _read_columns(rest, [("row", float, (len(header),))])
-        if table is not None:
-            data = table["row"]
-            flags = data[:, e_idx]
-            if np.all((flags == 0.0) | (flags == 1.0)):
-                try:
-                    return SurvivalDataset(
-                        data[:, t_idx],
-                        flags == 1.0,
-                        data[:, feat_idx],
-                        None if truth_idx is None else data[:, truth_idx],
-                        names,
-                    )
-                except ValueError:
-                    pass  # a rule is broken: the line-by-line read names the line
-        times, events, truths, features, lines = [], [], [], [], []
-        failure = None  # the error of the first row that could not be read
-        for line, row in enumerate(csv.reader(rest), start=2):
+            if isinstance(row, csv.Error):
+                raise DataFormatError(f"line {line}: {row}")
             if not row:
                 continue
-            try:
-                if len(row) != len(header):
-                    raise DataFormatError(
-                        f"line {line}: expected {len(header)} fields, found {len(row)}"
-                    )
-                time = _parse_float(row[t_idx], line, time_column)
-                ev_raw = _parse_float(row[e_idx], line, event_column)
-                if ev_raw not in (0.0, 1.0):
-                    raise DataFormatError(
-                        f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}"
-                    )
-                truth = (
-                    _parse_float(row[truth_idx], line, "true_time")
-                    if truth_idx is not None
-                    else None
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"line {line}: expected {len(header)} fields, found {len(row)}"
                 )
-                feats = [_parse_float(row[j], line, header[j]) for j in feat_idx]
-            except DataFormatError as exc:
-                failure = exc
-                break
-            times.append(time)
-            events.append(ev_raw == 1.0)
-            truths.append(truth)
-            features.append(feats)
-            lines.append(line)
+            time = _parse_float(row[t_idx], line, time_column)
+            ev_raw = _parse_float(row[e_idx], line, event_column)
+            if ev_raw not in (0.0, 1.0):
+                raise DataFormatError(
+                    f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}"
+                )
+            truth = None if truth_idx is None else _parse_float(row[truth_idx], line, "true_time")
+            feats = [_parse_float(row[j], line, header[j]) for j in feat_idx]
+        except DataFormatError as exc:
+            failure = exc
+            break
+        times.append(time)
+        events.append(ev_raw == 1.0)
+        truths.append(truth)
+        features.append(feats)
+        lines.append(line)
     times = np.array(times, dtype=float)
     events = np.array(events, dtype=bool)
     truths = None if truth_idx is None else np.array(truths, dtype=float)
@@ -725,8 +733,18 @@ def load_dataset(
 
 
 def save_dataset(ds: SurvivalDataset, path) -> None:
-    """Write a dataset back to CSV in the layout :func:`load_dataset` reads."""
+    """Write a dataset back to CSV in the layout :func:`load_dataset` reads.
+
+    A repeated feature name, or one that reads back as ``time``, ``event`` or
+    ``true_time``, raises ``ValueError`` before the file is opened. The reader
+    strips every header name, so a name with surrounding whitespace reads
+    back stripped, and two names equal after stripping do not read back.
+    """
     path = Path(path)
+    names = ds.feature_names
+    for j, name in enumerate(names):
+        if name.strip() in ("time", "event", "true_time") or name in names[:j]:
+            raise ValueError(f"feature name {name!r} would not read back as a feature")
     with_truth = ds.true_times is not None
     header = ["time", "event"] + (["true_time"] if with_truth else []) + list(
         ds.feature_names

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset, _read_columns, stratified_kfold
+from .core import CurveBatch, SurvivalDataset, stratified_kfold
+from .core import _csv_rows, _read_columns, _split_csv
 from .errors import (
     BinningError,
     ConfigurationError,
@@ -65,6 +66,7 @@ __all__ = [
     "MAE_METRICS",
     "METRICS",
     "ModelSpec",
+    "REFERENCE_MODELS",
     "evaluate_dataset",
     "load_curve_file",
     "noisy_oracle_predictions",
@@ -73,29 +75,6 @@ __all__ = [
     "run_experiment",
     "save_curve_file",
 ]
-
-MODEL_KINDS = frozenset(
-    {"km", "coxph", "weibull_aft", "noisy_oracle", "external_curves"}
-)
-
-MAE_METRICS = (
-    "mae_uncensored",
-    "mae_hinge",
-    "mae_margin",
-    "mae_ipcw_d",
-    "mae_ipcw_t",
-    "mae_po",
-    "mae_pop_po",
-)
-
-METRICS = MAE_METRICS + (
-    "true_mae",
-    "c_index",
-    "ibs",
-    "log_likelihood",
-    "one_calibration_p",
-    "d_calibration_p",
-)
 
 # errors that make one cell missing instead of aborting the experiment
 _CELL_ERRORS = (
@@ -107,6 +86,57 @@ _CELL_ERRORS = (
     ConvergenceError,
     SeparationError,
 )
+
+
+def _surrogate_mae(preds, ref, metric):
+    surrogates = ref.surrogates[metric]
+    return None if surrogates is None else weighted_mae(surrogates, preds)
+
+
+# Table entries look functions up by global name when called, so a replaced
+# module attribute (a test's monkeypatch, the benchmark tracer) is seen.
+
+# metric -> scorer(predicted times, ref)
+_PREDICTION_METRICS = {
+    "mae_uncensored": lambda p, ref: mae_uncensored(p, ref.test),
+    "mae_hinge": lambda p, ref: mae_hinge(p, ref.test),
+    "mae_margin": lambda p, ref: _surrogate_mae(p, ref, "mae_margin"),
+    "mae_ipcw_d": lambda p, ref: mae_ipcw_d(p, ref.test, ref.g),
+    "mae_ipcw_t": lambda p, ref: _surrogate_mae(p, ref, "mae_ipcw_t"),
+    "mae_po": lambda p, ref: _surrogate_mae(p, ref, "mae_po"),
+    "mae_pop_po": lambda p, ref: _surrogate_mae(p, ref, "mae_pop_po"),
+    "true_mae": lambda p, ref: true_mae(p, ref.test),
+    "c_index": lambda p, ref: concordance_index(p, ref.test),
+}
+
+# metric -> scorer(curves, ref)
+_CURVE_METRICS = {
+    "ibs": lambda c, ref: integrated_brier_score(c, ref.test, ref.g, 100, ref.t_max),
+    "log_likelihood": lambda c, ref: log_likelihood(c, ref.test),
+    "one_calibration_p": lambda c, ref: (
+        None if ref.t_star is None else one_calibration(c, ref.test, ref.t_star).p_value
+    ),
+    "d_calibration_p": lambda c, ref: d_calibration(c, ref.test).p_value,
+}
+
+METRICS = tuple(_PREDICTION_METRICS) + tuple(_CURVE_METRICS)
+MAE_METRICS = tuple(met for met in METRICS if met.startswith("mae_"))
+
+# reference model kind -> (fit on a dataset, the fit's curves for a test set)
+REFERENCE_MODELS = {
+    "km": (
+        lambda ds: km_fit(ds.times, ds.events),
+        lambda fit, test: CurveBatch.broadcast(fit.curve, test.n),
+    ),
+    "coxph": (
+        lambda ds: coxph_fit(ds),
+        lambda fit, test: cox_survival_curve(fit, test.feature_matrix),
+    ),
+    "weibull_aft": (
+        lambda ds: weibull_aft_fit(ds),
+        lambda fit, test: CurveBatch.broadcast(fit.as_step_curve(), test.n),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -126,7 +156,7 @@ class ModelSpec:
 def parse_model_spec(text: str) -> ModelSpec:
     """Parse CLI notation: ``km``, ``coxph``, ``weibull_aft``, ``noisy:<sd>``,
     ``external:<path>``."""
-    if text in ("km", "coxph", "weibull_aft"):
+    if text in REFERENCE_MODELS:
         return ModelSpec(kind=text)
     if text.startswith("noisy:"):
         return ModelSpec(kind="noisy_oracle", params={"noise": float(text[6:])})
@@ -206,57 +236,53 @@ def load_curve_file(path) -> CurveTable:
     pass of NumPy's C reader; any other file is parsed again line by line.
     """
     path = Path(path)
-    indices, rows, lines = [], [], []
-    failure = None  # (line, reason) of a row that could not be read
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        if not header or header[0].strip() != "t":
-            raise DataFormatError(f"{path}: first header field must be 't'")
-        try:
-            grid = np.array([float(v) for v in header[1:]], dtype=float)
-        except ValueError:
-            raise DataFormatError(f"{path}: non-numeric grid time in header") from None
-        if grid.size == 0 or not np.all(np.isfinite(grid)):
-            raise DataFormatError("line 1: need at least one grid time, all finite")
-        try:
-            CurveBatch(knots=grid, values=np.ones((1, grid.size)))
-        except InvalidCurveError as exc:
-            raise DataFormatError(f"line 1: {exc.reason}") from None
-        rest = fh.readlines()
-        table = _read_columns(rest, [("index", np.int64), ("values", float, (grid.size,))])
-        if table is not None:
-            subjects = table["index"]
-            if np.unique(subjects).size == subjects.size:
-                try:
-                    batch = CurveBatch(knots=grid, values=table["values"])
-                except InvalidCurveError:
-                    pass  # a rule is broken: the line-by-line read names the line
-                else:
-                    return CurveTable(subjects.tolist(), batch)
-        seen = set()
-        for line, row in enumerate(csv.reader(rest), start=2):
-            if not row:
-                continue
-            if len(row) != grid.size + 1:
-                failure = (line, f"expected {grid.size + 1} fields, found {len(row)}")
-                break
+    header, rest = _split_csv(path)
+    if not header or header[0].strip() != "t":
+        raise DataFormatError(f"{path}: first header field must be 't'")
+    try:
+        grid = np.array([float(v) for v in header[1:]], dtype=float)
+    except ValueError:
+        raise DataFormatError(f"{path}: non-numeric grid time in header") from None
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise DataFormatError("line 1: need at least one grid time, all finite")
+    try:
+        CurveBatch(knots=grid, values=np.ones((1, grid.size)))
+    except InvalidCurveError as exc:
+        raise DataFormatError(f"line 1: {exc.reason}") from None
+    table = _read_columns(rest, [("index", np.int64), ("values", float, (grid.size,))])
+    if table is not None:
+        subjects = table["index"]
+        if np.unique(subjects).size == subjects.size:
             try:
-                idx = int(row[0])
-                values = np.fromiter(map(float, row[1:]), dtype=float, count=grid.size)
-            except ValueError:
-                failure = (line, "non-numeric field")
-                break
-            if idx in seen:
-                failure = (line, f"duplicate subject index {idx}")
-                break
-            seen.add(idx)
-            indices.append(idx)
-            rows.append(values)
-            lines.append(line)
+                batch = CurveBatch(knots=grid, values=table["values"])
+            except InvalidCurveError:
+                pass  # a rule is broken: the line-by-line read names the line
+            else:
+                return CurveTable(subjects.tolist(), batch)
+    indices, rows, lines, seen = [], [], [], set()
+    failure = None  # (line, reason) of a row that could not be read
+    for line, row in enumerate(_csv_rows(rest), start=2):
+        if isinstance(row, csv.Error):
+            failure = (line, str(row))
+            break
+        if not row:
+            continue
+        if len(row) != grid.size + 1:
+            failure = (line, f"expected {grid.size + 1} fields, found {len(row)}")
+            break
+        try:
+            idx = int(row[0])
+            values = np.fromiter(map(float, row[1:]), dtype=float, count=grid.size)
+        except ValueError:
+            failure = (line, "non-numeric field")
+            break
+        if idx in seen:
+            failure = (line, f"duplicate subject index {idx}")
+            break
+        seen.add(idx)
+        indices.append(idx)
+        rows.append(values)
+        lines.append(line)
     try:
         # a bad curve on a line before the failure is the first error
         batch = CurveBatch(knots=grid, values=np.array(rows).reshape(len(rows), grid.size))
@@ -403,39 +429,82 @@ def _unique_names(models) -> tuple:
             base = f"external_{stem}" if spec.params.get("path") else "external"
         else:
             base = spec.kind
-        name = base
-        bump = 2
+        name, bump = base, 2
         while name in names:
-            name = f"{base}_{bump}"
-            bump += 1
+            name, bump = f"{base}_{bump}", bump + 1
         names.append(name)
     return tuple(names)
 
 
-def _model_curves(spec: ModelSpec, train, test, test_indices, seed) -> CurveBatch:
-    if spec.kind == "km":
-        return CurveBatch.broadcast(km_fit(train.times, train.events).curve, test.n)
-    if spec.kind == "coxph":
-        return cox_survival_curve(coxph_fit(train), test.feature_matrix)
-    if spec.kind == "weibull_aft":
-        return CurveBatch.broadcast(weibull_aft_fit(train).as_step_curve(), test.n)
-    if spec.kind == "noisy_oracle":
-        return noisy_oracle_predictions(
-            test, float(spec.params.get("noise", 0.0)), seed
-        )
-    if spec.kind == "external_curves":
-        curves = spec.params.get("curves")
-        if curves is None:
-            curves = load_curve_file(spec.params["path"])
-        return curves.select(test_indices)
-    raise ConfigurationError(f"unknown model kind {spec.kind!r}")
+def _external_curves(params):
+    table = load_curve_file(params["path"])
+    return lambda train, test, test_indices, seed: table.select(test_indices)
 
 
-def _attempt(fn, *args, **kwargs):
+def _noisy_oracle(params):
+    noise = float(params.get("noise", 0.0))
+    return lambda train, test, _, seed: noisy_oracle_predictions(test, noise, seed)
+
+
+def _reference_model(kind):
+    fit, predict = REFERENCE_MODELS[kind]
+    return lambda params: lambda train, test, *_: predict(fit(train), test)
+
+
+# model kind -> factory(params) of the model's fold function
+# ``(train, test, test_indices, seed) -> CurveBatch``; a factory runs once per
+# experiment, so a curve file is read once
+MODEL_KINDS = {
+    **{kind: _reference_model(kind) for kind in REFERENCE_MODELS},
+    "noisy_oracle": _noisy_oracle,
+    "external_curves": _external_curves,
+}
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or None when it raises one of ``_CELL_ERRORS``: the one
+    place where an undefined score or model becomes a missing cell."""
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except _CELL_ERRORS:
         return None
+
+
+@dataclass(frozen=True)
+class _Reference:
+    """What the scores of every model on one test set share."""
+
+    test: SurvivalDataset
+    g: object  # censoring KM fit of the training set
+    t_star: float | None  # one-calibration horizon: median training event time
+    t_max: float | None  # IBS horizon; None takes the test set's last event
+    surrogates: dict  # surrogate-based MAE metric -> its set, None if undefined
+
+
+def _reference(train, test, t_max) -> _Reference:
+    km = km_fit(train.times, train.events)
+    surrogates = {
+        "mae_margin": _attempt(margin_surrogates, test, km),
+        "mae_ipcw_t": _attempt(ipcw_t_surrogates, test),
+        "mae_po": _attempt(pseudo_obs_surrogates, test),
+        "mae_pop_po": _attempt(pop_po_surrogates, test),
+    }
+    events = train.times[train.events]
+    t_star = float(np.median(events)) if events.size else None
+    return _Reference(test, censoring_km_fit(train), t_star, t_max, surrogates)
+
+
+def _score(curves: CurveBatch, ref: _Reference, pred_method: str) -> dict:
+    """Every metric of ``curves`` on ``ref.test``; None where undefined."""
+    preds = _attempt(extract_predicted_times, curves, pred_method)
+    scores = {}
+    with warnings.catch_warnings():
+        # log_likelihood warns of its -inf, which is a score like any other
+        warnings.simplefilter("ignore", DegenerateScoreWarning)
+        for table, arg in ((_PREDICTION_METRICS, preds), (_CURVE_METRICS, curves)):
+            for met, scorer in table.items():
+                scores[met] = None if arg is None else _attempt(scorer, arg, ref)
+    return scores
 
 
 def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -> dict:
@@ -448,43 +517,15 @@ def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -
     """
     if len(curves) != ds.n:
         raise ConfigurationError(f"got {len(curves)} curves for {ds.n} subjects")
-    curves = CurveBatch.from_curves(curves)
-    km_self = km_fit(ds.times, ds.events)
-    g_self = censoring_km_fit(ds)
-    scores = {met: None for met in METRICS}
-    preds = _attempt(extract_predicted_times, curves, pred_method)
-    if preds is not None:
-        scores["mae_uncensored"] = _attempt(mae_uncensored, preds, ds)
-        scores["mae_hinge"] = _attempt(mae_hinge, preds, ds)
-        margin_s = _attempt(margin_surrogates, ds, km_self)
-        if margin_s is not None:
-            scores["mae_margin"] = _attempt(weighted_mae, margin_s, preds)
-        scores["mae_ipcw_d"] = _attempt(mae_ipcw_d, preds, ds, g_self)
-        ipcwt_s = _attempt(ipcw_t_surrogates, ds)
-        if ipcwt_s is not None:
-            scores["mae_ipcw_t"] = _attempt(weighted_mae, ipcwt_s, preds)
-        po_s = _attempt(pseudo_obs_surrogates, ds)
-        if po_s is not None:
-            scores["mae_po"] = _attempt(weighted_mae, po_s, preds)
-        pop_s = _attempt(pop_po_surrogates, ds)
-        if pop_s is not None:
-            scores["mae_pop_po"] = _attempt(weighted_mae, pop_s, preds)
-        if ds.true_times is not None:
-            scores["true_mae"] = _attempt(true_mae, preds, ds)
-        scores["c_index"] = _attempt(concordance_index, preds, ds)
-    scores["ibs"] = _attempt(integrated_brier_score, curves, ds, g_self)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateScoreWarning)
-        scores["log_likelihood"] = _attempt(log_likelihood, curves, ds)
-    events = ds.times[ds.events]
-    if events.size:
-        res = _attempt(one_calibration, curves, ds, float(np.median(events)))
-        scores["one_calibration_p"] = res.p_value if res else None
-    res = _attempt(d_calibration, curves, ds)
-    scores["d_calibration_p"] = res.p_value if res else None
+    scores = _score(CurveBatch.from_curves(curves), _reference(ds, ds, None), pred_method)
     if ds.true_times is None:
         scores.pop("true_mae")
     return scores
+
+
+def _mean_defined(rows):
+    defined = [v for v in rows if v is not None]
+    return float(np.mean(defined)) if defined else None
 
 
 def run_experiment(
@@ -507,6 +548,7 @@ def run_experiment(
         raise ConfigurationError("need at least one model")
     names = _unique_names(models)
     split = stratified_kfold(ds, k, seed)
+    fold_curves = [MODEL_KINDS[spec.kind](spec.params) for spec in models]
     per_fold = {n: {met: [None] * k for met in METRICS} for n in names}
     t_max_all = float(ds.times[ds.events].max()) if ds.events.any() else None
 
@@ -514,89 +556,31 @@ def run_experiment(
         test_idx = split.folds[f]
         train = ds.subset(split.train_indices(f))
         test = ds.subset(test_idx)
-        km_train = km_fit(train.times, train.events)
-        g_train = censoring_km_fit(train)
-        margin_s = _attempt(margin_surrogates, test, km_train)
-        ipcwt_s = _attempt(ipcw_t_surrogates, test)
-        po_s = _attempt(pseudo_obs_surrogates, test)
-        pop_s = _attempt(pop_po_surrogates, test)
-        train_events = train.times[train.events]
-        t_star = float(np.median(train_events)) if train_events.size else None
-
-        for m_idx, (spec, name) in enumerate(zip(models, names)):
-            cell = per_fold[name]
-            child_seed = int(
-                np.random.SeedSequence((seed, f, m_idx)).generate_state(1)[0]
-            )
-            curves = _attempt(_model_curves, spec, train, test, test_idx, child_seed)
-            if curves is None:
-                continue
-            preds = _attempt(extract_predicted_times, curves, pred_method)
-            if preds is not None:
-                cell["mae_uncensored"][f] = _attempt(mae_uncensored, preds, test)
-                cell["mae_hinge"][f] = _attempt(mae_hinge, preds, test)
-                if margin_s is not None:
-                    cell["mae_margin"][f] = _attempt(weighted_mae, margin_s, preds)
-                cell["mae_ipcw_d"][f] = _attempt(mae_ipcw_d, preds, test, g_train)
-                if ipcwt_s is not None:
-                    cell["mae_ipcw_t"][f] = _attempt(weighted_mae, ipcwt_s, preds)
-                if po_s is not None:
-                    cell["mae_po"][f] = _attempt(weighted_mae, po_s, preds)
-                if pop_s is not None:
-                    cell["mae_pop_po"][f] = _attempt(weighted_mae, pop_s, preds)
-                if test.true_times is not None:
-                    cell["true_mae"][f] = _attempt(true_mae, preds, test)
-                cell["c_index"][f] = _attempt(concordance_index, preds, test)
-            cell["ibs"][f] = _attempt(
-                integrated_brier_score, curves, test, g_train, 100, t_max_all
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateScoreWarning)
-                cell["log_likelihood"][f] = _attempt(log_likelihood, curves, test)
-            if t_star is not None:
-                res = _attempt(one_calibration, curves, test, t_star)
-                cell["one_calibration_p"][f] = res.p_value if res else None
-            res = _attempt(d_calibration, curves, test)
-            cell["d_calibration_p"][f] = res.p_value if res else None
+        ref = _reference(train, test, t_max_all)
+        for m_idx, (curves_of, name) in enumerate(zip(fold_curves, names)):
+            child_seed = int(np.random.SeedSequence((seed, f, m_idx)).generate_state(1)[0])
+            curves = _attempt(curves_of, train, test, test_idx, child_seed)
+            if curves is not None:
+                for met, score in _score(curves, ref, pred_method).items():
+                    per_fold[name][met][f] = score
 
     mean_scores = {
-        n: {
-            met: (
-                float(np.mean([v for v in rows if v is not None]))
-                if any(v is not None for v in rows)
-                else None
-            )
-            for met, rows in per_fold[n].items()
-        }
-        for n in names
+        n: {met: _mean_defined(rows) for met, rows in per_fold[n].items()} for n in names
     }
 
-    rank_metrics = MAE_METRICS + ("true_mae",)
-    per_metric_rank = {}
-    for met in rank_metrics:
-        present = {n: mean_scores[n][met] for n in names if mean_scores[n][met] is not None}
-        if present:
-            per_metric_rank[met] = tuple(
-                n for n, _ in sorted(present.items(), key=lambda kv: (kv[1], kv[0]))
-            )
     true_means = {n: mean_scores[n]["true_mae"] for n in names}
     have_truth = all(v is not None for v in true_means.values())
-    agreement = {}
-    if have_truth:
-        for met in rank_metrics:
-            both = {
-                n: mean_scores[n][met]
-                for n in names
-                if mean_scores[n][met] is not None
-            }
-            if not both:
-                continue
-            truth_sub = {n: true_means[n] for n in both}
-            tau, overlap = rank_agreement(truth_sub, both)
-            gap = float(np.mean([abs(both[n] - truth_sub[n]) for n in both]))
-            agreement[met] = AgreementStats(
-                kendall_tau=tau, top3_overlap=overlap, mean_abs_gap=gap
-            )
+    per_metric_rank, agreement = {}, {}
+    for met in MAE_METRICS + ("true_mae",):
+        present = {n: mean_scores[n][met] for n in names if mean_scores[n][met] is not None}
+        if not present:
+            continue
+        per_metric_rank[met] = tuple(sorted(present, key=lambda n: (present[n], n)))
+        if have_truth:
+            truth = {n: true_means[n] for n in present}
+            tau, overlap = rank_agreement(truth, present)
+            gap = float(np.mean([abs(present[n] - truth[n]) for n in present]))
+            agreement[met] = AgreementStats(tau, overlap, gap)
     return ExperimentReport(
         model_names=names,
         metric_names=METRICS,

@@ -220,6 +220,10 @@ def one_calibration(
     there), which keeps censored subjects informative. The statistic is
     compared to a chi-square with ``n_bins - 2`` degrees of freedom; with two
     bins that leaves none, and the p-value is NaN.
+
+    Subjects with tied S(t*) are binned in subject order (a stable sort), so
+    when ties straddle a bin edge, reordering the subjects can change the
+    result; with distinct S(t*) values it does not.
     """
     if len(curves) != ds.n:
         raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")

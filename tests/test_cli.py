@@ -79,6 +79,30 @@ def test_malformed_csv_names_the_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+# a field over the csv module's size limit (131,072 characters)
+HUGE_FIELD = "1" * 200_000
+
+
+def test_oversized_field_names_the_line(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"time,event,x\n1.0,1,2.0\n2.0,1,{HUGE_FIELD}\n3.0,x,1\n")
+    assert main(["stats", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: field larger than field limit")
+    path.write_text(f"time,event,{HUGE_FIELD}\n1.0,1,2.0\n")
+    assert main(["stats", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: field larger than field limit")
+
+
+def test_oversized_field_in_a_curve_file_names_the_line(plain_csv, tmp_path, capsys):
+    curves = tmp_path / "huge.csv"
+    curves.write_text(f"t,1.0,2.0\n0,0.9,0.5\n1,0.8,{HUGE_FIELD}\n2,x,1\n")
+    assert main(["eval", str(plain_csv), "--curves", str(curves)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 3: field larger than field limit")
+    curves.write_text(f"t,1.0,{HUGE_FIELD}\n0,0.9,0.5\n")
+    assert main(["eval", str(plain_csv), "--curves", str(curves)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1: field larger than field limit")
+
+
 def test_no_arguments_exits_with_usage():
     with pytest.raises(SystemExit):
         main([])
