@@ -339,14 +339,24 @@ class CurveBatch:
         if bad is not None:
             raise InvalidCurveError(*bad)
         rows = np.arange(n)
+        # the values led by a column of ones: column c holds the value after c
+        # knots, so a lookup is one gather at the knot count; one broadcast
+        # row serves rows that share their values
+        if n and values.strides[0] == 0 and real is None:
+            led = np.broadcast_to(np.concatenate(([1.0], values[0])), (n, width + 1))
+        else:
+            led = np.empty((n, width + 1))
+            led[:, 0] = 1.0
+            led[:, 1:] = values
         if real is not None:
             # padding knots lie beyond every query time and repeat the last value
             knots = np.where(real, knots, np.inf)
-            values = np.where(real, values, values[rows, lengths - 1][:, None])
+            np.copyto(led[:, 1:], values[rows, lengths - 1][:, None], where=~real)
         object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", led[:, 1:])
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_led", led)
 
     @classmethod
     def broadcast(cls, curve: StepCurve, n: int) -> "CurveBatch":
@@ -426,20 +436,31 @@ class CurveBatch:
         or strictly below (``side="left"``) every point of ``grid``."""
         if self.knots.ndim == 1:
             return np.broadcast_to(np.searchsorted(self.knots, grid, side=side), (len(self), grid.size))
-        order = np.argsort(grid, kind="stable")
+        # an ascending grid, such as the IBS grid, needs no sort
+        order = None if np.all(grid[1:] >= grid[:-1]) else np.argsort(grid, kind="stable")
         # a knot counts toward every grid point from the first one it does not exceed
-        first = np.searchsorted(grid[order], self.knots, side="left" if side == "right" else "right")
+        first = np.searchsorted(
+            grid if order is None else grid[order],
+            self.knots,
+            side="left" if side == "right" else "right",
+        )
         size = grid.size + 1
         hist = np.bincount((self._rows[:, None] * size + first).ravel(), minlength=len(self) * size)
-        counts = np.empty((len(self), grid.size), dtype=np.intp)
-        counts[:, order] = np.cumsum(hist.reshape(len(self), size), axis=1)[:, :-1]
-        return counts
+        counts = np.cumsum(hist.reshape(len(self), size), axis=1)[:, :-1]
+        if order is None:
+            return counts
+        unsorted = np.empty((len(self), grid.size), dtype=np.intp)
+        unsorted[:, order] = counts
+        return unsorted
 
     def _pick(self, counts):
-        """Values at the last knot counted (one column per query), 1 where none is."""
-        idx = counts - 1
-        rows = self._rows if idx.ndim == 1 else self._rows[:, None]
-        return np.where(idx >= 0, self.values[rows, np.maximum(idx, 0)], 1.0)
+        """Values after the given knot counts (one column per query): one
+        gather from the values led by ones, so a count of 0 reads 1."""
+        led = self._led
+        if led.strides[0] == 0:
+            return led[0].take(counts)
+        rows = self._rows if counts.ndim == 1 else self._rows[:, None]
+        return led.ravel().take(counts + rows * led.shape[1])
 
     def _on_grid(self, grid, side):
         grid = _query_times(grid)
@@ -455,9 +476,15 @@ class CurveBatch:
         """Left limits: row ``i`` just before ``t[i]``; a scalar ``t`` serves every row."""
         return self._pick(self._counts(self._row_times(t), "left"))
 
-    def knots_before(self, t) -> np.ndarray:
-        """Per row, how many of its knots lie strictly before ``t[i]``."""
-        return self._counts(self._row_times(t), "left")
+    def value_and_knots_before(self, t):
+        """``value(t)`` and, per row, how many of its knots lie strictly
+        before ``t[i]``, from one count of the knots."""
+        t = self._row_times(t)
+        before = self._counts(t, "left")
+        # knots increase strictly, so only the next knot can equal t
+        nxt = np.minimum(before, self.knots.shape[-1] - 1)
+        at_t = (self.knots[nxt] if self.knots.ndim == 1 else self.knots[self._rows, nxt]) == t
+        return self._pick(before + at_t), before
 
     def value_on(self, grid) -> np.ndarray:
         """``n x G`` matrix of every row at every time of the shared ``grid``."""

@@ -9,6 +9,7 @@ The curve metrics take a :class:`~survmae.core.CurveBatch` or a sequence of
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ from scipy.special import chdtrc
 
 from .core import CurveBatch, SurvivalDataset
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
-from .estimators import KaplanMeierFit, _product_limit
+from .estimators import KaplanMeierFit
 from .mae import PredictedTimes
 
 __all__ = [
@@ -131,19 +132,21 @@ def integrated_brier_score(
         return brier_score_at(curves, ds, t_max, g_train)
     grid = np.linspace(0.0, t_max, grid_size)
     s_matrix = CurveBatch.from_curves(curves).value_on(grid)  # subjects x grid
-    g_dead = g_train.curve.value_before(ds.times)[:, None]
-    g_grid = g_train.curve.value(grid)[None, :]
-    dead = (ds.times[:, None] <= grid[None, :]) & ds.events[:, None]
-    alive = ds.times[:, None] > grid[None, :]
-    usable_dead = dead & (g_dead > 0.0)
-    usable_alive = alive & (g_grid > 0.0)
-    needy = (dead | alive).any(axis=0)
-    covered = (usable_dead | usable_alive).any(axis=0)
+    times = ds.times
+    g_dead = g_train.curve.value_before(times)
+    g_grid = g_train.curve.value(grid)
+    weighed = ds.events & (g_dead > 0.0)
+    # a grid point where a subject is dead or alive needs one that keeps its
+    # censoring weight: a weighed death by then, or weighed survivors
+    some_alive = grid < times.max()
+    needy = some_alive | (grid >= np.min(times, where=ds.events, initial=np.inf))
+    covered = (some_alive & (g_grid > 0.0)) | (grid >= np.min(times, where=weighed, initial=np.inf))
     if np.any(needy & ~covered):
         raise UndefinedMetricError("all subjects lost their censoring weight")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = np.where(usable_dead, s_matrix**2 / g_dead, 0.0)
-        contrib += np.where(usable_alive, (1.0 - s_matrix) ** 2 / g_grid, 0.0)
+    dead = times[:, None] <= grid[None, :]
+    contrib = np.zeros(s_matrix.shape)
+    np.divide(s_matrix**2, g_dead[:, None], out=contrib, where=dead & weighed[:, None])
+    np.divide((1.0 - s_matrix) ** 2, g_grid, out=contrib, where=~dead & (g_grid > 0.0))
     scores = contrib.sum(axis=0) / ds.n
     steps = np.diff(grid)
     area = float(np.sum((scores[:-1] + scores[1:]) / 2.0 * steps))
@@ -165,12 +168,12 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
     times, events = ds.times, ds.events
     rows = np.arange(ds.n)
     # censored subjects: log S(t)
-    surv = batch.value(times)
+    surv, before = batch.value_and_knots_before(times)
     alive = surv > 0.0
     # events: the bin edges are the knots, led by 0 unless the first knot is
     # 0; edge j is the first at or above t, at knot position j - lead
     lead = batch.knots[..., 0] != 0.0
-    j = batch.knots_before(times) + (lead & (times > 0.0))
+    j = before + (lead & (times > 0.0))
     binned = (j >= 1) & (j < batch.lengths + lead)
     hi = np.where(binned, j - lead, 0)
     lo = hi - 1  # -1 is the leading 0, where the curve is 1
@@ -208,6 +211,18 @@ class CalibrationResult:
     bin_table: tuple  # (expected, observed) per bin
 
 
+def _bin_count(n_bins) -> int:
+    """``n_bins`` as an int; :class:`BinningError` unless it is an integer
+    (a NumPy integer too) of at least 2."""
+    try:
+        count = operator.index(n_bins)
+    except TypeError:
+        count = None
+    if count is None or count < 2:
+        raise BinningError(f"n_bins must be an integer of at least 2, got {n_bins!r}")
+    return count
+
+
 def one_calibration(
     curves, ds: SurvivalDataset, t_star: float, n_bins: int = 10
 ) -> CalibrationResult:
@@ -215,11 +230,17 @@ def one_calibration(
 
     Subjects are sorted by predicted S(t*) into ``n_bins`` equal-count bins.
     Expected events per bin sum 1 - S(t*); observed events are ``n_g`` times
-    one minus the within-bin Kaplan-Meier survival at ``t_star``, read from
-    the bin's product-limit table (the same value ``km_fit(...).curve`` gives
-    there), which keeps censored subjects informative. The statistic is
-    compared to a chi-square with ``n_bins - 2`` degrees of freedom; with two
-    bins that leaves none, and the p-value is NaN.
+    one minus the within-bin Kaplan-Meier survival at ``t_star``, which keeps
+    censored subjects informative. The statistic is compared to a chi-square
+    with ``n_bins - 2`` degrees of freedom; with two bins that leaves none,
+    and the p-value is NaN.
+
+    All bins share one grouped product-limit table: the subjects sorted by
+    (bin, time), whose runs of equal (bin, event time) give each bin's
+    at-risk and event counts ``n_k``, ``d_k``. Each bin's survival is the
+    running product of its ``(n_k - d_k) / n_k`` over the event times up to
+    ``t_star``, multiplied in ascending time, as ``km_fit(...).curve`` of the
+    bin alone multiplies them.
 
     Subjects with tied S(t*) are binned in subject order (a stable sort), so
     when ties straddle a bin edge, reordering the subjects can change the
@@ -227,31 +248,48 @@ def one_calibration(
     """
     if len(curves) != ds.n:
         raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
-    if n_bins < 2:
-        raise BinningError("need at least two bins")
+    n_bins = _bin_count(n_bins)
     s_star = CurveBatch.from_curves(curves).value(t_star)
-    order = np.argsort(s_star, kind="stable")
-    groups = np.array_split(order, n_bins)
-    if any(g.size == 0 for g in groups):
+    if ds.n < n_bins:
         raise BinningError(f"cannot fill {n_bins} bins with {ds.n} subjects")
+    order = np.argsort(s_star, kind="stable")
+    # np.array_split's bins: the first r hold q + 1 subjects, the others q
+    q, r = divmod(ds.n, n_bins)
+    sizes = np.full(n_bins, q)
+    sizes[:r] += 1
+    # row sums of a bin per row add up each bin as a sum of the bin alone does
+    lost = 1.0 - s_star[order]
+    big = r * (q + 1)
+    expected = np.concatenate(
+        (lost[:big].reshape(r, q + 1).sum(axis=1), lost[big:].reshape(-1, q).sum(axis=1))
+    )
+    label = np.empty(ds.n, dtype=np.intp)
+    label[order] = np.repeat(np.arange(n_bins), sizes)
+    by = np.lexsort((ds.times, label))
+    b, t = label[by], ds.times[by]
+    start = np.flatnonzero(np.concatenate(([True], (b[1:] != b[:-1]) | (t[1:] != t[:-1]))))
+    d_k = np.add.reduceat(ds.events[by], start, dtype=np.intp)
+    b = b[start]
+    n_k = np.cumsum(sizes)[b] - start  # at risk: the run and the rest of its bin
+    used = (d_k > 0) & (t[start] <= t_star)
+    b, n_k, d_k = b[used], n_k[used], d_k[used]
+    # bins x (event times up to t*) factors in ascending time, padded with 1
+    per_bin = np.bincount(b, minlength=n_bins)
+    col = np.arange(b.size) - (np.cumsum(per_bin) - per_bin)[b]
+    factors = np.ones((n_bins, max(per_bin.max(), 1)))
+    factors[b, col] = (n_k - d_k) / n_k
+    observed = sizes * (1.0 - np.cumprod(factors, axis=1)[:, -1])
+    table = tuple(zip(expected.tolist(), observed.tolist()))
+    # the statistic in Python floats, a term per bin in bin order
     statistic = 0.0
-    table = []
-    for g in groups:
-        n_g = g.size
-        expected = float(np.sum(1.0 - s_star[g]))
-        event_times, _, _, surv = _product_limit(ds.times[g], ds.events[g])
-        reached = np.searchsorted(event_times, t_star, side="right")
-        s_g = float(surv[reached - 1]) if reached else 1.0
-        observed = n_g * (1.0 - s_g)
-        table.append((expected, observed))
-        if expected <= 0.0:
-            expected = 0.5
-        elif expected >= n_g:
-            expected = n_g - 0.5
-        statistic += (observed - expected) ** 2 / (expected * (1.0 - expected / n_g))
-    p_value = _chi2_sf(statistic, n_bins - 2)
+    for n_g, (e_g, o_g) in zip(sizes.tolist(), table):
+        if e_g <= 0.0:
+            e_g = 0.5
+        elif e_g >= n_g:
+            e_g = n_g - 0.5
+        statistic += (o_g - e_g) ** 2 / (e_g * (1.0 - e_g / n_g))
     return CalibrationResult(
-        statistic=float(statistic), p_value=p_value, bin_table=tuple(table)
+        statistic=statistic, p_value=_chi2_sf(statistic, n_bins - 2), bin_table=table
     )
 
 
@@ -267,8 +305,7 @@ def d_calibration(curves, ds: SurvivalDataset, n_bins: int = 10) -> CalibrationR
     """
     if len(curves) != ds.n:
         raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
-    if n_bins < 2:
-        raise BinningError("need at least two bins")
+    n_bins = _bin_count(n_bins)
     width = 1.0 / n_bins
     p = CurveBatch.from_curves(curves).value(ds.times)
     top = np.minimum((p * n_bins).astype(int), n_bins - 1)

@@ -5,6 +5,7 @@ must equal it exactly (``np.array_equal``), on shared-grid, per-row and
 ragged batches.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from numpy.testing import assert_array_equal
 from scipy import stats as sps
 
 from survmae import (
+    BinningError,
     CurveBatch,
     DataFormatError,
     DegenerateCurveError,
@@ -382,6 +384,66 @@ def test_lookups_match_step_curves(data):
         assert_array_equal(batch[i].values, c.values)
 
 
+@st.composite
+def batch_layouts(draw):
+    """A batch and its rows as StepCurves, in one of the batch layouts:
+    shared knots, per-row knots of one length, ragged rows, or per-row knots
+    whose rows share one value row (the layout of the noisy oracles)."""
+    layout = draw(st.sampled_from(["shared", "per_row", "ragged", "shared_values"]))
+    n = draw(st.integers(1, 8))
+    if layout == "shared":
+        knots = draw(knot_rows())
+        values = np.stack([draw(value_rows(knots.size)) for _ in range(n)])
+        batch = CurveBatch(knots=knots, values=values)
+    elif layout == "ragged":
+        curves = [draw(curve_lists(n=1))[0] for _ in range(n)]
+        batch = CurveBatch.from_curves(curves)
+    else:
+        size = draw(st.integers(1, 7))
+        ticks = st.lists(st.integers(0, 40), min_size=size, max_size=size, unique=True)
+        knots = np.sort([draw(ticks) for _ in range(n)], axis=1) * KNOT_STEP
+        if layout == "per_row":
+            values = np.stack([draw(value_rows(size)) for _ in range(n)])
+        else:
+            values = np.broadcast_to(draw(value_rows(size)), (n, size))
+        batch = CurveBatch(knots=knots, values=values)
+    return batch, [batch[i] for i in range(n)]
+
+
+@PROPERTY
+@given(case=batch_layouts(), data=st.data())
+def test_lookups_on_any_grid_match_step_curves(case, data):
+    batch, curves = case
+    # half-steps of the knot grid: points on knots, between them and past them,
+    # with repeats
+    ticks = data.draw(st.lists(st.integers(0, 90), min_size=1, max_size=12))
+    for grid in (
+        np.sort(np.array(ticks, dtype=float)) * KNOT_STEP / 2,  # ascending
+        np.array(ticks, dtype=float) * KNOT_STEP / 2,  # as drawn
+    ):
+        assert_array_equal(batch.value_on(grid), np.stack([c.value(grid) for c in curves]))
+        assert_array_equal(
+            batch.value_before_on(grid), np.stack([c.value_before(grid) for c in curves])
+        )
+    # the ascending path equals the sorting path on a permutation of the grid
+    grid = np.sort(np.array(ticks, dtype=float)) * KNOT_STEP / 2
+    perm = np.array(data.draw(st.permutations(range(grid.size))))
+    for method in (batch.value_on, batch.value_before_on):
+        assert_array_equal(method(grid)[:, perm], method(grid[perm]))
+    t = np.array(data.draw(st.lists(st.integers(0, 90), min_size=len(curves), max_size=len(curves))))
+    for query in (t * KNOT_STEP / 2, float(t[0]) * KNOT_STEP / 2):
+        per_row = np.broadcast_to(query, (len(curves),))
+        assert_array_equal(batch.value(query), [c.value(x) for c, x in zip(curves, per_row)])
+        assert_array_equal(
+            batch.value_before(query), [c.value_before(x) for c, x in zip(curves, per_row)]
+        )
+        value, before = batch.value_and_knots_before(query)
+        assert_array_equal(value, batch.value(query))
+        assert_array_equal(
+            before, [np.searchsorted(c.knots, x, side="left") for c, x in zip(curves, per_row)]
+        )
+
+
 @PROPERTY
 @given(curves=curve_lists())
 def test_extraction_matches_step_curves(curves):
@@ -434,6 +496,61 @@ def test_curve_metrics_match_step_curves(case, data):
         outcome(lambda: extract_predicted_times(curves, "mean").values),
         outcome(lambda: extract_predicted_times(batch, "mean").values),
     )
+
+
+@st.composite
+def calibration_cases(draw):
+    """Datasets of up to about 1,800 subjects, with times on an integer grid
+    (dense ties), bin counts that rarely divide n, event rates low enough to
+    leave bins without an event before t*, and curves whose S(t*) tie: one
+    broadcast KM curve, a few shared rows, or per-subject noisy curves."""
+    n_bins = draw(st.integers(2, 12))
+    n = n_bins * draw(st.integers(1, 150)) + draw(st.integers(0, n_bins - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    top = draw(st.sampled_from([3, 20, 200]))
+    times = rng.integers(1, top + 1, n).astype(float)
+    events = rng.random(n) < draw(st.sampled_from([0.02, 0.3, 0.9]))
+    ds = SurvivalDataset.from_arrays(times, events)
+    kind = draw(st.sampled_from(["km", "few_rows", "noisy"]))
+    if kind == "km":
+        batch = CurveBatch.broadcast(km_fit(times, events).curve, n)
+    elif kind == "few_rows":
+        knots = np.arange(1.0, top + 1.0)
+        rows = -np.sort(-rng.random((draw(st.integers(1, 5)), knots.size)), axis=1)
+        batch = CurveBatch(knots=knots, values=rows[rng.integers(0, len(rows), n)])
+    else:
+        medians = rng.uniform(0.5, top, n)
+        batch = CurveBatch(
+            knots=medians[:, None] * _REL_KNOTS[None, :],
+            values=np.broadcast_to(_PROB_GRID, (n, _PROB_GRID.size)),
+        )
+    # 0, below the first time, on the grid, between grid points, past the last
+    t_star = draw(st.sampled_from([0.0, 0.5, top / 2, top / 3 + 0.5, top + 1.0]))
+    return batch, ds, t_star, n_bins
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=calibration_cases())
+def test_one_calibration_equals_the_per_bin_oracle_at_realistic_sizes(case):
+    batch, ds, t_star, n_bins = case
+    got = one_calibration(batch, ds, t_star, n_bins)
+    want = oracle_one_calibration(batch, ds, t_star, n_bins)
+    assert_same((got.statistic, got.p_value, got.bin_table), want)
+
+
+@pytest.mark.parametrize("n_bins", [2.5, 3.0, np.float64(3.0), 1, 0, -4, True, "3", None])
+@pytest.mark.parametrize("test", [one_calibration, d_calibration], ids=["one", "d"])
+def test_calibration_tests_take_an_integer_bin_count_of_at_least_two(test, n_bins):
+    curves = CurveBatch(knots=[1.0, 2.0, 3.0], values=[[0.9, 0.5, 0.2]] * 6)
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 1.5, 2.5, 3.5], [True] * 6)
+    args = (curves, ds, 2.0) if test is one_calibration else (curves, ds)
+    with pytest.raises(BinningError, match=f"got {re.escape(repr(n_bins))}"):
+        test(*args, n_bins=n_bins)
+    for count in (np.int64(3), np.int32(3)):
+        result = test(*args, n_bins=count)
+        assert result == test(*args, n_bins=3)
+        assert all(type(x) is float for row in result.bin_table for x in row)
 
 
 # ------------------------------------------------------- producers of batches
