@@ -160,38 +160,61 @@ class CoxModel:
         return np.exp(np.matmul(x_c[:, None, :], self.beta)[:, 0])
 
 
-def _cox_loglik_parts(beta, x_centered, times, events, want_derivs):
-    """Breslow partial log-likelihood and, optionally, gradient and Hessian."""
+@dataclass(frozen=True)
+class _RiskSets:
+    """Time-order structure of one sample, shared by every likelihood call of a fit.
+
+    ``order`` is the stable time order, ``x_sorted`` the centered features in
+    that order, ``event_times`` the distinct event times with ``n_events``
+    events each, and ``pos`` the first sorted position at or after each event
+    time, where the suffix sums over the risk set start.
+    """
+
+    order: np.ndarray
+    x_sorted: np.ndarray
+    events: np.ndarray
+    event_times: np.ndarray
+    n_events: np.ndarray
+    pos: np.ndarray
+    x_event_sum: np.ndarray  # summed centered features of the events
+
+
+def _risk_sets(x_centered, times, events) -> _RiskSets:
+    order = np.argsort(times, kind="stable")
+    event_times, d_k = np.unique(times[events], return_counts=True)
+    pos = np.searchsorted(times[order], event_times, side="left")
+    return _RiskSets(
+        order, x_centered[order], events, event_times, d_k, pos,
+        np.sum(x_centered[events], axis=0),
+    )
+
+
+def _cox_loglik(beta, x_centered, rs: _RiskSets):
+    """Breslow partial log-likelihood, with the sorted weights exp(eta) and
+    the risk-set sums S0 at each event time that its derivatives reuse."""
     eta = x_centered @ beta
     # guard against overflow in pathological iterates; step halving recovers
     with np.errstate(over="ignore"):
         w = np.exp(eta)
-    order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    x_sorted = x_centered[order]
-    w_sorted = w[order]
-    xw_sorted = x_sorted * w_sorted[:, None]
-
+    w_sorted = w[rs.order]
     # suffix sums so S0(u) = sum of w over subjects with t >= u
-    s0_suffix = np.cumsum(w_sorted[::-1])[::-1]
-    s1_suffix = np.cumsum(xw_sorted[::-1], axis=0)[::-1]
-
-    ev_times, d_k = np.unique(times[events], return_counts=True)
-    pos = np.searchsorted(t_sorted, ev_times, side="left")
-    s0 = s0_suffix[pos]
-    s1 = s1_suffix[pos]
-
+    s0 = np.cumsum(w_sorted[::-1])[::-1][rs.pos]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = float(np.sum(eta[events]) - np.sum(d_k * np.log(s0)))
-    if not want_derivs:
-        return ll, None, None
+        ll = float(np.sum(eta[rs.events]) - np.sum(rs.n_events * np.log(s0)))
+    return ll, w_sorted, s0
 
+
+def _cox_newton_parts(beta, x_centered, rs: _RiskSets):
+    """Breslow partial log-likelihood, its gradient and its Hessian."""
+    ll, w_sorted, s0 = _cox_loglik(beta, x_centered, rs)
+    d_k = rs.n_events
+    xw_sorted = rs.x_sorted * w_sorted[:, None]
+    s1 = np.cumsum(xw_sorted[::-1], axis=0)[::-1][rs.pos]
     mean_x = s1 / s0[:, None]
-    grad = np.sum(x_centered[events], axis=0) - (d_k[:, None] * mean_x).sum(axis=0)
+    grad = rs.x_event_sum - (d_k[:, None] * mean_x).sum(axis=0)
 
-    s2_terms = np.einsum("ij,ik->ijk", x_sorted, xw_sorted)
-    s2_suffix = np.cumsum(s2_terms[::-1], axis=0)[::-1]
-    s2 = s2_suffix[pos]
+    s2_terms = np.einsum("ij,ik->ijk", rs.x_sorted, xw_sorted)
+    s2 = np.cumsum(s2_terms[::-1], axis=0)[::-1][rs.pos]
     covs = s2 / s0[:, None, None] - mean_x[:, :, None] * mean_x[:, None, :]
     hess = -np.sum(d_k[:, None, None] * covs, axis=0)
     return ll, grad, hess
@@ -208,6 +231,12 @@ def coxph_fit(
     coefficient runs away (a covariate perfectly orders the risk sets) and
     :class:`ConvergenceError`, carrying the last iterate, when the iteration
     budget runs out.
+
+    The risk sets (stable time order, distinct event times with their counts
+    and their positions in that order) are built once per fit and shared by
+    every likelihood call and by the Breslow baseline. Newton steps take the
+    gradient and Hessian; the step-halving line search evaluates the
+    log-likelihood alone.
     """
     if ds.feature_matrix.shape[1] == 0:
         raise ValueError("Cox model needs at least one feature")
@@ -215,13 +244,13 @@ def coxph_fit(
         raise InsufficientEventsError("Cox model needs at least one event")
     means = ds.feature_matrix.mean(axis=0)
     x_c = ds.feature_matrix - means
-    times, events = ds.times, ds.events
+    rs = _risk_sets(x_c, ds.times, ds.events)
 
     beta = np.zeros(x_c.shape[1])
-    ll, grad, hess = _cox_loglik_parts(beta, x_c, times, events, True)
+    ll, grad, hess = _cox_newton_parts(beta, x_c, rs)
     for _ in range(max_iter):
         if np.max(np.abs(grad)) < tol:
-            baseline = _breslow_from_centered(beta, x_c, times, events)
+            baseline = _breslow(beta, x_c, rs)
             return CoxModel(beta=beta, baseline_cumhaz=baseline, feature_means=means)
         try:
             step = np.linalg.solve(hess, grad)
@@ -231,7 +260,7 @@ def coxph_fit(
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            cand_ll, _, _ = _cox_loglik_parts(candidate, x_c, times, events, False)
+            cand_ll = _cox_loglik(candidate, x_c, rs)[0]
             if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
                 break
             scale *= 0.5
@@ -246,31 +275,24 @@ def coxph_fit(
                 "coefficient magnitude exceeded "
                 f"{_SEPARATION_BOUND}; a covariate separates the risk order"
             )
-        ll, grad, hess = _cox_loglik_parts(beta, x_c, times, events, True)
+        ll, grad, hess = _cox_newton_parts(beta, x_c, rs)
     if np.max(np.abs(grad)) < tol:
-        baseline = _breslow_from_centered(beta, x_c, times, events)
+        baseline = _breslow(beta, x_c, rs)
         return CoxModel(beta=beta, baseline_cumhaz=baseline, feature_means=means)
     raise ConvergenceError(
         f"no convergence after {max_iter} Newton iterations", last_params=beta
     )
 
 
-def _breslow_from_centered(beta, x_centered, times, events) -> CumulativeHazard:
-    with np.errstate(over="ignore"):
-        w = np.exp(x_centered @ beta)
-    order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    s0_suffix = np.cumsum(w[order][::-1])[::-1]
-    ev_times, d_k = np.unique(times[events], return_counts=True)
-    pos = np.searchsorted(t_sorted, ev_times, side="left")
-    increments = d_k / s0_suffix[pos]
-    return CumulativeHazard(knots=ev_times, values=np.cumsum(increments))
+def _breslow(beta, x_centered, rs: _RiskSets) -> CumulativeHazard:
+    s0 = _cox_loglik(beta, x_centered, rs)[2]
+    return CumulativeHazard(knots=rs.event_times, values=np.cumsum(rs.n_events / s0))
 
 
 def breslow_baseline(model: CoxModel, ds: SurvivalDataset) -> CumulativeHazard:
     """Breslow baseline cumulative hazard of ``model`` evaluated on ``ds``."""
     x_c = ds.feature_matrix - model.feature_means
-    return _breslow_from_centered(model.beta, x_c, ds.times, ds.events)
+    return _breslow(model.beta, x_c, _risk_sets(x_c, ds.times, ds.events))
 
 
 def cox_survival_curve(model: CoxModel, x):
@@ -313,14 +335,22 @@ class WeibullAFTModel:
         return StepCurve(knots=knots, values=probs)
 
 
-def _weibull_loglik(a, b, t, e):
-    """Censored Weibull log-likelihood and derivatives in (log shape, log scale)."""
+def _weibull_loglik(a, b, log_t, e):
+    """Censored Weibull log-likelihood in (log shape, log scale), with the
+    shape ``k`` and the terms ``u = log t - b`` and ``z = exp(k u)`` that its
+    derivatives reuse."""
     k = np.exp(a)
-    u = np.log(t) - b
+    u = log_t - b
     with np.errstate(over="ignore"):
         z = np.exp(k * u)
+    ll = float(np.sum(e * (a + (k - 1.0) * log_t - k * b)) - np.sum(z))
+    return ll, k, u, z
+
+
+def _weibull_newton_parts(a, b, log_t, e):
+    """Censored Weibull log-likelihood, its gradient and its Hessian."""
+    ll, k, u, z = _weibull_loglik(a, b, log_t, e)
     d = float(e.sum())
-    ll = float(np.sum(e * (a + (k - 1.0) * np.log(t) - k * b)) - np.sum(z))
     zu = z * u
     g_a = d + k * (float(np.sum(u[e])) - float(np.sum(zu)))
     g_b = k * (float(np.sum(z)) - d)
@@ -335,14 +365,16 @@ def weibull_aft_fit(
 ) -> WeibullAFTModel:
     """Maximum-likelihood Weibull fit honouring censoring.
 
-    Newton iteration in (log shape, log scale) with step halving; raises
+    Newton iteration in (log shape, log scale) with step halving; the line
+    search evaluates the log-likelihood alone. Raises
     :class:`ConvergenceError` with the last iterate when it fails.
     """
     t, e = ds.times, ds.events
     if not e.any():
         raise InsufficientEventsError("Weibull fit needs at least one event")
+    log_t = np.log(t)
     theta = np.array([0.0, np.log(float(t.sum()) / float(e.sum()))])
-    ll, grad, hess = _weibull_loglik(theta[0], theta[1], t, e)
+    ll, grad, hess = _weibull_newton_parts(theta[0], theta[1], log_t, e)
     for _ in range(max_iter):
         if np.max(np.abs(grad)) < tol:
             return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
@@ -353,7 +385,7 @@ def weibull_aft_fit(
         scale = 1.0
         for _ in range(40):
             cand = theta + scale * step
-            cand_ll, _, _ = _weibull_loglik(cand[0], cand[1], t, e)
+            cand_ll = _weibull_loglik(cand[0], cand[1], log_t, e)[0]
             if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
                 break
             scale *= 0.5
@@ -363,7 +395,7 @@ def weibull_aft_fit(
                 last_params=np.exp(theta),
             )
         theta = cand
-        ll, grad, hess = _weibull_loglik(theta[0], theta[1], t, e)
+        ll, grad, hess = _weibull_newton_parts(theta[0], theta[1], log_t, e)
     if np.max(np.abs(grad)) < tol:
         return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
     raise ConvergenceError(

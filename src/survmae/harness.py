@@ -542,11 +542,20 @@ def run_experiment(
     fold means, rank orderings, and (when the dataset carries hidden truths)
     agreement statistics against the true MAE. Undefined metrics become
     missing cells rather than failures. Deterministic for a fixed seed.
+
+    Raises :class:`ConfigurationError` naming the model, before any fold
+    starts, when a ``coxph`` model meets a dataset without feature columns.
     """
     models = list(models)
     if not models:
         raise ConfigurationError("need at least one model")
     names = _unique_names(models)
+    if not ds.feature_names:
+        for spec, name in zip(models, names):
+            if spec.kind == "coxph":
+                raise ConfigurationError(
+                    f"model {name!r} needs at least one feature column; the dataset has none"
+                )
     split = stratified_kfold(ds, k, seed)
     fold_curves = [MODEL_KINDS[spec.kind](spec.params) for spec in models]
     per_fold = {n: {met: [None] * k for met in METRICS} for n in names}

@@ -5,8 +5,11 @@ retained time is a known truth), then re-censor them with a synthetic
 mechanism. The result carries both the new observed data and the hidden true
 event times, so evaluation metrics can be compared against the truth.
 
-Censor-time sampling uses a splittable generator keyed by (seed, subject
-index): each subject's draw is independent of evaluation order.
+Censor-time sampling is keyed by (seed, subject index): subject ``i``'s
+censor time depends only on ``(seed, i)`` and is computed from the first draw
+of ``np.random.default_rng([seed, i])``, so it is independent of evaluation
+order and of the other subjects. Every kind but ``exponential`` takes the
+first uniform draw of all subjects at once (:func:`_first_uniforms`).
 """
 
 from __future__ import annotations
@@ -93,20 +96,117 @@ def keep_uncensored(ds: SurvivalDataset) -> SurvivalDataset:
     return replace(uncensored, true_times=uncensored.times)
 
 
-def _subject_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+def _check_seed(seed) -> int:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
+    return int(seed)
 
 
-def _km_inverse(curve: StepCurve, u: float) -> float:
+# ``default_rng([seed, i]).random()`` for every subject at once: NumPy's
+# SeedSequence (pool of four 32-bit words) seeds a PCG64 generator (O'Neill
+# 2014, https://www.pcg-random.org/paper.html), whose first 64-bit output
+# gives the double. All words are 32-bit values held in uint64 arrays, so
+# products fit and every result is masked back to 32 bits; a 128-bit PCG
+# state is four such words, least significant first.
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = [(0x2360ED051FC65DA44385DF649FCCF645 >> (32 * j)) & _MASK32 for j in range(4)]
+
+
+def _seed_pool(entropy):
+    """SeedSequence's pool of four words mixed from the ``entropy`` words."""
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    return pool
+
+
+def _state_words(pool):
+    """``generate_state(4, uint64)`` as eight 32-bit words, low word first."""
+    hash_const = 0x8B51F9DD
+    words = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words.append(value ^ (value >> 16))
+    return words
+
+
+def _add128(a, b):
+    out, carry = [], 0
+    for x, y in zip(a, b):
+        column = x + y + carry
+        out.append(column & _MASK32)
+        carry = column >> 32
+    return out
+
+
+def _pcg_step(state, inc):
+    """``state * multiplier + inc`` mod 2**128."""
+    columns = [0, 0, 0, 0]
+    for i in range(4):
+        for j in range(4 - i):
+            product = state[i] * _PCG_MULT[j]
+            columns[i + j] += product & _MASK32
+            if i + j < 3:
+                columns[i + j + 1] += product >> 32
+    return _add128(columns, inc)
+
+
+def _first_uniforms(seed: int, n: int) -> np.ndarray:
+    """``default_rng([seed, i]).random()`` for ``i`` in ``range(n)``, bit for bit."""
+    seed_words = []
+    while True:  # the seed's little-endian 32-bit words, as SeedSequence takes them
+        seed_words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = [np.full(n, w, dtype=np.uint64) for w in seed_words]
+    entropy.append(np.arange(n, dtype=np.uint64))
+    w = _state_words(_seed_pool(entropy))
+    # PCG64 seeding with s = w0 * 2**64 + w1 and inc = 2 * (w2 * 2**64 + w3) + 1
+    s = [w[2], w[3], w[0], w[1]]
+    seq = [w[6], w[7], w[4], w[5]]
+    inc = [((seq[0] << 1) | 1) & _MASK32]
+    inc += [((seq[k] << 1) | (seq[k - 1] >> 31)) & _MASK32 for k in range(1, 4)]
+    # from state 0: step, add s, step; the first output takes one more step
+    state = _pcg_step(_pcg_step(_add128(inc, s), inc), inc)
+    hi = (state[3] << 32) | state[2]
+    lo = (state[1] << 32) | state[0]
+    xored, rot = hi ^ lo, hi >> 58  # XSL-RR output: rotate hi ^ lo right
+    out = (xored >> rot) | (xored << ((64 - rot) & 63))
+    return (out >> 11).astype(float) * (1.0 / 9007199254740992.0)
+
+
+def _km_inverse(curve: StepCurve, u):
     """Smallest knot where the survival curve is at or below ``u``.
 
     Draws beyond the curve's support (u below the final plateau) land on the
-    last knot, i.e. administrative censoring at the end of follow-up.
+    last knot, i.e. administrative censoring at the end of follow-up. ``u``
+    may be one draw or an array of them.
     """
-    idx = np.searchsorted(-curve.values, -u, side="left")
-    if idx >= curve.values.size:
-        return curve.t_last
-    return float(curve.knots[idx])
+    idx = np.searchsorted(-curve.values, -np.asarray(u), side="left")
+    out = np.append(curve.knots, curve.t_last)[idx]
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_censor_times(
@@ -123,49 +223,43 @@ def sample_censor_times(
     :class:`CoxModel` for ``original_dependent`` and an
     :class:`ExternalCensoringRef` for ``external``.
     """
-    n = d_prime.n
+    seed = _check_seed(seed)
     kind = spec.kind
-    out = np.empty(n)
+    if kind == "exponential":
+        # NumPy's ziggurat sampler cannot be reproduced in bulk
+        return np.array(
+            [np.random.default_rng([seed, i]).exponential(stats.sigma_event)
+             for i in range(d_prime.n)]
+        )
+    if kind == "original_independent" and not isinstance(aux, KaplanMeierFit):
+        raise ConfigurationError(
+            "original_independent censoring needs a fitted censoring KM"
+        )
+    if kind == "original_dependent" and not isinstance(aux, CoxModel):
+        raise ConfigurationError(
+            "original_dependent censoring needs a fitted Cox censoring model"
+        )
+    if kind == "external" and not isinstance(aux, ExternalCensoringRef):
+        raise ConfigurationError("external censoring needs an ExternalCensoringRef")
 
+    u = _first_uniforms(seed, d_prime.n)
     if kind == "uniform":
-        for i in range(n):
-            out[i] = _subject_rng(seed, i).uniform(0.0, stats.t_max_event)
-    elif kind == "uniform_admin":
-        for i in range(n):
-            draw = _subject_rng(seed, i).uniform(0.0, stats.t_max_event)
-            out[i] = min(draw, stats.t_median_event)
-    elif kind == "exponential":
-        for i in range(n):
-            out[i] = _subject_rng(seed, i).exponential(stats.sigma_event)
-    elif kind == "original_independent":
-        if not isinstance(aux, KaplanMeierFit):
-            raise ConfigurationError(
-                "original_independent censoring needs a fitted censoring KM"
-            )
-        for i in range(n):
-            out[i] = _km_inverse(aux.curve, _subject_rng(seed, i).random())
-    elif kind == "original_dependent":
-        if not isinstance(aux, CoxModel):
-            raise ConfigurationError(
-                "original_dependent censoring needs a fitted Cox censoring model"
-            )
+        return stats.t_max_event * u
+    if kind == "uniform_admin":
+        return np.minimum(stats.t_max_event * u, stats.t_median_event)
+    if kind == "original_independent":
+        return _km_inverse(aux.curve, u)
+    if kind == "original_dependent":
         base = aux.baseline_cumhaz
         base_surv = StepCurve(knots=base.knots, values=np.exp(-base.values))
-        for i in range(n):
-            u = _subject_rng(seed, i).random()
-            r = aux.risk(d_prime.feature_matrix[i])
-            # S(t|x) = S0(t)^r <= u  iff  S0(t) <= u^(1/r)
-            out[i] = _km_inverse(base_surv, u ** (1.0 / r))
-    elif kind == "external":
-        if not isinstance(aux, ExternalCensoringRef):
-            raise ConfigurationError("external censoring needs an ExternalCensoringRef")
+        exponents = 1.0 / aux.risks(d_prime.feature_matrix)
+        # S(t|x) = S0(t)^r <= u  iff  S0(t) <= u^(1/r); Python's pow, which
+        # np.power does not match bit for bit on every platform
+        return _km_inverse(base_surv, list(map(pow, u.tolist(), exponents.tolist())))
+    if kind == "external":
         scale = stats.t_max_event / aux.t_max_event
-        for i in range(n):
-            u = _subject_rng(seed, i).random()
-            out[i] = _km_inverse(aux.censoring_km.curve, u) * scale
-    else:  # pragma: no cover - guarded by CensoringSpec
-        raise ConfigurationError(f"unknown censoring kind {kind!r}")
-    return out
+        return _km_inverse(aux.censoring_km.curve, u) * scale
+    raise ConfigurationError(f"unknown censoring kind {kind!r}")  # pragma: no cover
 
 
 def apply_censoring(d_prime: SurvivalDataset, censor_times) -> SurvivalDataset:
@@ -216,8 +310,10 @@ def make_semi_synthetic(
     Statistics driving the mechanisms come from the kept uncensored subjects;
     the data-driven mechanisms (original_independent / original_dependent) are
     fitted on the bit-flipped *full* original dataset, so they reproduce the
-    original censoring distribution.
+    original censoring distribution. A seed that is not a nonnegative integer
+    is refused before anything is fitted.
     """
+    seed = _check_seed(seed)
     d_prime = keep_uncensored(ds_raw)
     stats = dataset_stats(d_prime)
     aux = None

@@ -154,6 +154,14 @@ def test_synth_hyphenated_kind_is_an_alias(plain_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_synth_refuses_a_negative_seed(plain_csv, tmp_path, capsys):
+    out = tmp_path / "synth.csv"
+    code = main(["synth", str(plain_csv), "--kind", "orig-dep", "--seed", "-1", "-o", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_synth_external_kind(plain_csv, truth_csv, tmp_path, capsys):
     out = tmp_path / "ext.csv"
     missing = main(
@@ -282,3 +290,15 @@ def test_experiment_rejects_unknown_model(truth_csv, capsys):
     code = main(["experiment", str(truth_csv), "--models", "boosted"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_experiment_refuses_coxph_on_a_featureless_dataset(truth_csv, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = main(["experiment", str(truth_csv), "--models", "km,coxph", "-o", str(report)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: model 'coxph' needs at least one feature column; the dataset has none\n"
+    )
+    assert captured.out == ""
+    assert not report.exists()

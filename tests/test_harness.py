@@ -308,6 +308,22 @@ def test_run_experiment_requires_models():
         run_experiment(ds, [], k=3)
 
 
+def test_run_experiment_refuses_coxph_without_features_before_any_fold(monkeypatch):
+    import survmae.harness as harness
+
+    def no_split(*args):
+        raise AssertionError("a fold was started")
+
+    monkeypatch.setattr(harness, "stratified_kfold", no_split)
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
+    models = [parse_model_spec(text) for text in ("km", "coxph", "coxph")]
+    with pytest.raises(ConfigurationError) as err:
+        run_experiment(ds, models, k=2)
+    assert str(err.value) == (
+        "model 'coxph' needs at least one feature column; the dataset has none"
+    )
+
+
 def test_noise_ordering_recovered_across_seeds():
     # the true-MAE ranking of increasingly noisy oracles should be recovered
     # by the PO and hinge scores on observed data alone

@@ -8,6 +8,7 @@ from scipy import stats as sps
 from conftest import random_censored_dataset
 from survmae import (
     BinningError,
+    CurveBatch,
     DegenerateScoreWarning,
     StepCurve,
     SurvivalDataset,
@@ -300,7 +301,7 @@ def test_one_calibration_accepts_calibrated_predictor():
         rng = np.random.default_rng((100, seed))
         lam = rng.uniform(0.5, 2.0, 5000)
         t = np.maximum(rng.exponential(lam), 1e-9)
-        curves = [const_curve(s, knot=t_star) for s in np.exp(-t_star / lam)]
+        curves = CurveBatch(knots=[t_star], values=np.exp(-t_star / lam)[:, None])
         ds = SurvivalDataset.from_arrays(t, np.ones(5000, dtype=bool))
         hits += one_calibration(curves, ds, t_star).p_value > 0.05
     assert hits >= 90
@@ -314,7 +315,7 @@ def test_one_calibration_rejects_shifted_predictor():
         lam = rng.uniform(0.5, 2.0, 5000)
         t = np.maximum(rng.exponential(lam), 1e-9)
         shifted = np.minimum(np.exp(-t_star / lam) + 0.3, 1.0)
-        curves = [const_curve(s, knot=t_star) for s in shifted]
+        curves = CurveBatch(knots=[t_star], values=shifted[:, None])
         ds = SurvivalDataset.from_arrays(t, np.ones(5000, dtype=bool))
         hits += one_calibration(curves, ds, t_star).p_value < 0.01
     assert hits >= 95
