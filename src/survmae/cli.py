@@ -30,7 +30,7 @@ from .harness import (
     parse_model_spec,
     run_experiment,
 )
-from .synth import CensoringSpec, make_semi_synthetic
+from .synth import CENSORING_KINDS, CensoringSpec, make_semi_synthetic
 
 
 def _add_column_options(parser):
@@ -150,17 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--kind",
         required=True,
-        choices=[
-            "uniform",
-            "uniform_admin",
-            "uniform-admin",
-            "exponential",
-            "original_independent",
-            "orig-indep",
-            "original_dependent",
-            "orig-dep",
-            "external",
-        ],
+        choices=sorted(CENSORING_KINDS | _KIND_ALIASES.keys()),
     )
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("-o", "--output", required=True, help="output CSV path")

@@ -48,6 +48,18 @@ __all__ = [
 ]
 
 
+def _first_failure(checks):
+    """``(index, reason)`` of the lowest index flagged by any of ``checks``,
+    pairs of a flag array and a reason, or None when none is flagged. An
+    index flagged by several checks is reported with the first of them."""
+    first = None
+    for bad, reason in checks:
+        hits = np.flatnonzero(bad)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), reason)
+    return first
+
+
 def _first_bad_subject(times, events, true_times, features):
     """``(index, reason)`` of the first subject that breaks a dataset rule, or
     None (``true_times`` None: no truths to check). A subject that breaks
@@ -69,11 +81,7 @@ def _first_bad_subject(times, events, true_times, features):
             "(got {truth} < {t})",
         ),
     )
-    first = None
-    for bad, reason in checks:
-        hits = np.flatnonzero(bad)
-        if hits.size and (first is None or hits[0] < first[0]):
-            first = (int(hits[0]), reason)
+    first = _first_failure(checks)
     if first is None:
         return None
     i, reason = first
@@ -169,6 +177,17 @@ def _query_times(t) -> np.ndarray:
     return t_arr
 
 
+def _step_lookup(knots, values, t, side, start):
+    """Value of the step function with ``knots`` and ``values`` at the last
+    knot at or below (``side="right"``) or strictly below (``side="left"``)
+    ``t``, or ``start`` where there is none. A scalar ``t`` gives a float;
+    NaN and negative times are refused."""
+    t_arr = _query_times(t)
+    idx = np.searchsorted(knots, t_arr, side=side) - 1
+    out = np.where(idx >= 0, values[np.maximum(idx, 0)], start)
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class StepCurve:
     """Right-continuous, non-increasing step function with values in [0, 1].
@@ -208,21 +227,13 @@ class StepCurve:
     def v_last(self) -> float:
         return float(self.values[-1])
 
-    def _lookup(self, t, side):
-        """Value at the last knot at or below (``side="right"``) or strictly
-        below (``side="left"``) ``t``; 1 where there is none."""
-        t_arr = _query_times(t)
-        idx = np.searchsorted(self.knots, t_arr, side=side) - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 1.0)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
     def value(self, t):
         """Right-continuous lookup; 1 before the first knot. Accepts scalars or arrays."""
-        return self._lookup(t, "right")
+        return _step_lookup(self.knots, self.values, t, "right", 1.0)
 
     def value_before(self, t):
         """Left limit: the value just before ``t`` (1 when no knot lies strictly below)."""
-        return self._lookup(t, "left")
+        return _step_lookup(self.knots, self.values, t, "left", 1.0)
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral of the step function over ``[a, b]``."""
@@ -285,12 +296,7 @@ def _first_bad_row(knots, values, real):
         (rows((values < 0) | (values > 1), real), "values must lie in [0, 1]"),
         (rows(np.diff(values) > 1e-12, pairs), "values must be non-increasing"),
     )
-    first = None
-    for bad, reason in checks:
-        hits = np.flatnonzero(bad)
-        if hits.size and (first is None or hits[0] < first[0]):
-            first = (int(hits[0]), reason)
-    return first
+    return _first_failure(checks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,19 +609,15 @@ def stratified_kfold(
     edges = np.quantile(times, np.arange(1, time_bins) / time_bins)
     bins = np.searchsorted(edges, times, side="right")
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    cursor = 0
+    shuffled = []
     for flag in (False, True):
         for b in range(time_bins):
             members = np.nonzero((ds.events == flag) & (bins == b))[0]
-            if members.size == 0:
-                continue
-            for idx in rng.permutation(members):
-                folds[cursor % k].append(int(idx))
-                cursor += 1
-    return FoldSplit(
-        folds=tuple(np.array(sorted(f), dtype=int) for f in folds)
-    )
+            if members.size:
+                shuffled.append(rng.permutation(members))
+    # the deal: the p-th subject of the shuffled strata goes to fold p mod k
+    order = np.concatenate(shuffled)
+    return FoldSplit(folds=tuple(np.sort(order[f::k]) for f in range(k)))
 
 
 def _parse_float(text: str, line: int, column: str) -> float:
@@ -660,13 +662,37 @@ def _split_csv(path: Path):
         return header, fh.readlines()
 
 
-def _csv_rows(lines):
-    """The csv rows of ``lines``. A row that csv cannot read (a field over its
-    size limit, say) is yielded as its ``csv.Error`` and ends the rows."""
+def _read_lines(lines, width, parse):
+    """Read the csv ``lines`` below a header one row at a time, skipping
+    blank rows. ``parse(row, line)`` turns a row of ``width`` fields, read
+    from file line ``line``, into its entry or raises
+    :class:`DataFormatError`. Returns the entries, the line of each and the
+    error that ended the read (a row of another width, a row csv cannot read,
+    a failed parse), or None when every row was read."""
+    entries, numbers = [], []
+    line = 1
     try:
-        yield from csv.reader(lines)
-    except csv.Error as exc:
-        yield exc
+        for line, row in enumerate(csv.reader(lines), start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataFormatError(f"line {line}: expected {width} fields, found {len(row)}")
+            entries.append(parse(row, line))
+            numbers.append(line)
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        return entries, numbers, DataFormatError(f"line {line + 1}: {exc}")
+    except DataFormatError as exc:
+        return entries, numbers, exc
+    return entries, numbers, None
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the csv file at ``path``: ``header``, then each row of formatted
+    numbers. A formatted number holds no comma, quote or line break, so csv
+    would not quote it and the rows are joined as they are."""
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def load_dataset(
@@ -698,56 +724,37 @@ def load_dataset(
         seen.add(name)
     t_idx = header.index(time_column)
     e_idx = header.index(event_column)
-    truth_idx = header.index("true_time") if "true_time" in header else None
-    feat_idx = [j for j in range(len(header)) if j not in (t_idx, e_idx, truth_idx)]
+    truth_idx = [header.index("true_time")] if "true_time" in header else []
+    feat_idx = [j for j in range(len(header)) if j not in (t_idx, e_idx, *truth_idx)]
     names = tuple(header[j] for j in feat_idx)
+    # both readers give the columns in this order
+    order = [t_idx, e_idx, *truth_idx, *feat_idx]
+
+    def columns(data):
+        """Times, event flags, features and true times (or None) of ``data``."""
+        truths = data[:, 2] if truth_idx else None
+        return data[:, 0], data[:, 1] == 1.0, data[:, 2 + len(truth_idx) :], truths
+
     table = _read_columns(rest, [("row", float, (len(header),))])
     if table is not None:
-        data = table["row"]
-        flags = data[:, e_idx]
-        if np.all((flags == 0.0) | (flags == 1.0)):
+        data = table["row"][:, order]
+        if np.all((data[:, 1] == 0.0) | (data[:, 1] == 1.0)):
             try:
-                return SurvivalDataset(
-                    data[:, t_idx],
-                    flags == 1.0,
-                    data[:, feat_idx],
-                    None if truth_idx is None else data[:, truth_idx],
-                    names,
-                )
+                return SurvivalDataset(*columns(data), names)
             except ValueError:
                 pass  # a rule is broken: the line-by-line read names the line
-    times, events, truths, features, lines = [], [], [], [], []
-    failure = None  # the error of the first row that could not be read
-    for line, row in enumerate(_csv_rows(rest), start=2):
-        try:
-            if isinstance(row, csv.Error):
-                raise DataFormatError(f"line {line}: {row}")
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"line {line}: expected {len(header)} fields, found {len(row)}"
-                )
-            time = _parse_float(row[t_idx], line, time_column)
-            ev_raw = _parse_float(row[e_idx], line, event_column)
-            if ev_raw not in (0.0, 1.0):
-                raise DataFormatError(
-                    f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}"
-                )
-            truth = None if truth_idx is None else _parse_float(row[truth_idx], line, "true_time")
-            feats = [_parse_float(row[j], line, header[j]) for j in feat_idx]
-        except DataFormatError as exc:
-            failure = exc
-            break
-        times.append(time)
-        events.append(ev_raw == 1.0)
-        truths.append(truth)
-        features.append(feats)
-        lines.append(line)
-    times = np.array(times, dtype=float)
-    events = np.array(events, dtype=bool)
-    truths = None if truth_idx is None else np.array(truths, dtype=float)
-    features = np.array(features, dtype=float).reshape(times.size, len(names))
+
+    def parse(row, line):
+        time = _parse_float(row[t_idx], line, time_column)
+        flag = _parse_float(row[e_idx], line, event_column)
+        if flag not in (0.0, 1.0):
+            raise DataFormatError(f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}")
+        return [time, flag] + [_parse_float(row[j], line, header[j]) for j in order[2:]]
+
+    rows, lines, failure = _read_lines(rest, len(header), parse)
+    times, events, features, truths = columns(
+        np.array(rows, dtype=float).reshape(len(rows), len(order))
+    )
     # a rule broken on a line before the failure is the first error
     bad = _first_bad_subject(times, events, truths, features)
     if bad is not None:
@@ -762,25 +769,20 @@ def load_dataset(
 def save_dataset(ds: SurvivalDataset, path) -> None:
     """Write a dataset back to CSV in the layout :func:`load_dataset` reads.
 
-    A repeated feature name, or one that reads back as ``time``, ``event`` or
-    ``true_time``, raises ``ValueError`` before the file is opened. The reader
-    strips every header name, so a name with surrounding whitespace reads
-    back stripped, and two names equal after stripping do not read back.
+    The reader strips every header name, so a feature name with surrounding
+    whitespace, a repeated one, or one named ``time``, ``event`` or
+    ``true_time`` would not read back as written: it raises ``ValueError``
+    before the file is opened. Every dataset that is written reads back
+    with the same names and the same floats.
     """
-    path = Path(path)
     names = ds.feature_names
     for j, name in enumerate(names):
-        if name.strip() in ("time", "event", "true_time") or name in names[:j]:
+        if name != name.strip() or name in ("time", "event", "true_time") or name in names[:j]:
             raise ValueError(f"feature name {name!r} would not read back as a feature")
     with_truth = ds.true_times is not None
-    header = ["time", "event"] + (["true_time"] if with_truth else []) + list(
-        ds.feature_names
-    )
+    header = ["time", "event"] + (["true_time"] if with_truth else []) + list(names)
     columns = [map(repr, ds.times.tolist()), map(str, ds.events.astype(int).tolist())]
     if with_truth:
         columns.append(map(repr, ds.true_times.tolist()))
     columns.extend(map(repr, col) for col in ds.feature_matrix.T.tolist())
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        # formatted numbers hold no comma, quote or line break: csv would not quote them
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+    _write_csv(path, header, zip(*columns))

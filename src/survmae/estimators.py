@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CurveBatch, StepCurve, SurvivalDataset
+from .core import _step_lookup
 from .errors import ConvergenceError, InsufficientEventsError, SeparationError
 
 __all__ = [
@@ -131,10 +132,9 @@ class CumulativeHazard:
             raise ValueError("cumulative hazard must be nonnegative and nondecreasing")
 
     def value(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.knots, t_arr, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        """Right-continuous lookup; 0 before the first knot. Accepts scalars
+        or arrays; NaN and negative times raise ``ValueError``."""
+        return _step_lookup(self.knots, self.values, t, "right", 0.0)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ the true MAE whenever the dataset carries ground truth.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CurveBatch, SurvivalDataset, stratified_kfold
-from .core import _csv_rows, _read_columns, _split_csv
+from .core import _read_columns, _read_lines, _split_csv, _write_csv
 from .errors import (
     BinningError,
     ConfigurationError,
@@ -259,38 +258,29 @@ def load_curve_file(path) -> CurveTable:
                 pass  # a rule is broken: the line-by-line read names the line
             else:
                 return CurveTable(subjects.tolist(), batch)
-    indices, rows, lines, seen = [], [], [], set()
-    failure = None  # (line, reason) of a row that could not be read
-    for line, row in enumerate(_csv_rows(rest), start=2):
-        if isinstance(row, csv.Error):
-            failure = (line, str(row))
-            break
-        if not row:
-            continue
-        if len(row) != grid.size + 1:
-            failure = (line, f"expected {grid.size + 1} fields, found {len(row)}")
-            break
+    seen = set()
+
+    def parse(row, line):
         try:
             idx = int(row[0])
             values = np.fromiter(map(float, row[1:]), dtype=float, count=grid.size)
         except ValueError:
-            failure = (line, "non-numeric field")
-            break
+            raise DataFormatError(f"line {line}: non-numeric field") from None
         if idx in seen:
-            failure = (line, f"duplicate subject index {idx}")
-            break
+            raise DataFormatError(f"line {line}: duplicate subject index {idx}")
         seen.add(idx)
-        indices.append(idx)
-        rows.append(values)
-        lines.append(line)
+        return idx, values
+
+    rows, lines, failure = _read_lines(rest, grid.size + 1, parse)
+    values = np.array([v for _, v in rows]).reshape(len(rows), grid.size)
     try:
         # a bad curve on a line before the failure is the first error
-        batch = CurveBatch(knots=grid, values=np.array(rows).reshape(len(rows), grid.size))
+        batch = CurveBatch(knots=grid, values=values)
     except InvalidCurveError as exc:
         raise DataFormatError(f"line {lines[exc.row]}: {exc.reason}") from None
     if failure is not None:
-        raise DataFormatError("line {}: {}".format(*failure))
-    return CurveTable(indices, batch)
+        raise failure
+    return CurveTable([i for i, _ in rows], batch)
 
 
 def save_curve_file(path, grid, value_rows, indices=None) -> None:
@@ -299,13 +289,11 @@ def save_curve_file(path, grid, value_rows, indices=None) -> None:
     value_rows = np.asarray(value_rows, dtype=float)
     if indices is None:
         indices = range(value_rows.shape[0])
-    with Path(path).open("w", newline="") as fh:
-        csv.writer(fh).writerow(["t"] + [repr(t) for t in grid.tolist()])
-        # formatted numbers hold no comma, quote or line break: csv would not quote them
-        fh.writelines(
-            ",".join([str(int(idx)), *map(repr, row)]) + "\r\n"
-            for idx, row in zip(indices, value_rows.tolist())
-        )
+    _write_csv(
+        path,
+        ["t"] + [repr(t) for t in grid.tolist()],
+        ([str(int(idx)), *map(repr, row)] for idx, row in zip(indices, value_rows.tolist())),
+    )
 
 
 @dataclass(frozen=True)

@@ -236,41 +236,22 @@ def _km_restricted_means(ds: SurvivalDataset):
     return fit, theta, theta_loo
 
 
-def pseudo_obs_surrogates(
-    ds: SurvivalDataset, jackknife: str = "incremental"
-) -> SurrogateSet:
+def pseudo_obs_surrogates(ds: SurvivalDataset) -> SurrogateSet:
     """Pseudo-observation surrogates with margin-style weights.
 
     Each censored subject i receives ``N * theta - (N - 1) * theta_loo(i)``
     where theta is the restricted mean survival time of the KM curve over the
     whole sample and theta_loo(i) drops subject i. The leave-one-out fit is
     recomputed incrementally from the shared count table (at-risk counts fall
-    by one at every knot the subject outlived); ``jackknife="refit"`` keeps a
-    naive path that refits KM from scratch, for equivalence testing.
+    by one at every knot the subject outlived).
     """
     if not ds.events.any():
         raise UndefinedMetricError("pseudo-observations need at least one event")
-    if jackknife not in ("incremental", "refit"):
-        raise ValueError(f"unknown jackknife mode {jackknife!r}")
     surrogate, weight, included = _uncensored_base(ds)
     fit, theta, theta_loo = _km_restricted_means(ds)
-    horizon = fit.curve.t_last
-    n = ds.n
     censored = np.nonzero(~ds.events)[0]
-    if jackknife == "incremental":
-        cuts = np.searchsorted(fit.event_times, ds.times[censored], side="right")
-        loo = theta_loo[cuts]
-    else:
-        theta = fit.curve.integrate(0.0, horizon)
-        loo = np.empty(censored.size)
-        keep_all = np.arange(n)
-        for j, i in enumerate(censored):
-            keep = np.delete(keep_all, i)
-            sub = km_fit(ds.times[keep], ds.events[keep])
-            loo[j] = sub.curve.integrate(0.0, min(sub.curve.t_last, horizon))
-            if sub.curve.t_last < horizon:
-                loo[j] += sub.curve.v_last * (horizon - sub.curve.t_last)
-    surrogate[censored] = n * theta - (n - 1) * loo
+    cuts = np.searchsorted(fit.event_times, ds.times[censored], side="right")
+    surrogate[censored] = ds.n * theta - (ds.n - 1) * theta_loo[cuts]
     weight[censored] = 1.0 - fit.curve.value(ds.times[censored])
     return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import refit_pseudo_obs
 from survmae import (
     CensoringSpec,
     SurvivalDataset,
@@ -103,7 +104,7 @@ def test_criterion_02_pseudo_observation_properties(capsys):
         censored = ~ds.events
 
         po = pseudo_obs_surrogates(ds)
-        refit = pseudo_obs_surrogates(ds, jackknife="refit")
+        refit = refit_pseudo_obs(ds)
         margin = margin_surrogates(ds, km_fit(ds.times, ds.events))
 
         # (a) each PO surrogate is bounded below by its censoring time
@@ -118,7 +119,7 @@ def test_criterion_02_pseudo_observation_properties(capsys):
             po.surrogate[censored] >= margin.surrogate[censored] - 1e-9
         )
         # (d) the incremental jackknife equals the explicit refit
-        assert_allclose(po.surrogate, refit.surrogate, rtol=1e-12, atol=1e-12)
+        assert_allclose(po.surrogate, refit, rtol=1e-12, atol=1e-12)
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0 and single_censor_cases >= 100
     announce(

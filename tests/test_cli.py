@@ -8,9 +8,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from survmae import SurvivalDataset, load_dataset, save_dataset
-from survmae.cli import main
+from survmae.cli import _KIND_ALIASES, build_parser, main
 from survmae.estimators import KaplanMeierFit, model_from_json
 from survmae.harness import METRICS, save_curve_file
+from survmae.synth import CENSORING_KINDS
 
 
 @pytest.fixture
@@ -152,6 +153,22 @@ def test_synth_hyphenated_kind_is_an_alias(plain_csv, tmp_path, capsys):
     assert a.read_text() == b.read_text()
     assert json.loads(a.with_suffix(".json").read_text())["kind"] == "uniform_admin"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", sorted(CENSORING_KINDS) + sorted(_KIND_ALIASES))
+def test_synth_parser_accepts_every_kind_and_alias(kind):
+    args = build_parser().parse_args(["synth", "data.csv", "--kind", kind, "-o", "out.csv"])
+    assert args.kind == kind
+    assert _KIND_ALIASES.get(kind, kind) in CENSORING_KINDS
+
+
+def test_synth_refuses_an_unknown_kind(plain_csv, tmp_path, capsys):
+    out = tmp_path / "synth.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth", str(plain_csv), "--kind", "bogus", "-o", str(out)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_refuses_a_negative_seed(plain_csv, tmp_path, capsys):

@@ -4,6 +4,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_censored_dataset
@@ -311,6 +313,45 @@ def test_kfold_bad_config():
         stratified_kfold(ds, k=1, seed=0)
     with pytest.raises(ConfigurationError):
         stratified_kfold(ds, k=4, seed=0)
+
+
+def oracle_stratified_kfold(ds, k, seed, time_bins):
+    """The folds dealt one subject at a time: each stratum is shuffled, then
+    its subjects go round-robin with a cursor that runs across strata."""
+    edges = np.quantile(ds.times, np.arange(1, time_bins) / time_bins)
+    bins = np.searchsorted(edges, ds.times, side="right")
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    cursor = 0
+    for flag in (False, True):
+        for b in range(time_bins):
+            members = np.nonzero((ds.events == flag) & (bins == b))[0]
+            if members.size == 0:
+                continue
+            for idx in rng.permutation(members):
+                folds[cursor % k].append(int(idx))
+                cursor += 1
+    return [np.array(sorted(f), dtype=int) for f in folds]
+
+
+@st.composite
+def fold_cases(draw):
+    """A dataset, k and time_bins. Times from a few values and events that
+    may all agree leave strata empty; k runs up to n."""
+    n = draw(st.integers(2, 40))
+    times = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.5, 7.0]), min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    k = draw(st.one_of(st.just(n), st.integers(2, n)))
+    return SurvivalDataset.from_arrays(times, events), k, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fold_cases(), seed=st.integers(0, 2**32))
+def test_kfold_equals_the_per_subject_deal(case, seed):
+    ds, k, time_bins = case
+    got = stratified_kfold(ds, k=k, seed=seed, time_bins=time_bins).folds
+    want = oracle_stratified_kfold(ds, k, seed, time_bins)
+    assert [(f.dtype, f.tobytes()) for f in got] == [(f.dtype, f.tobytes()) for f in want]
 
 
 # ------------------------------------------------------------------- csv

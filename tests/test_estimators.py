@@ -273,6 +273,23 @@ def test_cox_risk_ordering():
                 assert np.all(c2.values <= c1.values + 1e-12)
 
 
+def test_cumulative_hazard_lookup():
+    h = CumulativeHazard(knots=np.array([1.0, 2.5]), values=np.array([0.2, 0.7]))
+    # zero before the first knot, right-continuous at each knot
+    assert_array_equal(h.value(np.array([0.0, 0.5, 1.0, 2.0, 2.5, 9.0])), [0.0, 0.0, 0.2, 0.2, 0.7, 0.7])
+    assert_array_equal(h.value(np.nextafter(1.0, 0.0)), 0.0)
+    assert type(h.value(1.0)) is float and h.value(1.0) == 0.2
+    assert type(h.value(np.float64(0.5))) is float and h.value(np.float64(0.5)) == 0.0
+    assert isinstance(h.value([1.0]), np.ndarray)
+
+
+@pytest.mark.parametrize("t", [np.nan, -1.0, [1.0, np.nan], [-0.5, 2.0]])
+def test_cumulative_hazard_refuses_nan_and_negative_times(t):
+    h = CumulativeHazard(knots=np.array([1.0, 2.5]), values=np.array([0.2, 0.7]))
+    with pytest.raises(ValueError, match="NaN" if np.any(np.isnan(t)) else "t >= 0"):
+        h.value(t)
+
+
 def test_cox_risk_frozen():
     h = CumulativeHazard(knots=np.array([1.0]), values=np.array([0.2]))
     model = CoxModel(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import random_censored_dataset
+from conftest import random_censored_dataset, refit_pseudo_obs
 from survmae import (
     DegenerateCurveError,
     MissingGroundTruthError,
@@ -224,19 +224,19 @@ def test_ipcw_t_excludes_censored_after_last_event():
 
 
 def test_po_frozen_small():
-    for mode in ("incremental", "refit"):
-        s = pseudo_obs_surrogates(ds3(), jackknife=mode)
-        assert_allclose(s.surrogate, [1.0, 3.0, 3.0], atol=1e-12)
-        assert_allclose(s.weight, [1.0, 1.0 / 3.0, 1.0])
+    s = pseudo_obs_surrogates(ds3())
+    assert_allclose(s.surrogate, [1.0, 3.0, 3.0], atol=1e-12)
+    assert_allclose(refit_pseudo_obs(ds3()), [1.0, 3.0, 3.0], atol=1e-12)
+    assert_allclose(s.weight, [1.0, 1.0 / 3.0, 1.0])
     assert_allclose(mae_po(preds([1.0, 2.5, 3.0]), ds3()), 1.0 / 14.0)
 
 
 def test_po_frozen_rich():
     # theta = 4.2; dropping the subject censored at 4 lifts the tail more
-    for mode in ("incremental", "refit"):
-        s = pseudo_obs_surrogates(ds5(), jackknife=mode)
-        assert_allclose(s.surrogate, [1.0, 5.0, 3.0, 6.5, 6.0], atol=1e-12)
-        assert_allclose(s.weight, [1.0, 0.2, 1.0, 7.0 / 15.0, 1.0])
+    s = pseudo_obs_surrogates(ds5())
+    assert_allclose(s.surrogate, [1.0, 5.0, 3.0, 6.5, 6.0], atol=1e-12)
+    assert_allclose(refit_pseudo_obs(ds5()), [1.0, 5.0, 3.0, 6.5, 6.0], atol=1e-12)
+    assert_allclose(s.weight, [1.0, 0.2, 1.0, 7.0 / 15.0, 1.0])
 
 
 def test_po_needs_an_event():
@@ -245,11 +245,6 @@ def test_po_needs_an_event():
         pseudo_obs_surrogates(ds)
     with pytest.raises(UndefinedMetricError):
         pop_po_surrogates(ds)
-
-
-def test_po_unknown_mode():
-    with pytest.raises(ValueError):
-        pseudo_obs_surrogates(ds3(), jackknife="bogus")
 
 
 def test_po_property_suite():
@@ -262,11 +257,10 @@ def test_po_property_suite():
         n_cens = int(np.clip(round(n * rng.uniform(0.1, 0.9)), 1, n - 1))
         ds = random_censored_dataset(rng, n=n, censor_count=n_cens)
         km = km_fit(ds.times, ds.events)
-        po_inc = pseudo_obs_surrogates(ds, jackknife="incremental")
-        po_ref = pseudo_obs_surrogates(ds, jackknife="refit")
+        po_inc = pseudo_obs_surrogates(ds)
         marg = margin_surrogates(ds, km)
         cens = ~ds.events
-        assert_allclose(po_inc.surrogate, po_ref.surrogate, atol=1e-12, rtol=1e-12)
+        assert_allclose(po_inc.surrogate, refit_pseudo_obs(ds), atol=1e-12, rtol=1e-12)
         assert np.all(po_inc.surrogate[cens] >= ds.times[cens] - 1e-9)
         assert np.all(po_inc.surrogate[cens] >= marg.surrogate[cens] - 1e-9)
         if n_cens == 1:
