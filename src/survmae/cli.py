@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -143,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="print dataset summary statistics")
     p_stats.add_argument("data", help="CSV dataset")
     _add_column_options(p_stats)
-    p_stats.set_defaults(func=_cmd_stats)
 
     p_synth = sub.add_parser("synth", help="build a semi-synthetic censored dataset")
     p_synth.add_argument("data", help="CSV dataset to draw events from")
@@ -156,14 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("-o", "--output", required=True, help="output CSV path")
     p_synth.add_argument("--external", help="reference CSV for the external kind")
     _add_column_options(p_synth)
-    p_synth.set_defaults(func=_cmd_synth)
 
     p_fit = sub.add_parser("fit", help="fit a reference model, export JSON")
     p_fit.add_argument("data", help="CSV dataset")
     p_fit.add_argument("--model", required=True, choices=list(REFERENCE_MODELS))
     p_fit.add_argument("-o", "--output", help="output JSON path (default: stdout)")
     _add_column_options(p_fit)
-    p_fit.set_defaults(func=_cmd_fit)
 
     p_eval = sub.add_parser("eval", help="score a curve file against a dataset")
     p_eval.add_argument("data", help="CSV dataset")
@@ -176,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["median", "mean"],
     )
     _add_column_options(p_eval)
-    p_eval.set_defaults(func=_cmd_eval)
 
     p_exp = sub.add_parser("experiment", help="cross-validated model comparison")
     p_exp.add_argument("data", help="CSV dataset")
@@ -191,14 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("-o", "--output", help="report JSON path (default: stdout)")
     p_exp.add_argument("--csv", help="also write per-fold scores as flat CSV")
     _add_column_options(p_exp)
-    p_exp.set_defaults(func=_cmd_experiment)
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # looked up at call time, so a patched ``_cmd_<command>`` is the one run
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -650,37 +650,41 @@ def _read_columns(lines, dtype):
 
 
 def _split_csv(path: Path):
-    """The header row of the csv file at ``path`` and the file's other lines.
-    The file is read once, so it may be a pipe."""
+    """The header row of the csv file at ``path``, the file's other lines and
+    the file line of the first of them (a quoted header field may span
+    lines). The file is read once, so it may be a pipe."""
     with path.open(newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: file is empty") from None
         except csv.Error as exc:  # e.g. a field over csv's size limit
             raise DataFormatError(f"line 1: {exc}") from None
-        return header, fh.readlines()
+        return header, fh.readlines(), reader.line_num + 1
 
 
-def _read_lines(lines, width, parse):
+def _read_lines(lines, start, width, parse):
     """Read the csv ``lines`` below a header one row at a time, skipping
-    blank rows. ``parse(row, line)`` turns a row of ``width`` fields, read
-    from file line ``line``, into its entry or raises
-    :class:`DataFormatError`. Returns the entries, the line of each and the
-    error that ended the read (a row of another width, a row csv cannot read,
-    a failed parse), or None when every row was read."""
+    blank rows; ``lines[0]`` is file line ``start``. ``parse(row, line)``
+    turns a row of ``width`` fields, whose first line in the file is
+    ``line``, into its entry or raises :class:`DataFormatError`. Returns the
+    entries, the line of each and the error that ended the read (a row of
+    another width, a row csv cannot read, a failed parse), or None when every
+    row was read."""
     entries, numbers = [], []
-    line = 1
+    reader = csv.reader(lines)
+    line = start  # first line of the row being read: a quoted field may span lines
     try:
-        for line, row in enumerate(csv.reader(lines), start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataFormatError(f"line {line}: expected {width} fields, found {len(row)}")
-            entries.append(parse(row, line))
-            numbers.append(line)
+        for row in reader:
+            if row:
+                if len(row) != width:
+                    raise DataFormatError(f"line {line}: expected {width} fields, found {len(row)}")
+                entries.append(parse(row, line))
+                numbers.append(line)
+            line = start + reader.line_num
     except csv.Error as exc:  # e.g. a field over csv's size limit
-        return entries, numbers, DataFormatError(f"line {line + 1}: {exc}")
+        return entries, numbers, DataFormatError(f"line {line}: {exc}")
     except DataFormatError as exc:
         return entries, numbers, exc
     return entries, numbers, None
@@ -710,7 +714,7 @@ def load_dataset(
     pass of NumPy's C reader; any other file is parsed again line by line.
     """
     path = Path(path)
-    header, rest = _split_csv(path)
+    header, rest, start = _split_csv(path)
     header = [h.strip() for h in header]
     for needed in (time_column, event_column):
         if needed not in header:
@@ -751,7 +755,7 @@ def load_dataset(
             raise DataFormatError(f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}")
         return [time, flag] + [_parse_float(row[j], line, header[j]) for j in order[2:]]
 
-    rows, lines, failure = _read_lines(rest, len(header), parse)
+    rows, lines, failure = _read_lines(rest, start, len(header), parse)
     times, events, features, truths = columns(
         np.array(rows, dtype=float).reshape(len(rows), len(order))
     )

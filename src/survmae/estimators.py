@@ -204,9 +204,9 @@ def _cox_loglik(beta, x_centered, rs: _RiskSets):
     return ll, w_sorted, s0
 
 
-def _cox_newton_parts(beta, x_centered, rs: _RiskSets):
-    """Breslow partial log-likelihood, its gradient and its Hessian."""
-    ll, w_sorted, s0 = _cox_loglik(beta, x_centered, rs)
+def _cox_derivatives(rs: _RiskSets, w_sorted, s0):
+    """Gradient and Hessian of the Breslow partial log-likelihood, from the
+    sorted weights and risk-set sums of its likelihood pass."""
     d_k = rs.n_events
     xw_sorted = rs.x_sorted * w_sorted[:, None]
     s1 = np.cumsum(xw_sorted[::-1], axis=0)[::-1][rs.pos]
@@ -217,7 +217,7 @@ def _cox_newton_parts(beta, x_centered, rs: _RiskSets):
     s2 = np.cumsum(s2_terms[::-1], axis=0)[::-1][rs.pos]
     covs = s2 / s0[:, None, None] - mean_x[:, :, None] * mean_x[:, None, :]
     hess = -np.sum(d_k[:, None, None] * covs, axis=0)
-    return ll, grad, hess
+    return grad, hess
 
 
 def coxph_fit(
@@ -234,9 +234,12 @@ def coxph_fit(
 
     The risk sets (stable time order, distinct event times with their counts
     and their positions in that order) are built once per fit and shared by
-    every likelihood call and by the Breslow baseline. Newton steps take the
-    gradient and Hessian; the step-halving line search evaluates the
-    log-likelihood alone.
+    every likelihood pass. Each point the fit tries costs one likelihood
+    pass: the gradient, the Hessian and the Breslow baseline of an accepted
+    point reuse the pass of its line search. When the line search reaches a
+    candidate equal to the iterate, bit for bit, the iteration has hit a
+    fixed point that it would repeat until the budget runs out, so the budget's
+    :class:`ConvergenceError` is raised at once, with the same iterate.
     """
     if ds.feature_matrix.shape[1] == 0:
         raise ValueError("Cox model needs at least one feature")
@@ -245,13 +248,14 @@ def coxph_fit(
     means = ds.feature_matrix.mean(axis=0)
     x_c = ds.feature_matrix - means
     rs = _risk_sets(x_c, ds.times, ds.events)
+    stalled = f"no convergence after {max_iter} Newton iterations"
 
     beta = np.zeros(x_c.shape[1])
-    ll, grad, hess = _cox_newton_parts(beta, x_c, rs)
+    ll, w_sorted, s0 = _cox_loglik(beta, x_c, rs)
+    grad, hess = _cox_derivatives(rs, w_sorted, s0)
     for _ in range(max_iter):
         if np.max(np.abs(grad)) < tol:
-            baseline = _breslow(beta, x_c, rs)
-            return CoxModel(beta=beta, baseline_cumhaz=baseline, feature_means=means)
+            return CoxModel(beta=beta, baseline_cumhaz=_breslow(rs, s0), feature_means=means)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -260,7 +264,10 @@ def coxph_fit(
         scale = 1.0
         for _ in range(30):
             candidate = beta + scale * step
-            cand_ll = _cox_loglik(candidate, x_c, rs)[0]
+            if np.isfinite(ll) and candidate.tobytes() == beta.tobytes():
+                # accepted with the same likelihood, then repeated every iteration
+                raise ConvergenceError(stalled, last_params=beta)
+            cand_ll, cand_w, cand_s0 = _cox_loglik(candidate, x_c, rs)
             if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
                 break
             scale *= 0.5
@@ -275,24 +282,23 @@ def coxph_fit(
                 "coefficient magnitude exceeded "
                 f"{_SEPARATION_BOUND}; a covariate separates the risk order"
             )
-        ll, grad, hess = _cox_newton_parts(beta, x_c, rs)
+        ll, s0 = cand_ll, cand_s0
+        grad, hess = _cox_derivatives(rs, cand_w, s0)
     if np.max(np.abs(grad)) < tol:
-        baseline = _breslow(beta, x_c, rs)
-        return CoxModel(beta=beta, baseline_cumhaz=baseline, feature_means=means)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} Newton iterations", last_params=beta
-    )
+        return CoxModel(beta=beta, baseline_cumhaz=_breslow(rs, s0), feature_means=means)
+    raise ConvergenceError(stalled, last_params=beta)
 
 
-def _breslow(beta, x_centered, rs: _RiskSets) -> CumulativeHazard:
-    s0 = _cox_loglik(beta, x_centered, rs)[2]
+def _breslow(rs: _RiskSets, s0) -> CumulativeHazard:
+    """Breslow cumulative hazard from the risk-set sums ``s0`` of a likelihood pass."""
     return CumulativeHazard(knots=rs.event_times, values=np.cumsum(rs.n_events / s0))
 
 
 def breslow_baseline(model: CoxModel, ds: SurvivalDataset) -> CumulativeHazard:
     """Breslow baseline cumulative hazard of ``model`` evaluated on ``ds``."""
     x_c = ds.feature_matrix - model.feature_means
-    return _breslow(model.beta, x_c, _risk_sets(x_c, ds.times, ds.events))
+    rs = _risk_sets(x_c, ds.times, ds.events)
+    return _breslow(rs, _cox_loglik(model.beta, x_c, rs)[2])
 
 
 def cox_survival_curve(model: CoxModel, x):
@@ -347,9 +353,9 @@ def _weibull_loglik(a, b, log_t, e):
     return ll, k, u, z
 
 
-def _weibull_newton_parts(a, b, log_t, e):
-    """Censored Weibull log-likelihood, its gradient and its Hessian."""
-    ll, k, u, z = _weibull_loglik(a, b, log_t, e)
+def _weibull_derivatives(k, u, z, e):
+    """Gradient and Hessian of the censored Weibull log-likelihood, from the
+    shape ``k`` and the terms ``u`` and ``z`` of its likelihood pass."""
     d = float(e.sum())
     zu = z * u
     g_a = d + k * (float(np.sum(u[e])) - float(np.sum(zu)))
@@ -357,7 +363,7 @@ def _weibull_newton_parts(a, b, log_t, e):
     h_aa = (g_a - d) - k * k * float(np.sum(zu * u))
     h_ab = g_b + k * k * float(np.sum(zu))
     h_bb = -(k * k) * float(np.sum(z))
-    return ll, np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
+    return np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
 
 
 def weibull_aft_fit(
@@ -365,16 +371,21 @@ def weibull_aft_fit(
 ) -> WeibullAFTModel:
     """Maximum-likelihood Weibull fit honouring censoring.
 
-    Newton iteration in (log shape, log scale) with step halving; the line
-    search evaluates the log-likelihood alone. Raises
-    :class:`ConvergenceError` with the last iterate when it fails.
+    Newton iteration in (log shape, log scale) with step halving. Each point
+    the fit tries costs one likelihood pass: the gradient and Hessian of an
+    accepted point reuse the pass of its line search. Raises
+    :class:`ConvergenceError` with the last iterate when it fails; as in
+    :func:`coxph_fit`, a line search that reaches a candidate equal to the
+    iterate, bit for bit, raises the budget's error at once.
     """
     t, e = ds.times, ds.events
     if not e.any():
         raise InsufficientEventsError("Weibull fit needs at least one event")
     log_t = np.log(t)
+    stalled = f"no convergence after {max_iter} Newton iterations"
     theta = np.array([0.0, np.log(float(t.sum()) / float(e.sum()))])
-    ll, grad, hess = _weibull_newton_parts(theta[0], theta[1], log_t, e)
+    ll, *terms = _weibull_loglik(theta[0], theta[1], log_t, e)
+    grad, hess = _weibull_derivatives(*terms, e)
     for _ in range(max_iter):
         if np.max(np.abs(grad)) < tol:
             return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
@@ -385,7 +396,10 @@ def weibull_aft_fit(
         scale = 1.0
         for _ in range(40):
             cand = theta + scale * step
-            cand_ll = _weibull_loglik(cand[0], cand[1], log_t, e)[0]
+            if np.isfinite(ll) and cand.tobytes() == theta.tobytes():
+                # accepted with the same likelihood, then repeated every iteration
+                raise ConvergenceError(stalled, last_params=np.exp(theta))
+            cand_ll, *terms = _weibull_loglik(cand[0], cand[1], log_t, e)
             if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
                 break
             scale *= 0.5
@@ -394,14 +408,11 @@ def weibull_aft_fit(
                 "step halving failed to improve the Weibull likelihood",
                 last_params=np.exp(theta),
             )
-        theta = cand
-        ll, grad, hess = _weibull_newton_parts(theta[0], theta[1], log_t, e)
+        theta, ll = cand, cand_ll
+        grad, hess = _weibull_derivatives(*terms, e)
     if np.max(np.abs(grad)) < tol:
         return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
-    raise ConvergenceError(
-        f"no convergence after {max_iter} Newton iterations",
-        last_params=np.exp(theta),
-    )
+    raise ConvergenceError(stalled, last_params=np.exp(theta))
 
 
 def model_to_json(model, path=None) -> str:

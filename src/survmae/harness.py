@@ -9,6 +9,7 @@ the true MAE whenever the dataset carries ground truth.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -138,9 +139,16 @@ REFERENCE_MODELS = {
 }
 
 
+_NOISE_RULE = "noise must be a finite number >= 0"
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model to evaluate: a reference fit, a noisy oracle, or external curves."""
+    """A model to evaluate: a reference fit, a noisy oracle, or external curves.
+
+    A noisy oracle's ``noise`` must be a finite number >= 0; any other value
+    raises :class:`ConfigurationError` naming the spec.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -150,6 +158,15 @@ class ModelSpec:
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; expected one of {sorted(MODEL_KINDS)}"
             )
+        if self.kind == "noisy_oracle":
+            noise = self.params.get("noise", 0.0)
+            try:
+                valid = 0.0 <= float(noise) < math.inf
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                spec = f"noisy:{noise}"
+                raise ConfigurationError(f"model spec {spec!r}: {_NOISE_RULE}")
 
 
 def parse_model_spec(text: str) -> ModelSpec:
@@ -158,7 +175,10 @@ def parse_model_spec(text: str) -> ModelSpec:
     if text in REFERENCE_MODELS:
         return ModelSpec(kind=text)
     if text.startswith("noisy:"):
-        return ModelSpec(kind="noisy_oracle", params={"noise": float(text[6:])})
+        try:
+            return ModelSpec(kind="noisy_oracle", params={"noise": float(text[6:])})
+        except ValueError:
+            raise ConfigurationError(f"model spec {text!r}: {_NOISE_RULE}") from None
     if text.startswith("external:"):
         return ModelSpec(kind="external_curves", params={"path": text[9:]})
     raise ConfigurationError(f"cannot parse model spec {text!r}")
@@ -177,12 +197,12 @@ def noisy_oracle_predictions(ds_test: SurvivalDataset, noise: float, seed: int):
     Returns a :class:`CurveBatch`: knot row i is ``median_i * _REL_KNOTS`` and
     every row shares the probability grid. With ``noise == 0`` the extracted
     medians reproduce the hidden truths exactly. Requires ground truth on the
-    dataset.
+    dataset and a finite ``noise >= 0``.
     """
     if ds_test.true_times is None:
         raise MissingGroundTruthError("noisy oracle needs true event times")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(_NOISE_RULE)
     rng = np.random.default_rng(seed)
     medians = ds_test.true_times * np.exp(rng.normal(0.0, noise, ds_test.n))
     return CurveBatch(
@@ -235,7 +255,7 @@ def load_curve_file(path) -> CurveTable:
     pass of NumPy's C reader; any other file is parsed again line by line.
     """
     path = Path(path)
-    header, rest = _split_csv(path)
+    header, rest, start = _split_csv(path)
     if not header or header[0].strip() != "t":
         raise DataFormatError(f"{path}: first header field must be 't'")
     try:
@@ -271,7 +291,7 @@ def load_curve_file(path) -> CurveTable:
         seen.add(idx)
         return idx, values
 
-    rows, lines, failure = _read_lines(rest, grid.size + 1, parse)
+    rows, lines, failure = _read_lines(rest, start, grid.size + 1, parse)
     values = np.array([v for _, v in rows]).reshape(len(rows), grid.size)
     try:
         # a bad curve on a line before the failure is the first error

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import survmae.cli as cli
 from survmae import SurvivalDataset, load_dataset, save_dataset
 from survmae.cli import _KIND_ALIASES, build_parser, main
 from survmae.estimators import KaplanMeierFit, model_from_json
@@ -109,6 +111,39 @@ def test_no_arguments_exits_with_usage():
         main([])
     with pytest.raises(SystemExit):
         main(["compress"])
+
+
+def test_successive_calls_carry_no_options_over(truth_csv, monkeypatch, capsys):
+    # main reuses one parser: the second call omits --seed and --pred-method,
+    # which the first sets, and must get their defaults
+    seen = []
+    real = cli.run_experiment
+
+    def recording(ds, models, **kwargs):
+        seen.append(kwargs)
+        return real(ds, models, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    base = ["experiment", str(truth_csv), "--models", "km", "--k", "3"]
+    assert main(base + ["--seed", "7", "--pred-method", "mean"]) == 0
+    first = capsys.readouterr().out
+    assert main(base) == 0
+    assert seen == [
+        {"k": 3, "seed": 7, "pred_method": "mean"},
+        {"k": 3, "seed": 0, "pred_method": "median"},
+    ]
+    assert capsys.readouterr().out != first
+
+
+def test_main_runs_the_command_function_found_at_call_time(plain_csv, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_stats", lambda args: calls.append(args.data) or 5)
+    assert main(["stats", str(plain_csv)]) == 5
+    assert calls == [str(plain_csv)]
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 # ------------------------------------------------------------------- synth
@@ -307,6 +342,23 @@ def test_experiment_rejects_unknown_model(truth_csv, capsys):
     code = main(["experiment", str(truth_csv), "--models", "boosted"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("data", ["plain_csv", "truth_csv"])
+def test_experiment_refuses_a_bad_noise_by_name(data, noise, request, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["experiment", str(request.getfixturevalue(data)), "--models", f"km,noisy:{noise}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["-o", str(report)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: model spec 'noisy:{noise}': noise must be a finite number >= 0\n"
+    )
+    assert captured.out == ""
+    assert not report.exists()
 
 
 def test_experiment_refuses_coxph_on_a_featureless_dataset(truth_csv, tmp_path, capsys):

@@ -8,6 +8,7 @@ exception type and message. ``save_dataset`` and ``save_curve_file`` must
 write the bytes of a ``csv.writer`` that formats each number with ``repr``.
 """
 
+import contextlib
 import csv
 import os
 import string
@@ -106,6 +107,10 @@ def csv_readers():
             row = next(self._reader)
             self.rows += 1
             return row
+
+        @property
+        def line_num(self):
+            return self._reader.line_num
 
     with mock.patch.object(csv, "reader", CountingReader):
         yield readers
@@ -390,6 +395,65 @@ def test_the_line_reader_counts_blank_lines(tmp_path, load, text, message):
     assert outcome(load, path) == ("error", DataFormatError, message)
     with slow():
         assert outcome(load, path) == ("error", DataFormatError, message)
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        # a quoted header field over two lines: the first row is on line 3
+        (
+            load_dataset,
+            'time,event,"f\ng"\n1.5,x,2\n',
+            "line 3: non-numeric value 'x' in column 'event'",
+        ),
+        (load_curve_file, 't,1,"2\n"\n0,0.9,x\n', "line 3: non-numeric field"),
+        # a row whose quoted field spans lines 2 and 3, then a bad row
+        (
+            load_dataset,
+            'time,event,f\n1.0,1,"2\n"\n1.5,x,2\n',
+            "line 4: non-numeric value 'x' in column 'event'",
+        ),
+        (load_curve_file, 't,1,2\n0,0.9,"0.5\n"\n1,0.8,x\n', "line 4: non-numeric field"),
+        # rule errors and width errors name the row's first line too
+        (
+            load_dataset,
+            'time,event,f\n1.0,1,"2\n\n"\n-1.5,1,2\n',
+            "line 5: observed time must be positive, got -1.5",
+        ),
+        (
+            load_curve_file,
+            't,1,2\n0,0.9,"0.5\n"\n1,0.8,0.9\n',
+            "line 4: values must be non-increasing",
+        ),
+        (
+            load_dataset,
+            'time,event,"f\r\ng"\r\n1.0,1,2\r\n\r\n1.5,1\r\n',
+            "line 5: expected 3 fields, found 2",
+        ),
+        (
+            load_curve_file,
+            f't,1,"2\n"\n0,0.9,0.5\n1,0.8,"{HUGE_FIELD}\n',
+            "line 4: field larger than field limit (131072)",
+        ),
+    ],
+    ids=[
+        "dataset-header",
+        "curves-header",
+        "dataset-row",
+        "curves-row",
+        "dataset-rule",
+        "curves-rule",
+        "dataset-width",
+        "curves-huge-field",
+    ],
+)
+def test_errors_name_the_file_line_across_multi_line_fields(tmp_path, load, text, message):
+    path = write(tmp_path, text)
+    for reader in (contextlib.nullcontext, slow):
+        with reader():
+            kind, cls, got = outcome(load, path)
+        assert (kind, cls) == ("error", DataFormatError)
+        assert got.startswith(message)
 
 
 # ------------------------------------------------------------------- pipes

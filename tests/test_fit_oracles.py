@@ -2,11 +2,20 @@
 
 ``coxph_fit`` builds its risk sets once per fit and its line search evaluates
 the log-likelihood alone; ``weibull_aft_fit`` likewise skips the derivatives
-in its line search. The oracles below sort the times and recompute the risk
-sets, the gradient and the Hessian on every likelihood call, as the fits were
-first written. Both must give the same parameters, baselines and errors, bit
-for bit.
+in its line search. Both fits make one likelihood pass per point they try,
+and both stop at once when the iteration reaches a fixed point. The oracles
+below sort the times and recompute the risk sets, the gradient and the
+Hessian on every likelihood call, and run every stalled fit to the end of its
+budget, as the fits were first written. Both must give the same parameters,
+baselines and errors, bit for bit, and the fits must try the oracles' points
+in the oracles' order, each once.
 """
+
+import inspect
+import sys
+from contextlib import contextmanager
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +24,15 @@ from hypothesis import strategies as st
 
 from survmae import SurvivalDataset
 from survmae.errors import ConvergenceError, SeparationError
+from survmae import estimators
 from survmae.estimators import (
     CumulativeHazard,
     breslow_baseline,
     coxph_fit,
     weibull_aft_fit,
 )
+
+THIS = sys.modules[__name__]
 
 
 def oracle_cox_loglik_parts(beta, x_centered, times, events, want_derivs):
@@ -151,6 +163,66 @@ def assert_same_error(expected, fit):
         assert same_bits(err.value.last_params, last_params)
 
 
+@contextmanager
+def recorded_calls(owner, name):
+    """Patch the likelihood function ``owner.name`` to record each call as
+    ``(point, caller line)``: the point, as bytes, is ``beta``, or ``(a, b)``
+    for the Weibull functions."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args):
+        point = args[0] if np.ndim(args[0]) else args[:2]
+        calls.append((np.asarray(point, dtype=float).tobytes(), sys._getframe(1).f_lineno))
+        return real(*args)
+
+    with mock.patch.object(owner, name, recording):
+        yield calls
+
+
+class Traced(NamedTuple):
+    got: object  # the fit's value or raised error
+    fit_points: list  # the point of each of the fit's likelihood passes
+    expected: tuple  # the oracle's value or (class, message, last_params)
+    tried: list  # the points the oracle tries, in order
+    oracle_calls: int
+
+
+def traced_fits(kind, ds, max_iter) -> Traced:
+    """Run the fit and its oracle on ``ds``, recording their likelihood calls."""
+    fit, fit_loglik, oracle, oracle_loglik = {
+        "cox": (coxph_fit, "_cox_loglik", oracle_coxph_fit, "oracle_cox_loglik_parts"),
+        "weibull": (
+            weibull_aft_fit, "_weibull_loglik", oracle_weibull_fit, "oracle_weibull_loglik"
+        ),
+    }[kind]
+    with recorded_calls(THIS, oracle_loglik) as oracle_calls:
+        expected = oracle(ds, max_iter)
+    with recorded_calls(estimators, fit_loglik) as fit_calls:
+        try:
+            got = fit(ds, max_iter=max_iter)
+        except (ConvergenceError, SeparationError) as exc:
+            got = exc
+    # the oracle's last call site passes each accepted point a second time,
+    # for its derivatives; the others pass the start and each candidate
+    source, first = inspect.getsourcelines(oracle)
+    again = first + max(i for i, text in enumerate(source) if f"{oracle_loglik}(" in text)
+    tried = [point for point, line in oracle_calls if line != again]
+    return Traced(got, [point for point, _ in fit_calls], expected, tried, len(oracle_calls))
+
+
+def assert_one_pass_per_point(run: Traced):
+    """The fit tries the oracle's points in the oracle's order, one pass
+    each. If it stops first, it has met a fixed point: it raises the budget's
+    error, and the oracle only tries points again until its budget runs out."""
+    n = len(run.fit_points)
+    assert run.fit_points == run.tried[:n]
+    if n < len(run.tried):
+        assert isinstance(run.got, ConvergenceError)
+        assert str(run.got).startswith("no convergence after")
+        assert set(run.tried[n:]) <= set(run.fit_points)
+
+
 def assert_cox_fit_equals_oracle(ds, max_iter):
     expected = oracle_coxph_fit(ds, max_iter)
     if isinstance(expected[0], type):
@@ -185,7 +257,8 @@ def survival_data(rng, n, n_features, tie_grid, event_rate, effect):
     tie_grid=st.sampled_from([0, 2, 10]),  # 0: continuous times, else dense ties
     event_rate=st.floats(0.05, 1.0),
     effect=st.sampled_from([0.0, 0.5, 3.0, 30.0]),  # 30: near separation
-    max_iter=st.sampled_from([1, 3, 100]),
+    # long budgets let a stalled fit run past its fixed point
+    max_iter=st.sampled_from([1, 3, 100]) | st.integers(1, 250),
 )
 def test_coxph_fit_equals_the_recomputing_oracle(
     data_seed, n, n_features, tie_grid, event_rate, effect, max_iter
@@ -193,6 +266,7 @@ def test_coxph_fit_equals_the_recomputing_oracle(
     rng = np.random.default_rng(data_seed)
     ds = survival_data(rng, n, n_features, tie_grid, event_rate, effect)
     assert_cox_fit_equals_oracle(ds, max_iter)
+    assert_one_pass_per_point(traced_fits("cox", ds, max_iter))
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,18 +276,27 @@ def test_coxph_fit_equals_the_recomputing_oracle(
     tie_grid=st.sampled_from([0, 2, 10]),
     event_rate=st.floats(0.05, 1.0),
     shape=st.sampled_from([0.3, 1.0, 4.0]),
-    max_iter=st.sampled_from([1, 3, 100]),
+    max_iter=st.sampled_from([1, 3, 100]) | st.integers(1, 250),
 )
 def test_weibull_aft_fit_equals_the_recomputing_oracle(
     data_seed, n, tie_grid, event_rate, shape, max_iter
 ):
     rng = np.random.default_rng(data_seed)
+    ds = weibull_data(rng, n, tie_grid, event_rate, shape)
+    assert_weibull_fit_equals_oracle(ds, max_iter)
+    assert_one_pass_per_point(traced_fits("weibull", ds, max_iter))
+
+
+def weibull_data(rng, n, tie_grid, event_rate, shape):
     t = 5.0 * rng.weibull(shape, n) + 1e-6
     if tie_grid:
         t = np.ceil(t * tie_grid) / tie_grid
     events = rng.random(n) < event_rate
     events[int(rng.integers(n))] = True
-    ds = SurvivalDataset.from_arrays(t, events)
+    return SurvivalDataset.from_arrays(t, events)
+
+
+def assert_weibull_fit_equals_oracle(ds, max_iter):
     expected = oracle_weibull_fit(ds, max_iter)
     if isinstance(expected[0], type):
         assert_same_error(expected, lambda: weibull_aft_fit(ds, max_iter=max_iter))
@@ -243,3 +326,64 @@ def test_coxph_fit_fails_as_the_oracle_does_within_the_full_budget(
     with pytest.raises((ConvergenceError, SeparationError), match=message):
         coxph_fit(ds)
     assert_cox_fit_equals_oracle(ds, 100)
+
+
+def searched_cox_stall():
+    # the "no convergence after 100" dataset above: from Newton iteration 21
+    # on, the line search's accepted candidate equals the iterate, bit for bit
+    rng = np.random.default_rng(55)
+    n, n_features = int(rng.integers(20, 300)), int(rng.integers(1, 5))
+    return survival_data(rng, n, n_features, 2, float(rng.uniform(0.05, 1.0)), 30.0)
+
+
+def searched_weibull_stall():
+    # found by a search over seeds 0-299 of this generator with tie grids
+    # {0, 2, 10} and shapes {0.3, 1, 4}: the one Weibull fit of the 2,700
+    # that ends in "no convergence after 100"; from Newton iteration 13 on,
+    # the line search's accepted candidate equals the iterate, bit for bit
+    rng = np.random.default_rng(244)
+    n = int(rng.integers(1, 400))
+    t = 5.0 * rng.weibull(0.3, n) + 1e-6
+    t = np.ceil(t * 10) / 10
+    events = rng.random(n) < float(rng.uniform(0.05, 1.0))
+    events[int(rng.integers(n))] = True
+    return SurvivalDataset.from_arrays(t, events)
+
+
+STALLS = {"cox": searched_cox_stall, "weibull": searched_weibull_stall}
+
+
+@pytest.mark.parametrize("max_iter", [1, 12, 13, 14, 20, 21, 22, 100, 250])
+@pytest.mark.parametrize("kind", ["cox", "weibull"])
+def test_a_stalled_fit_ends_at_its_fixed_point_with_the_oracles_error(kind, max_iter):
+    run = traced_fits(kind, STALLS[kind](), max_iter)
+    cls, message, last_params = run.expected
+    assert (cls, message) == (ConvergenceError, "no convergence")
+    assert isinstance(run.got, ConvergenceError)
+    assert str(run.got) == f"no convergence after {max_iter} Newton iterations"
+    assert same_bits(run.got.last_params, last_params)
+    assert_one_pass_per_point(run)
+    assert len(run.fit_points) < run.oracle_calls
+
+
+@pytest.mark.parametrize("kind", ["cox", "weibull"])
+def test_a_stalled_fit_makes_no_pass_past_its_fixed_point(kind):
+    runs = {max_iter: traced_fits(kind, STALLS[kind](), max_iter) for max_iter in (30, 100, 250)}
+    assert runs[30].fit_points == runs[100].fit_points == runs[250].fit_points
+    # the fit stops at the first candidate equal to its iterate, which it
+    # does not pass; the oracle goes on trying the points of that cycle
+    assert len(runs[100].tried) > len(runs[30].tried) > len(runs[30].fit_points)
+    assert runs[100].oracle_calls > 4 * len(runs[100].fit_points)
+
+
+@pytest.mark.parametrize("kind", ["cox", "weibull"])
+def test_a_converging_fit_makes_one_pass_per_point_it_tries(kind):
+    rng = np.random.default_rng(3)
+    if kind == "cox":
+        ds = survival_data(rng, 300, 3, 10, 0.7, 0.5)
+    else:
+        ds = weibull_data(rng, 300, 10, 0.7, 1.0)
+    run = traced_fits(kind, ds, 100)
+    assert not isinstance(run.got, Exception) and not isinstance(run.expected[0], type)
+    assert run.fit_points == run.tried
+    assert run.oracle_calls > len(run.tried)  # the oracle passes accepted points twice

@@ -21,6 +21,7 @@ from survmae import (
     run_experiment,
     save_curve_file,
 )
+from survmae import harness
 from survmae.harness import MAE_METRICS, METRICS, _unique_names
 from survmae.mae import extract_predicted_times
 
@@ -56,6 +57,34 @@ def test_parse_model_spec_rejects_garbage():
         parse_model_spec("noisy:lots")
     with pytest.raises(ConfigurationError):
         ModelSpec(kind="boosted_trees")
+
+
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf", "-inf", "1e400", "lots"])
+def test_a_parsed_noisy_spec_with_a_bad_noise_is_refused_by_name(noise):
+    text = f"noisy:{noise}"
+    message = f"model spec {text!r}: noise must be a finite number >= 0"
+    with pytest.raises(ConfigurationError) as err:
+        parse_model_spec(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("noise", [-1, -0.5, math.nan, math.inf, "x", None])
+def test_a_noisy_spec_with_a_bad_noise_is_refused_before_any_fold(noise, monkeypatch):
+    ds = oracle_ready_dataset(np.random.default_rng(5), n=60)
+
+    def no_folds(*args):
+        raise AssertionError("a fold was split")
+
+    monkeypatch.setattr(harness, "stratified_kfold", no_folds)
+    with pytest.raises(ConfigurationError) as err:
+        run_experiment(ds, [ModelSpec(kind="km"), ModelSpec("noisy_oracle", {"noise": noise})])
+    assert str(err.value) == f"model spec 'noisy:{noise}': noise must be a finite number >= 0"
+
+
+def test_a_noisy_spec_accepts_every_finite_nonnegative_noise():
+    for noise in (0, 0.0, 0.25, 3):
+        assert ModelSpec("noisy_oracle", {"noise": noise}).params == {"noise": noise}
+    assert ModelSpec("noisy_oracle").params == {}
 
 
 def test_unique_names():
@@ -103,6 +132,13 @@ def test_noisy_oracle_requires_truths():
     ds2 = oracle_ready_dataset(np.random.default_rng(72), n=10)
     with pytest.raises(ValueError):
         noisy_oracle_predictions(ds2, -0.1, seed=1)
+
+
+@pytest.mark.parametrize("noise", [-0.1, -math.inf, math.nan, math.inf])
+def test_noisy_oracle_refuses_a_noise_that_is_not_finite_and_nonnegative(noise):
+    ds = oracle_ready_dataset(np.random.default_rng(72), n=10)
+    with pytest.raises(ValueError, match="^noise must be a finite number >= 0$"):
+        noisy_oracle_predictions(ds, noise, seed=1)
 
 
 # -------------------------------------------------------------- curve files
