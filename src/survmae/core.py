@@ -271,11 +271,39 @@ class StepCurve:
         return area
 
 
+def _batch_passes(knots, values) -> bool:
+    """Whether every row of an unpadded batch keeps every :class:`StepCurve`
+    rule, in one pass: knots rise strictly from a nonnegative first knot to a
+    finite last one (so all are finite), and values lie in [0, 1] (so all are
+    finite) and rise nowhere by more than 1e-12. Comparing neighbours instead
+    of differencing them keeps ``inf - inf`` from warning."""
+    if values.strides[0] == 0:
+        values = values[:1]
+    return bool(
+        (knots[..., 0] >= 0).all()
+        and np.isfinite(knots[..., -1]).all()
+        and (knots[..., 1:] > knots[..., :-1]).all()
+        and values.min() >= 0
+        and values.max() <= 1
+        and not (values[:, 1:] - values[:, :-1] > 1e-12).any()
+    )
+
+
 def _first_bad_row(knots, values, real):
     """``(row, reason)`` of the first row that breaks a :class:`StepCurve`
     rule, or None. ``real`` masks the entries that are not padding (None: all
-    are real). A rule that shared knots break is broken by every row. Rows
-    whose values are one broadcast row are checked once."""
+    are real). An unpadded batch that keeps every rule is accepted in one
+    pass; the rule-by-rule scan runs only to name a failure."""
+    if not values.shape[0] or (real is None and _batch_passes(knots, values)):
+        return None
+    with np.errstate(invalid="ignore"):  # inf - inf in the diffs of bad rows
+        return _scan_bad_row(knots, values, real)
+
+
+def _scan_bad_row(knots, values, real):
+    """:func:`_first_bad_row` rule by rule, each rule on every row. A rule
+    that shared knots break is broken by every row. Rows whose values are one
+    broadcast row are checked once."""
     n = values.shape[0]
     if n and values.strides[0] == 0 and real is None:
         values = values[:1]
@@ -501,8 +529,10 @@ class CurveBatch:
         return self._on_grid(grid, "left")
 
     def median_times(self) -> np.ndarray:
-        """:meth:`StepCurve.median_time` of every row."""
-        below = self.values <= 0.5
+        """:meth:`StepCurve.median_time` of every row. Rows that share one
+        broadcast value row find its median index once."""
+        values = self.values
+        below = (values[:1] if values.strides[0] == 0 else values) <= 0.5
         hit = below.any(axis=1)
         v_last = self.v_last
         flat = np.flatnonzero(~hit & (v_last >= 1.0))

@@ -52,6 +52,7 @@ from .mae import (
     weighted_mae,
 )
 from .metrics import (
+    _brier_weights,
     concordance_index,
     d_calibration,
     integrated_brier_score,
@@ -109,9 +110,13 @@ _PREDICTION_METRICS = {
     "c_index": lambda p, ref: concordance_index(p, ref.test),
 }
 
+_IBS_GRID = 100  # integrated Brier score grid points
+
 # metric -> scorer(curves, ref)
 _CURVE_METRICS = {
-    "ibs": lambda c, ref: integrated_brier_score(c, ref.test, ref.g, 100, ref.t_max),
+    "ibs": lambda c, ref: integrated_brier_score(
+        c, ref.test, ref.g, _IBS_GRID, ref.t_max, weights=ref.ibs_weights
+    ),
     "log_likelihood": lambda c, ref: log_likelihood(c, ref.test),
     "one_calibration_p": lambda c, ref: (
         None if ref.t_star is None else one_calibration(c, ref.test, ref.t_star).p_value
@@ -197,18 +202,27 @@ def noisy_oracle_predictions(ds_test: SurvivalDataset, noise: float, seed: int):
     Returns a :class:`CurveBatch`: knot row i is ``median_i * _REL_KNOTS`` and
     every row shares the probability grid. With ``noise == 0`` the extracted
     medians reproduce the hidden truths exactly. Requires ground truth on the
-    dataset and a finite ``noise >= 0``.
+    dataset and a finite ``noise >= 0``. A large noise can draw a median whose
+    knots overflow to inf or round together near 0; the first such subject
+    raises :class:`DegenerateCurveError`.
     """
     if ds_test.true_times is None:
         raise MissingGroundTruthError("noisy oracle needs true event times")
     if not 0.0 <= noise < math.inf:
         raise ValueError(_NOISE_RULE)
     rng = np.random.default_rng(seed)
-    medians = ds_test.true_times * np.exp(rng.normal(0.0, noise, ds_test.n))
-    return CurveBatch(
-        knots=medians[:, None] * _REL_KNOTS[None, :],
-        values=np.broadcast_to(_PROB_GRID, (ds_test.n, _PROB_GRID.size)),
-    )
+    with np.errstate(over="ignore"):
+        medians = ds_test.true_times * np.exp(rng.normal(0.0, noise, ds_test.n))
+        knots = medians[:, None] * _REL_KNOTS[None, :]
+    try:
+        return CurveBatch(
+            knots=knots, values=np.broadcast_to(_PROB_GRID, (ds_test.n, _PROB_GRID.size))
+        )
+    except InvalidCurveError as exc:
+        raise DegenerateCurveError(
+            f"subject {exc.row}: noise {noise:g} drew the median {float(medians[exc.row])!r}, "
+            f"which gives no valid curve ({exc.reason})"
+        ) from None
 
 
 class CurveTable(Mapping):
@@ -469,11 +483,11 @@ MODEL_KINDS = {
 }
 
 
-def _attempt(fn, *args):
-    """``fn(*args)``, or None when it raises one of ``_CELL_ERRORS``: the one
-    place where an undefined score or model becomes a missing cell."""
+def _attempt(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or None when it raises one of ``_CELL_ERRORS``:
+    the one place where an undefined score or model becomes a missing cell."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except _CELL_ERRORS:
         return None
 
@@ -487,19 +501,26 @@ class _Reference:
     t_star: float | None  # one-calibration horizon: median training event time
     t_max: float | None  # IBS horizon; None takes the test set's last event
     surrogates: dict  # surrogate-based MAE metric -> its set, None if undefined
+    ibs_weights: object  # the IBS inputs of every model, None if undefined
 
 
 def _reference(train, test, t_max) -> _Reference:
     km = km_fit(train.times, train.events)
+    # one KM fit of the test set serves every surrogate builder that needs it
+    test_km = km if test is train else km_fit(test.times, test.events)
     surrogates = {
         "mae_margin": _attempt(margin_surrogates, test, km),
-        "mae_ipcw_t": _attempt(ipcw_t_surrogates, test),
-        "mae_po": _attempt(pseudo_obs_surrogates, test),
-        "mae_pop_po": _attempt(pop_po_surrogates, test),
+        "mae_ipcw_t": _attempt(ipcw_t_surrogates, test, km=test_km),
+        "mae_po": _attempt(pseudo_obs_surrogates, test, km=test_km),
+        "mae_pop_po": _attempt(pop_po_surrogates, test, km=test_km),
     }
     events = train.times[train.events]
     t_star = float(np.median(events)) if events.size else None
-    return _Reference(test, censoring_km_fit(train), t_star, t_max, surrogates)
+    g = censoring_km_fit(train)
+    # an undefined IBS horizon leaves the weights to integrated_brier_score,
+    # which raises its error for each model
+    ibs_weights = _attempt(_brier_weights, test, g, _IBS_GRID, t_max)
+    return _Reference(test, g, t_star, t_max, surrogates, ibs_weights)
 
 
 def _score(curves: CurveBatch, ref: _Reference, pred_method: str) -> dict:

@@ -186,10 +186,23 @@ def margin_surrogates(ds: SurvivalDataset, km_train: KaplanMeierFit) -> Surrogat
     return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
 
 
-def ipcw_t_surrogates(ds: SurvivalDataset) -> SurrogateSet:
+def _km_of(ds: SurvivalDataset, km: KaplanMeierFit | None) -> KaplanMeierFit:
+    """``km``, which must be the Kaplan-Meier fit of ``ds``, or that fit."""
+    if km is None:
+        return km_fit(ds.times, ds.events)
+    if km.curve.t_last != ds.times.max() or km.n_events.sum() != np.count_nonzero(ds.events):
+        raise ValueError("km is not the Kaplan-Meier fit of this dataset")
+    return km
+
+
+def ipcw_t_surrogates(
+    ds: SurvivalDataset, *, km: KaplanMeierFit | None = None
+) -> SurrogateSet:
     """Surrogate = mean of the strictly later uncensored times, margin weights.
 
-    Censored subjects with no later event are excluded entirely.
+    Censored subjects with no later event are excluded entirely. ``km`` is
+    ``km_fit(ds.times, ds.events)``, passed to share one fit among the
+    builders; without it the fit is made here.
     """
     surrogate, weight, included = _uncensored_base(ds)
     ev_times = np.sort(ds.times[ds.events])
@@ -201,21 +214,21 @@ def ipcw_t_surrogates(ds: SurvivalDataset) -> SurrogateSet:
     included[censored[~has_later]] = False
     kept = censored[has_later]
     if kept.size:
-        km = km_fit(ds.times, ds.events)
+        km = _km_of(ds, km)
         surrogate[kept] = suffix[pos[has_later]] / later[has_later]
         weight[kept] = 1.0 - km.curve.value(ds.times[kept])
     return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
 
 
-def _km_restricted_means(ds: SurvivalDataset):
-    """Restricted mean of the KM curve plus all leave-one-censored-out means.
+def _km_restricted_means(fit: KaplanMeierFit):
+    """Restricted mean of the KM curve ``fit`` plus all leave-one-censored-out
+    means.
 
-    Returns ``(fit, theta, theta_loo)`` where ``theta_loo[c]`` is the
-    restricted mean after removing one censored subject whose time covers the
-    first ``c`` event knots. All integrals run over [0, last curve knot], the
+    Returns ``(theta, theta_loo)`` where ``theta_loo[c]`` is the restricted
+    mean after removing one censored subject whose time covers the first
+    ``c`` event knots. All integrals run over [0, last curve knot], the
     largest observed time, extending the final plateau.
     """
-    fit = km_fit(ds.times, ds.events)
     et, n_k, d_k = fit.event_times, fit.at_risk, fit.n_events
     horizon = fit.curve.t_last
     p_full = np.cumprod((n_k - d_k) / n_k)
@@ -233,22 +246,26 @@ def _km_restricted_means(ds: SurvivalDataset):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.concatenate(([1.0], p_dec / p_full))
         theta_loo = head + prefix + ratio * suffix
-    return fit, theta, theta_loo
+    return theta, theta_loo
 
 
-def pseudo_obs_surrogates(ds: SurvivalDataset) -> SurrogateSet:
+def pseudo_obs_surrogates(
+    ds: SurvivalDataset, *, km: KaplanMeierFit | None = None
+) -> SurrogateSet:
     """Pseudo-observation surrogates with margin-style weights.
 
     Each censored subject i receives ``N * theta - (N - 1) * theta_loo(i)``
     where theta is the restricted mean survival time of the KM curve over the
     whole sample and theta_loo(i) drops subject i. The leave-one-out fit is
     recomputed incrementally from the shared count table (at-risk counts fall
-    by one at every knot the subject outlived).
+    by one at every knot the subject outlived). ``km`` is as in
+    :func:`ipcw_t_surrogates`.
     """
     if not ds.events.any():
         raise UndefinedMetricError("pseudo-observations need at least one event")
     surrogate, weight, included = _uncensored_base(ds)
-    fit, theta, theta_loo = _km_restricted_means(ds)
+    fit = _km_of(ds, km)
+    theta, theta_loo = _km_restricted_means(fit)
     censored = np.nonzero(~ds.events)[0]
     cuts = np.searchsorted(fit.event_times, ds.times[censored], side="right")
     surrogate[censored] = ds.n * theta - (ds.n - 1) * theta_loo[cuts]
@@ -256,12 +273,16 @@ def pseudo_obs_surrogates(ds: SurvivalDataset) -> SurrogateSet:
     return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
 
 
-def pop_po_surrogates(ds: SurvivalDataset) -> SurrogateSet:
-    """Population ablation: every censored subject gets the group KM mean."""
+def pop_po_surrogates(
+    ds: SurvivalDataset, *, km: KaplanMeierFit | None = None
+) -> SurrogateSet:
+    """Population ablation: every censored subject gets the group KM mean.
+    ``km`` is as in :func:`ipcw_t_surrogates`."""
     if not ds.events.any():
         raise UndefinedMetricError("population surrogate needs at least one event")
     surrogate, weight, included = _uncensored_base(ds)
-    fit, theta, _ = _km_restricted_means(ds)
+    fit = _km_of(ds, km)
+    theta, _ = _km_restricted_means(fit)
     censored = ~ds.events
     surrogate[censored] = theta
     weight[censored] = 1.0 - fit.curve.value(ds.times[censored])

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .core import CurveBatch, SurvivalDataset
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
@@ -107,31 +106,50 @@ def brier_score_at(
     return total / ds.n
 
 
-def integrated_brier_score(
-    curves,
-    ds: SurvivalDataset,
-    g_train: KaplanMeierFit,
-    grid_size: int = 100,
-    t_max: float | None = None,
-) -> float:
-    """Trapezoidal average of the Brier score over [0, t_max].
+@dataclass(frozen=True, eq=False)
+class _BrierWeights:
+    """The inputs of :func:`integrated_brier_score` that depend only on the
+    dataset, the censoring fit, the grid size and the horizon, so that every
+    model scored on one test set can share them.
 
-    ``t_max`` defaults to the largest event time in ``ds``; pass the combined
-    train/test maximum when scoring folds. A single-point grid degenerates to
-    the plain Brier score at ``t_max``.
+    ``grid`` is None for a one-point grid, which scores the plain Brier score
+    at ``horizon``. Otherwise ``g_dead`` is G(t-) at each subject's time,
+    ``g_grid`` is G on the grid, ``dead_term`` and ``alive_term`` mark the
+    subjects x grid entries that add a dead or a surviving term, and
+    ``undefined`` is True when some grid point needs a censoring weight that
+    no subject keeps.
     """
+
+    ds: SurvivalDataset
+    g_train: KaplanMeierFit
+    grid_size: int
+    t_max: float | None  # as requested; None takes the dataset's last event
+    horizon: float
+    grid: np.ndarray | None = None
+    g_dead: np.ndarray | None = None
+    g_grid: np.ndarray | None = None
+    dead_term: np.ndarray | None = None
+    alive_term: np.ndarray | None = None
+    undefined: bool = False
+
+
+def _brier_weights(
+    ds: SurvivalDataset, g_train: KaplanMeierFit, grid_size: int, t_max: float | None
+) -> _BrierWeights:
+    """The :class:`_BrierWeights` of :func:`integrated_brier_score` with these
+    arguments; raises what it raises for a bad grid size or horizon."""
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
-    if t_max is None:
+    horizon = t_max
+    if horizon is None:
         if not ds.events.any():
             raise UndefinedMetricError("no event time available to set the horizon")
-        t_max = float(ds.times[ds.events].max())
-    if t_max <= 0:
+        horizon = float(ds.times[ds.events].max())
+    if horizon <= 0:
         raise ValueError("t_max must be positive")
     if grid_size == 1:
-        return brier_score_at(curves, ds, t_max, g_train)
-    grid = np.linspace(0.0, t_max, grid_size)
-    s_matrix = CurveBatch.from_curves(curves).value_on(grid)  # subjects x grid
+        return _BrierWeights(ds, g_train, grid_size, t_max, horizon)
+    grid = np.linspace(0.0, horizon, grid_size)
     times = ds.times
     g_dead = g_train.curve.value_before(times)
     g_grid = g_train.curve.value(grid)
@@ -141,16 +159,62 @@ def integrated_brier_score(
     some_alive = grid < times.max()
     needy = some_alive | (grid >= np.min(times, where=ds.events, initial=np.inf))
     covered = (some_alive & (g_grid > 0.0)) | (grid >= np.min(times, where=weighed, initial=np.inf))
-    if np.any(needy & ~covered):
-        raise UndefinedMetricError("all subjects lost their censoring weight")
     dead = times[:, None] <= grid[None, :]
+    return _BrierWeights(
+        ds,
+        g_train,
+        grid_size,
+        t_max,
+        horizon,
+        grid=grid,
+        g_dead=g_dead,
+        g_grid=g_grid,
+        dead_term=dead & weighed[:, None],
+        alive_term=~dead & (g_grid > 0.0),
+        undefined=bool(np.any(needy & ~covered)),
+    )
+
+
+def integrated_brier_score(
+    curves,
+    ds: SurvivalDataset,
+    g_train: KaplanMeierFit,
+    grid_size: int = 100,
+    t_max: float | None = None,
+    *,
+    weights: _BrierWeights | None = None,
+) -> float:
+    """Trapezoidal average of the Brier score over [0, t_max].
+
+    ``t_max`` defaults to the largest event time in ``ds``; pass the combined
+    train/test maximum when scoring folds. A single-point grid degenerates to
+    the plain Brier score at ``t_max``. ``weights`` are the inputs that do
+    not depend on ``curves``, built once by ``_brier_weights`` with the same
+    ``ds``, ``g_train``, ``grid_size`` and ``t_max`` (``ValueError``
+    otherwise) and shared by the models scored on one test set; the score is
+    the same float with them or without.
+    """
+    if weights is None:
+        weights = _brier_weights(ds, g_train, grid_size, t_max)
+    elif (
+        weights.ds is not ds
+        or weights.g_train is not g_train
+        or weights.grid_size != grid_size
+        or weights.t_max != t_max
+    ):
+        raise ValueError("weights were built for another dataset, censoring fit, grid or horizon")
+    if weights.grid is None:
+        return brier_score_at(curves, ds, weights.horizon, g_train)
+    s_matrix = CurveBatch.from_curves(curves).value_on(weights.grid)  # subjects x grid
+    if weights.undefined:
+        raise UndefinedMetricError("all subjects lost their censoring weight")
     contrib = np.zeros(s_matrix.shape)
-    np.divide(s_matrix**2, g_dead[:, None], out=contrib, where=dead & weighed[:, None])
-    np.divide((1.0 - s_matrix) ** 2, g_grid, out=contrib, where=~dead & (g_grid > 0.0))
+    np.divide(s_matrix**2, weights.g_dead[:, None], out=contrib, where=weights.dead_term)
+    np.divide((1.0 - s_matrix) ** 2, weights.g_grid, out=contrib, where=weights.alive_term)
     scores = contrib.sum(axis=0) / ds.n
-    steps = np.diff(grid)
+    steps = np.diff(weights.grid)
     area = float(np.sum((scores[:-1] + scores[1:]) / 2.0 * steps))
-    return area / t_max
+    return area / weights.horizon
 
 
 def log_likelihood(curves, ds: SurvivalDataset) -> float:
@@ -198,8 +262,16 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
 
 
 def _chi2_sf(statistic: float, df: int) -> float:
-    """Chi-square upper tail probability; NaN when there is no degree of freedom."""
-    return float(chdtrc(df, statistic)) if df >= 1 else float("nan")
+    """Chi-square upper tail probability; NaN when there is no degree of freedom.
+
+    ``scipy.special`` is imported here, with the first p-value: it is most of
+    the cost of importing the package, and many runs compute no p-value.
+    """
+    if df < 1:
+        return float("nan")
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, statistic))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy import stats as sps
@@ -38,6 +38,7 @@ from survmae import (
     noisy_oracle_predictions,
     one_calibration,
 )
+from survmae.core import _batch_passes, _first_bad_row, _scan_bad_row
 from survmae.harness import _PROB_GRID, _REL_KNOTS
 
 PROPERTY = settings(
@@ -360,6 +361,114 @@ def test_from_curves_layouts():
         CurveBatch.from_curves([])
 
 
+# ------------------------------------------- one-pass check against the scan
+
+# entries that sit on the edge of a rule: signed zeros, subnormals, the
+# largest float, values a hair above 1 and rises a hair either side of 1e-12
+EDGE_KNOTS = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308, -1.0)
+HOSTILE = (np.nan, np.inf, -np.inf)
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1.0, 1.0 + 5e-13, 1.0 - 5e-13, 0.5)
+RISES = (1e-12, 1e-12 * (1 - 1e-3), 1e-12 * (1 + 1e-3), 2e-12, 5e-13)
+
+
+@st.composite
+def hostile_batches(draw):
+    """Knots and values of an unpadded batch that is valid before a few edits:
+    entries set to an edge case or a non-finite number, knots set equal to
+    their left neighbour, and values raised just under or over 1e-12 above
+    their left neighbour. Knots are shared or per row, values per row or one
+    broadcast row."""
+    n = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 5))
+    shared_knots = draw(st.booleans())
+    shared_values = draw(st.booleans())
+    knot_shape = (width,) if shared_knots else (n, width)
+    value_shape = (1, width) if shared_values else (n, width)
+    scale = draw(st.sampled_from([1.0, 1e-320, 1e-300, 1e300]))
+    ticks = np.sort(
+        np.array(draw(st.lists(st.integers(0, 30), min_size=width, max_size=width, unique=True)))
+    )
+    knots = np.broadcast_to(ticks * scale, knot_shape).copy()
+    values = np.sort(np.array(draw(st.lists(
+        st.sampled_from(LEVELS), min_size=width, max_size=width
+    ))))[::-1]
+    values = np.broadcast_to(values, value_shape).copy()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["knot", "value", "tie", "rise"]))
+        target = knots if kind in ("knot", "tie") else values
+        flat = target.reshape(-1, width)
+        row = draw(st.integers(0, flat.shape[0] - 1))
+        col = draw(st.integers(0, width - 1))
+        if kind == "knot":
+            flat[row, col] = draw(st.sampled_from(EDGE_KNOTS + HOSTILE))
+        elif kind == "value":
+            flat[row, col] = draw(st.sampled_from(EDGE_VALUES + HOSTILE))
+        elif col:
+            if kind == "tie":
+                flat[row, col] = flat[row, col - 1]
+            else:  # from 0 the rise is exact, elsewhere it rounds
+                if draw(st.booleans()):
+                    flat[row, col - 1] = 0.0
+                flat[row, col] = flat[row, col - 1] + draw(st.sampled_from(RISES))
+    if shared_values:
+        values = np.broadcast_to(values, (n, width))
+    return knots, values
+
+
+def scan(knots, values):
+    with np.errstate(invalid="ignore"):
+        return _scan_bad_row(knots, values, None)
+
+
+@settings(max_examples=1500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(batch=hostile_batches())
+def test_one_pass_check_accepts_what_the_scan_accepts(batch):
+    knots, values = batch
+    expected = scan(knots, values)
+    assert _batch_passes(knots, values) == (expected is None)
+    assert _first_bad_row(knots, values, None) == expected
+    if expected is None:
+        CurveBatch(knots=knots, values=values)
+    else:
+        with pytest.raises(InvalidCurveError) as err:
+            CurveBatch(knots=knots, values=values)
+        assert (err.value.row, err.value.reason) == expected
+
+
+INCREASING = "knots must be nonnegative and strictly increasing"
+
+
+@pytest.mark.parametrize(
+    "knots, values, expected",
+    [
+        pytest.param([0.0, 1.0], [[1.0, 0.5]], None, id="valid"),
+        pytest.param([-0.0, 5e-324], [[-0.0, -0.0]], None, id="signed-zeros-subnormal"),
+        pytest.param([1.0, 1.0], [[0.9, 0.5]], (0, INCREASING), id="tie"),
+        pytest.param([1.0, 2.0], [[0.0, 1e-12]], None, id="rise-at-bound"),
+        pytest.param([1.0, 2.0], [[0.5, 0.5 + 1e-12]], None, id="rise-rounded-to-bound"),
+        pytest.param(
+            [1.0, 2.0], [[0.5, 0.5 + 2e-12]], (0, "values must be non-increasing"), id="rise-over"
+        ),
+        pytest.param([1.0, 2.0], [[1.0 + 5e-13, 0.5]], (0, "values must lie in [0, 1]"), id="over-one"),
+        pytest.param(
+            [[1.0, np.inf, np.inf], [1.0, 2.0, 3.0]],
+            [[0.5, 0.4, 0.3]] * 2,
+            (0, "knots must be finite"),
+            id="inf-inf",
+        ),
+        pytest.param(
+            [[1.0, 2.0], [1.0, np.nan]], [[0.5, 0.4]] * 2, (1, "knots must be finite"), id="nan-last"
+        ),
+    ],
+)
+def test_one_pass_check_cases(knots, values, expected):
+    knots, values = np.array(knots), np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf must not warn
+        assert _first_bad_row(knots, values, None) == expected
+    assert scan(knots, values) == expected
+
+
 # ---------------------------------------------- batch equals the StepCurve path
 
 
@@ -458,6 +567,30 @@ def test_extraction_matches_step_curves(curves):
                 batched()
         else:
             assert_array_equal(batched(), expected)
+
+
+@PROPERTY
+@given(case=batch_layouts(), degenerate=st.booleans())
+def test_median_of_a_shared_value_row_matches_step_curves(case, degenerate):
+    batch, curves = case
+    assume(np.all(np.isfinite(batch.knots)))  # not ragged: padding knots are inf
+    n = len(curves)
+    if degenerate:  # rows that never descend
+        batch = CurveBatch(knots=batch.knots, values=np.ones((n, batch.values.shape[1])))
+        curves = [batch[i] for i in range(n)]
+    for shared in (
+        # one broadcast value row over the batch's knots, and the KM layout
+        CurveBatch(knots=batch.knots, values=np.broadcast_to(batch.values[0], batch.values.shape)),
+        CurveBatch.broadcast(curves[0], n),
+    ):
+        assert shared.values.strides[0] == 0
+        rows = [shared[i] for i in range(n)]
+        expected = [outcome(StepCurve.median_time, c) for c in rows]
+        if DegenerateCurveError in expected:
+            with pytest.raises(DegenerateCurveError, match="subject 0:"):
+                shared.median_times()
+        else:
+            assert_array_equal(shared.median_times(), expected)
 
 
 @PROPERTY

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from survmae import (
     ConfigurationError,
     DataFormatError,
+    DegenerateCurveError,
     MissingGroundTruthError,
     ModelSpec,
+    StepCurve,
     SurvivalDataset,
     evaluate_dataset,
     load_curve_file,
@@ -139,6 +143,53 @@ def test_noisy_oracle_refuses_a_noise_that_is_not_finite_and_nonnegative(noise):
     ds = oracle_ready_dataset(np.random.default_rng(72), n=10)
     with pytest.raises(ValueError, match="^noise must be a finite number >= 0$"):
         noisy_oracle_predictions(ds, noise, seed=1)
+
+
+def first_curveless_draw(ds, noise, seed):
+    """The first subject whose drawn median gives knots that are not finite
+    and strictly increasing, built one StepCurve at a time; None if none."""
+    with np.errstate(over="ignore"):
+        medians = ds.true_times * np.exp(np.random.default_rng(seed).normal(0.0, noise, ds.n))
+        for i, median in enumerate(medians):
+            try:
+                StepCurve(knots=median * harness._REL_KNOTS, values=harness._PROB_GRID)
+            except ValueError:
+                return i
+    return None
+
+
+@pytest.mark.parametrize("noise", [1000.0, 1e308])
+def test_a_huge_noise_names_the_first_subject_without_a_curve(noise):
+    ds = oracle_ready_dataset(np.random.default_rng(73), n=60)
+    for seed in range(5):
+        subject = first_curveless_draw(ds, noise, seed)
+        assert subject is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"subject {subject}: noise {noise:g} "
+            with pytest.raises(DegenerateCurveError, match="^" + re.escape(message)):
+                noisy_oracle_predictions(ds, noise, seed)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.1, 0.5, 1.0, 2.0])
+def test_bench_noises_draw_the_same_knots(noise):
+    ds = oracle_ready_dataset(np.random.default_rng(74), n=200)
+    medians = ds.true_times * np.exp(np.random.default_rng(9).normal(0.0, noise, ds.n))
+    curves = noisy_oracle_predictions(ds, noise, seed=9)
+    assert first_curveless_draw(ds, noise, 9) is None
+    assert curves.knots.tobytes() == (medians[:, None] * harness._REL_KNOTS).tobytes()
+
+
+def test_a_huge_noise_blanks_its_folds_and_the_run_goes_on():
+    ds = oracle_ready_dataset(np.random.default_rng(75), n=60)
+    models = [parse_model_spec(s) for s in ("km", "noisy:1000", "noisy:0.5")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(ds, models, k=5, seed=3)
+    cells = report.per_fold["noisy_1000"]
+    assert all(v is None for rows in cells.values() for v in rows)
+    assert all(v is not None for v in report.per_fold["noisy_0.5"]["mae_hinge"])
+    assert all(v is not None for v in report.per_fold["km"]["mae_hinge"])
 
 
 # -------------------------------------------------------------- curve files
