@@ -296,7 +296,9 @@ def _first_bad_row(knots, values, real):
     pass; the rule-by-rule scan runs only to name a failure."""
     if not values.shape[0] or (real is None and _batch_passes(knots, values)):
         return None
-    with np.errstate(invalid="ignore"):  # inf - inf in the diffs of bad rows
+    # inf - inf, or finite knots of opposite sign past 8.9e307, in the diffs
+    # of bad rows
+    with np.errstate(invalid="ignore", over="ignore"):
         return _scan_bad_row(knots, values, real)
 
 

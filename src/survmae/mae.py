@@ -220,21 +220,35 @@ def ipcw_t_surrogates(
     return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
 
 
+def _km_pieces(fit: KaplanMeierFit):
+    """``(head, p_full, widths)`` of the KM curve ``fit``: its first event
+    time, its survival on each piece from one event time to the next, and
+    the pieces' widths, the last piece ending at the last curve knot (the
+    largest observed time)."""
+    p_full = np.cumprod((fit.at_risk - fit.n_events) / fit.at_risk)
+    widths = np.diff(np.append(fit.event_times, fit.curve.t_last))
+    return float(fit.event_times[0]), p_full, widths
+
+
+def _km_restricted_mean(fit: KaplanMeierFit) -> float:
+    """Restricted mean of the KM curve ``fit`` over [0, last curve knot],
+    extending the final plateau."""
+    head, p_full, widths = _km_pieces(fit)
+    return head + float(np.sum(p_full * widths))
+
+
 def _km_restricted_means(fit: KaplanMeierFit):
     """Restricted mean of the KM curve ``fit`` plus all leave-one-censored-out
     means.
 
-    Returns ``(theta, theta_loo)`` where ``theta_loo[c]`` is the restricted
+    Returns ``(theta, theta_loo)`` where ``theta`` is
+    ``_km_restricted_mean(fit)`` and ``theta_loo[c]`` is the restricted
     mean after removing one censored subject whose time covers the first
-    ``c`` event knots. All integrals run over [0, last curve knot], the
-    largest observed time, extending the final plateau.
+    ``c`` event knots. All integrals run over [0, last curve knot].
     """
-    et, n_k, d_k = fit.event_times, fit.at_risk, fit.n_events
-    horizon = fit.curve.t_last
-    p_full = np.cumprod((n_k - d_k) / n_k)
+    n_k, d_k = fit.at_risk, fit.n_events
+    head, p_full, widths = _km_pieces(fit)
     p_dec = np.cumprod((n_k - 1 - d_k) / np.maximum(n_k - 1, 1))
-    widths = np.diff(np.append(et, horizon))
-    head = float(et[0])
     theta = head + float(np.sum(p_full * widths))
 
     # prefix[c] = integral mass over knots below the cutoff, decremented
@@ -282,9 +296,8 @@ def pop_po_surrogates(
         raise UndefinedMetricError("population surrogate needs at least one event")
     surrogate, weight, included = _uncensored_base(ds)
     fit = _km_of(ds, km)
-    theta, _ = _km_restricted_means(fit)
     censored = ~ds.events
-    surrogate[censored] = theta
+    surrogate[censored] = _km_restricted_mean(fit)
     weight[censored] = 1.0 - fit.curve.value(ds.times[censored])
     return SurrogateSet(surrogate=surrogate, weight=weight, included=included)
 

@@ -31,25 +31,79 @@ __all__ = [
     "one_calibration",
 ]
 
-_BLOCK = 512  # row block size for the pairwise comparison loops
+# Up to this many subjects the C-index compares every event with every
+# subject at once; above it the merge levels are faster. Measured on a
+# 2-vCPU host, half the subjects events, best of 5 per call: dense 181 us
+# against merge 198 us at n=450, 214 us against 203 us at n=500.
+_DENSE_MAX = 480
 
 
-def _comparable_counts(preds, times, events):
-    """Comparable and concordant pair counts; ties in predictions count half."""
+def _comparable_count(times, events) -> int:
+    """Pairs whose earlier time is an event and whose times differ."""
+    later = times.size - np.searchsorted(np.sort(times), times[events], side="right")
+    return int(np.sum(later))
+
+
+def _dense_rank(values):
+    """0-based ranks of ``values``: equal values share a rank, with no gaps."""
+    order = np.argsort(values)
+    ordered = values[order]
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    return rank
+
+
+def _concordant_counts(preds, times, events) -> tuple[int, int]:
+    """The comparable pairs whose earlier subject has the smaller prediction,
+    and those whose predictions tie.
+
+    Up to ``_DENSE_MAX`` subjects every event is compared with every subject
+    at once. Above it the count takes O(n log^2 n) time and O(n) memory. The
+    tied pairs come from one sort by (prediction, time). The others come
+    from merge levels over the subjects ordered by time, and by descending
+    prediction within a time tie, so that a later subject with a greater
+    prediction also has a greater time. At each level, each event in the
+    left half of a block counts the subjects in the block's right half with
+    a greater prediction rank; every (event, later subject) pair is counted
+    at exactly one level.
+    """
     n = times.size
-    comparable = 0
-    concordant = 0.0
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        t_block = times[start:stop, None]
-        e_block = events[start:stop, None]
-        comp = e_block & (t_block < times[None, :])
-        comparable += int(comp.sum())
-        if preds is not None:
-            p_block = preds[start:stop, None]
-            concordant += float(np.sum(comp & (p_block < preds[None, :])))
-            concordant += 0.5 * float(np.sum(comp & (p_block == preds[None, :])))
-    return comparable, concordant
+    if n <= _DENSE_MAX:
+        t_ev, p_ev = times[events, None], preds[events, None]
+        later = t_ev < times
+        return (
+            int(np.count_nonzero(later & (p_ev < preds))),
+            int(np.count_nonzero(later & (p_ev == preds))),
+        )
+    p_rank, t_rank = _dense_rank(preds), _dense_rank(times)
+    p_count, t_count = int(p_rank.max()) + 1, int(t_rank.max()) + 1
+    # ties: per event, the end of its prediction group minus the end of its
+    # run of equal (prediction, time). Sorted queries search faster, and the
+    # sums do not depend on their order.
+    key = p_rank * t_count + t_rank
+    keys = np.sort(key)
+    ev_keys = np.sort(key[events])
+    group_end = np.searchsorted(keys, (ev_keys // t_count + 1) * t_count)
+    tied = int(np.sum(group_end) - np.sum(np.searchsorted(keys, ev_keys, side="right")))
+    by_time = np.argsort(t_rank * p_count - p_rank)
+    rank = p_rank[by_time]
+    pos = np.arange(n, dtype=np.int64)
+    at = pos[events[by_time]]  # the events' positions in time order
+    concordant = 0
+    level = 0
+    while (1 << level) < n:
+        half = 1 << level  # blocks of 2 * half positions
+        right = (pos & half) != 0
+        right_keys = np.sort((pos[right] >> (level + 1)) * p_count + rank[right])
+        left = at[(at & half) == 0]
+        block = left >> (level + 1)
+        # the right-half subjects of the blocks up to each event's, less those
+        # of rank at most the event's
+        ends = np.minimum((block + 1) * half, right_keys.size)
+        at_most = np.searchsorted(right_keys, np.sort(block * p_count + rank[left]), side="right")
+        concordant += int(np.sum(ends) - np.sum(at_most))
+        level += 1
+    return concordant, tied
 
 
 def concordance_index(preds: PredictedTimes, ds: SurvivalDataset) -> float:
@@ -57,22 +111,24 @@ def concordance_index(preds: PredictedTimes, ds: SurvivalDataset) -> float:
 
     A pair is comparable when the earlier subject's time is an event and the
     times are distinct; it is concordant when the earlier subject also has the
-    smaller predicted time, with prediction ties scoring one half.
+    smaller predicted time, with prediction ties scoring one half (Harrell et
+    al., 1982). The counts are integers below 2**53, so the index is exact
+    up to its one division.
     """
     if preds.values.size != ds.n:
         raise ValueError(f"got {preds.values.size} predictions for {ds.n} subjects")
-    comparable, concordant = _comparable_counts(preds.values, ds.times, ds.events)
+    comparable = _comparable_count(ds.times, ds.events)
     if comparable == 0:
         raise UndefinedMetricError("no comparable pair (check censoring and ties)")
-    return concordant / comparable
+    concordant, tied = _concordant_counts(preds.values, ds.times, ds.events)
+    return (float(concordant) + 0.5 * float(tied)) / comparable
 
 
 def comparable_pair_ratio(ds: SurvivalDataset) -> float:
     """Fraction of subject pairs the C-index can use."""
     if ds.n < 2:
         raise ValueError("need at least two subjects")
-    comparable, _ = _comparable_counts(None, ds.times, ds.events)
-    return comparable / (ds.n * (ds.n - 1) / 2)
+    return _comparable_count(ds.times, ds.events) / (ds.n * (ds.n - 1) / 2)
 
 
 def brier_score_at(

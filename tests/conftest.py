@@ -16,6 +16,23 @@ def random_censored_dataset(rng, n=None, censor_count=None, t_scale=10.0):
     return SurvivalDataset.from_arrays(times, events)
 
 
+def blocked_pair_counts(preds, times, events, block=512):
+    """``(comparable, concordant, tied)`` pair counts of the C-index, compared
+    block by block of ``block`` rows in O(n^2): the oracle of the counts in
+    ``metrics``. A pair is comparable when the earlier time is an event and
+    the times differ; it is concordant when the earlier subject also has the
+    smaller prediction, and tied when the predictions are equal."""
+    comparable = concordant = tied = 0
+    for start in range(0, times.size, block):
+        stop = min(start + block, times.size)
+        comp = events[start:stop, None] & (times[start:stop, None] < times[None, :])
+        p_block = preds[start:stop, None]
+        comparable += int(comp.sum())
+        concordant += int(np.sum(comp & (p_block < preds[None, :])))
+        tied += int(np.sum(comp & (p_block == preds[None, :])))
+    return comparable, concordant, tied
+
+
 def refit_pseudo_obs(ds):
     """Pseudo-observation surrogates with each leave-one-out Kaplan-Meier
     curve refit from scratch: the oracle of the incremental jackknife in

@@ -416,7 +416,7 @@ def hostile_batches(draw):
 
 
 def scan(knots, values):
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return _scan_bad_row(knots, values, None)
 
 
@@ -456,6 +456,7 @@ INCREASING = "knots must be nonnegative and strictly increasing"
             (0, "knots must be finite"),
             id="inf-inf",
         ),
+        pytest.param([-1.7e308, 1.7e308], [[1.0, 0.5]], (0, INCREASING), id="diff-overflow"),
         pytest.param(
             [[1.0, 2.0], [1.0, np.nan]], [[0.5, 0.4]] * 2, (1, "knots must be finite"), id="nan-last"
         ),
@@ -464,7 +465,7 @@ INCREASING = "knots must be nonnegative and strictly increasing"
 def test_one_pass_check_cases(knots, values, expected):
     knots, values = np.array(knots), np.array(values)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # inf - inf must not warn
+        warnings.simplefilter("error")  # inf - inf and overflowing diffs must not warn
         assert _first_bad_row(knots, values, None) == expected
     assert scan(knots, values) == expected
 

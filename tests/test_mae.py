@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_censored_dataset, refit_pseudo_obs
@@ -30,6 +32,7 @@ from survmae import (
     weighted_mae,
 )
 from survmae.estimators import censoring_km_fit
+from survmae.mae import _km_restricted_mean, _km_restricted_means
 
 
 def ds3():
@@ -280,6 +283,27 @@ def test_pop_po_frozen():
     assert_allclose(s5.surrogate, [1.0, 4.2, 3.0, 4.2, 6.0])
     # both censored subjects share the population mean, unlike true PO
     assert s5.surrogate[1] == s5.surrogate[3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    levels=st.sampled_from([2, 5, None]),
+    event_rate=st.floats(0.0, 1.0),
+)
+def test_pop_po_theta_is_the_restricted_mean_of_the_jackknife_table(seed, n, levels, event_rate):
+    # pop-PO reads theta alone; it must be the float the jackknife table holds
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.1, 10.0, n) if levels is None else rng.integers(1, levels + 1, n) * 1.0
+    events = rng.random(n) < event_rate
+    events[rng.integers(n)] = True
+    ds = SurvivalDataset.from_arrays(times, events)
+    fit = km_fit(ds.times, ds.events)
+    theta = _km_restricted_mean(fit)
+    assert theta == _km_restricted_means(fit)[0]
+    surrogate = pop_po_surrogates(ds, km=fit).surrogate
+    assert_array_equal(surrogate, np.where(ds.events, ds.times, theta))
 
 
 def test_mae_pop_po_frozen():

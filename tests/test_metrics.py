@@ -1,11 +1,15 @@
 """Tests for concordance, Brier scores, log-likelihood, and calibration."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as sps
 
-from conftest import random_censored_dataset
+from conftest import blocked_pair_counts, random_censored_dataset
 from survmae import (
     BinningError,
     CurveBatch,
@@ -22,9 +26,10 @@ from survmae import (
     log_likelihood,
     one_calibration,
 )
+from survmae import metrics
 from survmae.estimators import censoring_km_fit
 from survmae.mae import PredictedTimes
-from survmae.metrics import _comparable_counts
+from survmae.metrics import _comparable_count, _concordant_counts
 
 
 def preds(values):
@@ -66,21 +71,74 @@ def test_c_index_no_comparable_pairs():
         concordance_index(preds([1.0, 2.0]), ds2)
 
 
-def test_comparable_counts_blockwise_matches_dense():
-    # exceed the block size so several row blocks are involved
+def _counts_both_ways(p, times, events):
+    """``_concordant_counts`` with every event compared to every subject, and
+    through the merge levels."""
+    counts = []
+    for dense_max in (times.size, 0):
+        with mock.patch.object(metrics, "_DENSE_MAX", dense_max):
+            counts.append(_concordant_counts(p, times, events))
+    return counts
+
+
+def _draw_values(rng, n, levels):
+    """``n`` positive values on ``levels`` tied levels, or distinct for None."""
+    if levels is None:
+        return rng.uniform(0.1, 10.0, n)
+    return rng.integers(1, levels + 1, n) * 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(0, 40), st.integers(0, 600)),
+    t_levels=st.sampled_from([2, 3, 5, None]),
+    p_levels=st.sampled_from([2, 3, 5, None]),
+    event_rate=st.floats(0.0, 1.0),
+)
+def test_pair_counts_match_the_blocked_oracle(seed, n, t_levels, p_levels, event_rate):
+    rng = np.random.default_rng(seed)
+    times, p = _draw_values(rng, n, t_levels), _draw_values(rng, n, p_levels)
+    events = rng.random(n) < event_rate
+    comparable, concordant, tied = blocked_pair_counts(p, times, events, block=128)
+    assert _comparable_count(times, events) == comparable
+    assert _counts_both_ways(p, times, events) == [(concordant, tied)] * 2
+    if n == 0:
+        return
+    ds = SurvivalDataset.from_arrays(times, events)
+    if comparable == 0:
+        with pytest.raises(UndefinedMetricError):
+            concordance_index(preds(p), ds)
+    else:
+        assert concordance_index(preds(p), ds) == (concordant + 0.5 * tied) / comparable
+    if n >= 2:
+        assert comparable_pair_ratio(ds) == comparable / (n * (n - 1) / 2)
+
+
+def test_pair_counts_match_the_blocked_oracle_past_one_block():
+    # several blocks of the oracle, and the merge levels
     rng = np.random.default_rng(50)
     n = 1300
     times = rng.uniform(0.1, 10.0, n)
     events = rng.random(n) < 0.6
     p = rng.uniform(0.1, 10.0, n)
-    comp, conc = _comparable_counts(p, times, events)
-    dense_comp = events[:, None] & (times[:, None] < times[None, :])
-    dense_conc = (
-        np.sum(dense_comp & (p[:, None] < p[None, :]))
-        + 0.5 * np.sum(dense_comp & (p[:, None] == p[None, :]))
-    )
-    assert comp == int(dense_comp.sum())
-    assert conc == float(dense_conc)
+    comparable, concordant, tied = blocked_pair_counts(p, times, events)
+    assert _comparable_count(times, events) == comparable
+    assert _counts_both_ways(p, times, events) == [(concordant, tied)] * 2
+
+
+def test_c_index_matches_the_blocked_oracle_at_n_3000_with_dense_ties():
+    # twelve merge levels; times and predictions on about 100 levels each
+    rng = np.random.default_rng(52)
+    n = 3000
+    times = np.round(rng.uniform(0.1, 10.0, n), 1)
+    events = rng.random(n) < 0.5
+    p = np.round(rng.uniform(0.1, 10.0, n), 1)
+    ds = SurvivalDataset.from_arrays(times, events)
+    comparable, concordant, tied = blocked_pair_counts(p, times, events)
+    assert tied > 0
+    assert concordance_index(preds(p), ds) == (concordant + 0.5 * tied) / comparable
+    assert comparable_pair_ratio(ds) == comparable / (n * (n - 1) / 2)
 
 
 def test_comparable_pair_ratio_frozen():
