@@ -265,8 +265,9 @@ def load_curve_file(path) -> CurveTable:
     grid. The grid is checked as a row of knots first; the curve rules are
     checked on all rows at once; every error names the first bad line.
 
-    The file is read once, so it may be a pipe. A valid file is parsed in one
-    pass of NumPy's C reader; any other file is parsed again line by line.
+    The file is read once, so it may be a pipe. A valid file is parsed in
+    blocks by orjson's exact number parser; any other file is parsed again
+    line by line.
     """
     path = Path(path)
     header, rest, start = _split_csv(path)
@@ -282,12 +283,12 @@ def load_curve_file(path) -> CurveTable:
         CurveBatch(knots=grid, values=np.ones((1, grid.size)))
     except InvalidCurveError as exc:
         raise DataFormatError(f"line 1: {exc.reason}") from None
-    table = _read_columns(rest, [("index", np.int64), ("values", float, (grid.size,))])
+    table = _read_columns(rest, grid.size + 1, index=True)
     if table is not None:
-        subjects = table["index"]
+        subjects, values = table
         if np.unique(subjects).size == subjects.size:
             try:
-                batch = CurveBatch(knots=grid, values=table["values"])
+                batch = CurveBatch(knots=grid, values=values)
             except InvalidCurveError:
                 pass  # a rule is broken: the line-by-line read names the line
             else:

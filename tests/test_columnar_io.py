@@ -1,15 +1,19 @@
-"""CSV and curve-file I/O: the C-reader fast paths against the line reader.
+"""CSV and curve-file I/O: the orjson fast path against the line reader.
 
-``load_dataset`` and ``load_curve_file`` read a valid file in one pass of
-NumPy's C reader and fall back to reading line by line on any other file.
-The line reader is the oracle: with the C reader switched off (``slow``
-below) every file must give the same arrays, bit for bit, or the same
-exception type and message. ``save_dataset`` and ``save_curve_file`` must
-write the bytes of a ``csv.writer`` that formats each number with ``repr``.
+``load_dataset`` and ``load_curve_file`` read a valid file in blocks of
+lines parsed by orjson (``core._read_columns``) and fall back to reading
+line by line on any other file. The line reader is the oracle: with the
+fast path switched off (``slow`` below) every file must give the same
+arrays, bit for bit, or the same exception type and message, and every
+number the fast path reads must be the double ``float()`` gives.
+``save_dataset`` and ``save_curve_file`` must write the bytes of a
+``csv.writer`` that formats each number with ``repr``.
 """
 
 import contextlib
 import csv
+import decimal
+import math
 import os
 import string
 import threading
@@ -44,10 +48,10 @@ PROPERTY = settings(
 
 @contextmanager
 def slow():
-    """The loaders with the C reader switched off: only the line reader runs."""
+    """The loaders with the fast path switched off: only the line reader runs."""
     with (
-        mock.patch.object(core, "_read_columns", lambda lines, dtype: None),
-        mock.patch.object(harness, "_read_columns", lambda lines, dtype: None),
+        mock.patch.object(core, "_read_columns", lambda *args, **kwargs: None),
+        mock.patch.object(harness, "_read_columns", lambda *args, **kwargs: None),
     ):
         yield
 
@@ -233,7 +237,7 @@ def test_load_curve_file_equals_the_line_reader(tmp_path, text):
 
 
 @PROPERTY
-@given(text=st.text(alphabet=string.digits + ".,+-_ e\n\r\"#xtnaif\x0c\x85\u2028", max_size=60))
+@given(text=st.text(alphabet=string.digits + ".,+-_ eE\t[]\n\r\"#xtnaif\x0c\x85\u2028", max_size=60))
 def test_loaders_equal_the_line_reader_on_any_text(tmp_path, text):
     path = write(tmp_path, "time,event,f\n" + text)
     assert_same_as_line_reader(load_dataset, path)
@@ -328,12 +332,141 @@ def test_index_above_int64_keeps_python_ints(tmp_path):
     assert got[1] == [2**63, 2**64 + 5]
 
 
-@pytest.mark.parametrize("lines", [["1.0,0.9,0.5\n"], [], ["0,0.9\n"], ["0,x,0.5\n"]])
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["1.0,0.9,0.5\n"],  # an index that is not a JSON integer
+        [],  # no rows
+        ["0,0.9\n"],  # a short row
+        ["0,x,0.5\n"],  # not a number
+        ["0,-0,0.5\n"],  # orjson reads the integer -0 as 0, float() as -0.0
+        ["0,0.9 ,-0\t\n"],
+        ["0,[0.9],0.5\n"],  # JSON structure in a field
+        ['0,"0.9",0.5\n'],
+        ["0,0.9],[1,0.5\n"],  # one line that would read as two rows
+        ["0,\u0660.9,0.5\n"],  # ARABIC-INDIC DIGIT ZERO: float() reads it, JSON does not
+        ["0,0.9,0.5\n", "\n"],  # a blank row
+        [f"{2**63},0.9,0.5\n"],  # an index above int64
+    ],
+)
 def test_c_reader_declines_what_it_cannot_read_exactly(lines):
-    # numpy < 2 reads "1.0" as the integer 1 with a DeprecationWarning, and
-    # warns when there are no rows: a warning declines like an error
-    dtype = [("index", np.int64), ("values", float, (2,))]
-    assert core._read_columns(lines, dtype) is None
+    # the line reader then reads the file, and names the fault if there is one
+    assert core._read_columns(lines, 3, index=True) is None
+
+
+# --------------------------------------------------------- exact numbers
+
+
+def binary_midpoints(x):
+    """The exact decimal halfway between ``x`` and the next double away from
+    zero (toward zero at the largest double), and its decimal neighbours in
+    the 800th digit: float() rounds the first to even and the others away
+    from it."""
+    step = math.nextafter(x, math.copysign(math.inf, x))
+    if math.isinf(step):
+        step = math.nextafter(x, 0.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 800
+        mid = (decimal.Decimal(x) + decimal.Decimal(step)) / 2
+        return [str(mid), str(mid.next_plus()), str(mid.next_minus())]
+
+
+@st.composite
+def number_fields(draw):
+    """One double written as repr, %.17g or %.25g writes it, or a decimal
+    beside a halfway point between two doubles."""
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    form = draw(st.sampled_from(["repr", "%.17g", "%.25g", "midpoint"]))
+    if form == "repr":
+        return repr(x)
+    if form == "midpoint":
+        return draw(st.sampled_from(binary_midpoints(x)))
+    return form % x
+
+
+@PROPERTY
+@given(
+    width=st.integers(1, 6),
+    n=st.integers(1, 2 * core._BLOCK_LINES + 3),
+    data=st.data(),
+)
+def test_c_reader_parses_each_number_as_float_does(width, n, data):
+    fields = data.draw(
+        st.lists(number_fields(), min_size=n * width, max_size=n * width), label="fields"
+    )
+    lines = [",".join(fields[i : i + width]) + "\r\n" for i in range(0, n * width, width)]
+    got = core._read_columns(lines, width)
+    if "-0" in fields:  # the one number orjson reads to another double
+        assert got is None
+    else:
+        want = np.array([float(f) for f in fields]).reshape(n, width)
+        assert got is not None and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.1", "-0.0", "-0e5", "1e-05", "2e-324", "4.9e-324", "1e-999", str(2**64 + 1), "9" * 300],
+    ids=lambda text: text[:24],
+)
+def test_c_reader_reads_edge_numbers_as_float_does(text):
+    got = core._read_columns([f"0,{text}\n"], 2, index=True)
+    assert got[1].tobytes() == np.array([[float(text)]]).tobytes()
+
+
+# ---------------------------------------------------- faults in a later block
+
+LATER = 2 * core._BLOCK_LINES + 3  # a line of the third block
+
+
+def dataset_rows(n):
+    return [f"{1.0 + i / 7!r},{i % 2},{1.5 * i - 30.0!r}" for i in range(n)]
+
+
+def curve_rows(n):
+    return [f"{i},{0.9 - i * 1e-4!r},{0.4 - i * 1e-4!r}" for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "load, header, rows, fault, message",
+    [
+        (load_dataset, "time,event,f", dataset_rows, "1.5,1,x", "non-numeric value 'x' in column 'f'"),
+        (load_dataset, "time,event,f", dataset_rows, "1.5,1", "expected 3 fields, found 2"),
+        (load_curve_file, "t,1,2", curve_rows, "999,0.9,x", "non-numeric field"),
+        (load_curve_file, "t,1,2", curve_rows, "999,0.9", "expected 3 fields, found 2"),
+    ],
+    ids=["dataset-bad-field", "dataset-short-row", "curves-bad-field", "curves-short-row"],
+)
+def test_a_fault_in_a_later_block_names_its_line(tmp_path, load, header, rows, fault, message):
+    lines = rows(3 * core._BLOCK_LINES)
+    lines[LATER] = fault
+    got = assert_same_as_line_reader(load, write(tmp_path, "\n".join([header] + lines) + "\n"))
+    assert got == ("error", DataFormatError, f"line {LATER + 2}: {message}")  # the header is line 1
+
+
+@pytest.mark.parametrize(
+    "load, header, rows, minus_zero, spot",
+    [
+        (load_dataset, "time,event,f", dataset_rows, "1.5,1,-0", (6, LATER)),
+        (load_curve_file, "t,1,2", curve_rows, "999,0.9,-0", (5, 2 * LATER + 1)),
+    ],
+    ids=["dataset", "curves"],
+)
+def test_an_integer_minus_zero_in_a_later_block_reads_as_minus_zero(
+    tmp_path, load, header, rows, minus_zero, spot
+):
+    lines = rows(3 * core._BLOCK_LINES)
+    lines[LATER] = minus_zero
+    got = assert_same_as_line_reader(load, write(tmp_path, "\n".join([header] + lines) + "\n"))
+    value = np.frombuffer(got[spot[0]])[spot[1]]
+    assert value == 0.0 and np.signbit(value)
+
+
+def test_a_field_over_the_csv_limit_reads_as_the_line_reader_reads_it(tmp_path):
+    # a number orjson would read, in a field csv refuses
+    field = "1." + "0" * csv.field_size_limit() + "1"
+    text = "time,event\n" + "1.5,1\n" * LATER + f"{field},1\n"
+    got = assert_same_as_line_reader(load_dataset, write(tmp_path, text))
+    assert got == ("error", DataFormatError, f"line {LATER + 2}: field larger than field limit (131072)")
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
@@ -518,7 +651,7 @@ def test_loaders_read_a_pipe_to_its_end(tmp_path, load, make, bad):
         piped = read_through_pipe(tmp_path, text, load)
     assert piped == outcome(load, write(tmp_path, text))
     assert piped[0] == ("error" if bad else "dataset" if load is load_dataset else "curves")
-    if not bad:  # the C reader took every row
+    if not bad:  # the fast path took every row
         assert [reader.rows for reader in readers] == [1]
 
 

@@ -113,12 +113,15 @@ def oracle_weibull_loglik(a, b, t, e):
         z = np.exp(k * u)
     d = float(e.sum())
     ll = float(np.sum(e * (a + (k - 1.0) * np.log(t) - k * b)) - np.sum(z))
-    zu = z * u
-    g_a = d + k * (float(np.sum(u[e])) - float(np.sum(zu)))
-    g_b = k * (float(np.sum(z)) - d)
-    h_aa = (g_a - d) - k * k * float(np.sum(zu * u))
-    h_ab = g_b + k * k * float(np.sum(zu))
-    h_bb = -(k * k) * float(np.sum(z))
+    # the fit discards the derivatives at a rejected candidate, where these
+    # may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        zu = z * u
+        g_a = d + k * (float(np.sum(u[e])) - float(np.sum(zu)))
+        g_b = k * (float(np.sum(z)) - d)
+        h_aa = (g_a - d) - k * k * float(np.sum(zu * u))
+        h_ab = g_b + k * k * float(np.sum(zu))
+        h_bb = -(k * k) * float(np.sum(z))
     return ll, np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
 
 

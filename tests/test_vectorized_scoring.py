@@ -258,13 +258,17 @@ def test_one_calibration_with_two_bins_has_nan_p_value():
 # ------------------------------------------------------------ import weight
 
 
-def test_import_does_not_load_scipy_stats():
-    # nor any other part of scipy: scipy.special comes with the first p-value
+def test_import_does_not_load_scipy_stats(tmp_path):
+    # nor any other part of scipy: scipy.special comes with the first
+    # p-value; nor orjson, which comes with the first file read
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("time,event\n1.5,1\n")
     code = (
         "import sys, survmae, survmae.cli; "
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')); "
         "print(loaded); assert not loaded; "
-        "survmae.metrics._chi2_sf(3.0, 2); assert 'scipy.special' in sys.modules"
+        "survmae.metrics._chi2_sf(3.0, 2); assert 'scipy.special' in sys.modules; "
+        f"survmae.load_dataset({str(csv_path)!r}); assert 'orjson' in sys.modules"
     )
     src = str(Path(survmae.__file__).resolve().parents[1])
     env = dict(os.environ)
