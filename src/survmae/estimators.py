@@ -3,19 +3,22 @@
 All fits share the tie convention that events are processed before
 censorings, i.e. a subject censored at time t is still at risk for events at
 t. Kaplan-Meier fits keep their count table so leave-one-out variants can be
-recomputed incrementally.
+recomputed incrementally. The Cox and Weibull fits run one damped-Newton
+driver, :func:`_newton`, with a fixed gradient tolerance ``_TOL``. The
+Weibull "AFT" fit is, for now, a covariate-free two-parameter Weibull fit.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import CurveBatch, StepCurve, SurvivalDataset
-from .core import _step_lookup
+from .core import _first_bad_subject, _step_lookup
 from .errors import ConvergenceError, InsufficientEventsError, SeparationError
 
 __all__ = [
@@ -35,6 +38,8 @@ __all__ = [
 
 # Absolute bound on any Cox coefficient before the fit is declared separated.
 _SEPARATION_BOUND = 50.0
+# Gradient max-norm below which a Newton fit has converged.
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,9 @@ def km_fit(times, events) -> KaplanMeierFit:
         raise ValueError("times and events must be 1-d arrays of equal length")
     if t.size == 0:
         raise ValueError("cannot fit on an empty sample")
-    if np.any(t <= 0):
-        raise ValueError("times must be positive")
+    if not (np.isfinite(t).all() and (t > 0).all()):
+        bad = _first_bad_subject(t, e, None, np.empty((t.size, 0)))
+        raise ValueError("subject {}: {}".format(*bad))
 
     event_times, n_k, d_k, surv = _product_limit(t, e)
     all_times = np.unique(t)
@@ -220,26 +226,61 @@ def _cox_derivatives(rs: _RiskSets, w_sorted, s0):
     return grad, hess
 
 
-def coxph_fit(
-    ds: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8
-) -> CoxModel:
+def _newton(loglik, derivatives, x0, max_iter, halvings, singular, what, params):
+    """Damped Newton ascent of ``loglik`` from ``x0``: the last iterate and
+    the terms of its likelihood pass.
+
+    ``loglik(x)`` gives ``(ll, *terms)`` and ``derivatives(x, *terms)`` the
+    gradient and Hessian, so each point tried costs one pass; ``singular(hess,
+    grad)`` is the step at a singular Hessian. A step is halved up to
+    ``halvings`` times. A failure raises :class:`ConvergenceError` carrying
+    ``params(x)``; a candidate equal to the iterate, bit for bit, is a fixed
+    point, so the budget's error is raised at once.
+    """
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    stalled = f"no convergence after {max_iter} Newton iterations"
+    x = x0
+    ll, *terms = loglik(x)
+    grad, hess = derivatives(x, *terms)
+    done = 0
+    while not np.max(np.abs(grad)) < _TOL:  # a NaN gradient has not converged
+        if done == max_iter:
+            raise ConvergenceError(stalled, last_params=params(x))
+        done += 1
+        try:
+            step = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = singular(hess, grad)
+        scale = 1.0
+        for _ in range(halvings):
+            cand = x + scale * step
+            if np.isfinite(ll) and cand.tobytes() == x.tobytes():
+                # accepted with the same likelihood, then repeated every iteration
+                raise ConvergenceError(stalled, last_params=params(x))
+            cand_ll, *cand_terms = loglik(cand)
+            if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                f"step halving failed to improve the {what}", last_params=params(x)
+            )
+        x, ll, terms = cand, cand_ll, cand_terms
+        grad, hess = derivatives(x, *terms)
+    return x, terms
+
+
+def coxph_fit(ds: SurvivalDataset, max_iter: int = 100) -> CoxModel:
     """Fit a Cox proportional-hazards model by damped Newton iteration.
 
     Uses the Breslow approximation for tied event times and centers the
-    features before fitting. Convergence is declared when the gradient
-    max-norm drops below ``tol``. Raises :class:`SeparationError` when a
-    coefficient runs away (a covariate perfectly orders the risk sets) and
-    :class:`ConvergenceError`, carrying the last iterate, when the iteration
-    budget runs out.
-
-    The risk sets (stable time order, distinct event times with their counts
-    and their positions in that order) are built once per fit and shared by
-    every likelihood pass. Each point the fit tries costs one likelihood
-    pass: the gradient, the Hessian and the Breslow baseline of an accepted
-    point reuse the pass of its line search. When the line search reaches a
-    candidate equal to the iterate, bit for bit, the iteration has hit a
-    fixed point that it would repeat until the budget runs out, so the budget's
-    :class:`ConvergenceError` is raised at once, with the same iterate.
+    features before fitting. :func:`_newton` iterates until the gradient
+    max-norm is below 1e-8, halving a step up to 30 times and taking a
+    least-squares step at a singular Hessian. Raises :class:`SeparationError`
+    when a coefficient runs away (a covariate perfectly orders the risk sets)
+    and :class:`ConvergenceError`, carrying the last ``beta``, when the fit
+    fails. The risk sets are built once per fit and shared by every pass.
     """
     if ds.feature_matrix.shape[1] == 0:
         raise ValueError("Cox model needs at least one feature")
@@ -248,45 +289,21 @@ def coxph_fit(
     means = ds.feature_matrix.mean(axis=0)
     x_c = ds.feature_matrix - means
     rs = _risk_sets(x_c, ds.times, ds.events)
-    stalled = f"no convergence after {max_iter} Newton iterations"
 
-    beta = np.zeros(x_c.shape[1])
-    ll, w_sorted, s0 = _cox_loglik(beta, x_c, rs)
-    grad, hess = _cox_derivatives(rs, w_sorted, s0)
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) < tol:
-            return CoxModel(beta=beta, baseline_cumhaz=_breslow(rs, s0), feature_means=means)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        step = -step  # ascent direction: hess is negative (semi)definite
-        scale = 1.0
-        for _ in range(30):
-            candidate = beta + scale * step
-            if np.isfinite(ll) and candidate.tobytes() == beta.tobytes():
-                # accepted with the same likelihood, then repeated every iteration
-                raise ConvergenceError(stalled, last_params=beta)
-            cand_ll, cand_w, cand_s0 = _cox_loglik(candidate, x_c, rs)
-            if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                "step halving failed to improve the partial likelihood",
-                last_params=beta,
-            )
-        beta = candidate
+    def derivatives(beta, w_sorted, s0):
         if np.max(np.abs(beta)) > _SEPARATION_BOUND:
             raise SeparationError(
                 "coefficient magnitude exceeded "
                 f"{_SEPARATION_BOUND}; a covariate separates the risk order"
             )
-        ll, s0 = cand_ll, cand_s0
-        grad, hess = _cox_derivatives(rs, cand_w, s0)
-    if np.max(np.abs(grad)) < tol:
-        return CoxModel(beta=beta, baseline_cumhaz=_breslow(rs, s0), feature_means=means)
-    raise ConvergenceError(stalled, last_params=beta)
+        return _cox_derivatives(rs, w_sorted, s0)
+
+    beta, (_, s0) = _newton(
+        lambda beta: _cox_loglik(beta, x_c, rs), derivatives, np.zeros(x_c.shape[1]),
+        max_iter, 30, lambda hess, grad: -np.linalg.lstsq(hess, grad, rcond=None)[0],
+        "partial likelihood", lambda beta: beta,
+    )
+    return CoxModel(beta=beta, baseline_cumhaz=_breslow(rs, s0), feature_means=means)
 
 
 def _breslow(rs: _RiskSets, s0) -> CumulativeHazard:
@@ -366,53 +383,26 @@ def _weibull_derivatives(k, u, z, e):
     return np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
 
 
-def weibull_aft_fit(
-    ds: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8
-) -> WeibullAFTModel:
-    """Maximum-likelihood Weibull fit honouring censoring.
+def weibull_aft_fit(ds: SurvivalDataset, max_iter: int = 100) -> WeibullAFTModel:
+    """Maximum-likelihood two-parameter Weibull fit honouring censoring.
 
-    Newton iteration in (log shape, log scale) with step halving. Each point
-    the fit tries costs one likelihood pass: the gradient and Hessian of an
-    accepted point reuse the pass of its line search. Raises
-    :class:`ConvergenceError` with the last iterate when it fails; as in
-    :func:`coxph_fit`, a line search that reaches a candidate equal to the
-    iterate, bit for bit, raises the budget's error at once.
+    For now a covariate-free fit, despite its name: it ignores the features.
+    :func:`_newton` iterates in (log shape, log scale) until the gradient
+    max-norm is below 1e-8, halving a step up to 40 times and taking a plain
+    ascent step at a singular Hessian. Raises :class:`ConvergenceError`,
+    carrying the last ``(shape, scale)``, when the fit fails.
     """
     t, e = ds.times, ds.events
     if not e.any():
         raise InsufficientEventsError("Weibull fit needs at least one event")
     log_t = np.log(t)
-    stalled = f"no convergence after {max_iter} Newton iterations"
-    theta = np.array([0.0, np.log(float(t.sum()) / float(e.sum()))])
-    ll, *terms = _weibull_loglik(theta[0], theta[1], log_t, e)
-    grad, hess = _weibull_derivatives(*terms, e)
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) < tol:
-            return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
-        try:
-            step = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = grad  # fall back to plain ascent
-        scale = 1.0
-        for _ in range(40):
-            cand = theta + scale * step
-            if np.isfinite(ll) and cand.tobytes() == theta.tobytes():
-                # accepted with the same likelihood, then repeated every iteration
-                raise ConvergenceError(stalled, last_params=np.exp(theta))
-            cand_ll, *terms = _weibull_loglik(cand[0], cand[1], log_t, e)
-            if np.isfinite(cand_ll) and cand_ll >= ll - 1e-13:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                "step halving failed to improve the Weibull likelihood",
-                last_params=np.exp(theta),
-            )
-        theta, ll = cand, cand_ll
-        grad, hess = _weibull_derivatives(*terms, e)
-    if np.max(np.abs(grad)) < tol:
-        return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
-    raise ConvergenceError(stalled, last_params=np.exp(theta))
+    theta, _ = _newton(
+        lambda theta: _weibull_loglik(theta[0], theta[1], log_t, e),
+        lambda theta, k, u, z: _weibull_derivatives(k, u, z, e),
+        np.array([0.0, np.log(float(t.sum()) / float(e.sum()))]),
+        max_iter, 40, lambda hess, grad: grad, "Weibull likelihood", np.exp,
+    )
+    return WeibullAFTModel(shape=float(np.exp(theta[0])), scale=float(np.exp(theta[1])))
 
 
 def model_to_json(model, path=None) -> str:
@@ -447,34 +437,85 @@ def model_to_json(model, path=None) -> str:
     return text
 
 
+def _json_field(data, name):
+    if name not in data:
+        raise ValueError(f"model JSON lacks the field {name!r}")
+    return data[name]
+
+
+def _finite_number(value) -> bool:
+    # false for NaN, for +-inf and for an int too large to be a float
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _json_positive(data, name) -> float:
+    """The field ``name`` of a model payload, a finite number > 0."""
+    value = _json_field(data, name)
+    if not (_finite_number(value) and value > 0):
+        raise ValueError(f"field {name!r} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _json_arrays(data, *names):
+    """The fields ``names`` of a model payload, lists of finite numbers of one
+    length, as float arrays."""
+    arrays = []
+    for name in names:
+        value = _json_field(data, name)
+        if not isinstance(value, list):
+            raise ValueError(f"field {name!r} must be a list of numbers")
+        bad = next((i for i, v in enumerate(value) if not _finite_number(v)), None)
+        if bad is not None:
+            raise ValueError(
+                f"field {name!r} entry {bad} must be a finite number, got {value[bad]!r}"
+            )
+        if arrays and len(value) != arrays[0].size:
+            raise ValueError(
+                f"field {name!r} has {len(value)} entries but {names[0]!r} has {arrays[0].size}"
+            )
+        arrays.append(np.array(value, dtype=float))
+    return arrays
+
+
 def model_from_json(source):
-    """Inverse of :func:`model_to_json`; accepts a JSON string or a file path."""
-    if isinstance(source, Path):
-        data = json.loads(source.read_text())
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    """Inverse of :func:`model_to_json`; accepts a JSON string or a file path.
+
+    A string that starts with ``{`` or ``[`` after blanks is read as JSON.
+    A payload :func:`model_to_json` could not have written raises
+    ``ValueError`` naming the field: a missing field, a non-finite number, a
+    Weibull shape or scale <= 0, a Kaplan-Meier count that is not a whole
+    number >= 0, parallel lists of unequal lengths, or Cox baseline knots
+    that do not strictly increase.
+    """
+    if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
         data = json.loads(source)
     else:
         data = json.loads(Path(source).read_text())
-    kind = data.get("kind")
+    if not isinstance(data, dict):
+        raise ValueError(f"model JSON must be an object, got {type(data).__name__}")
+    kind = _json_field(data, "kind")
     if kind == "km":
+        event_times, at_risk, n_events = _json_arrays(data, "event_times", "at_risk", "n_events")
+        knots, values = _json_arrays(data, "knots", "values")
+        for name, counts in (("at_risk", at_risk), ("n_events", n_events)):
+            if np.any((counts < 0) | (counts != np.floor(counts))):
+                raise ValueError(f"field {name!r} must hold whole numbers >= 0")
         return KaplanMeierFit(
-            event_times=np.asarray(data["event_times"], dtype=float),
-            at_risk=np.asarray(data["at_risk"], dtype=int),
-            n_events=np.asarray(data["n_events"], dtype=int),
-            curve=StepCurve(
-                knots=np.asarray(data["knots"], dtype=float),
-                values=np.asarray(data["values"], dtype=float),
-            ),
+            event_times=event_times, at_risk=at_risk.astype(int), n_events=n_events.astype(int),
+            curve=StepCurve(knots=knots, values=values),
         )
     if kind == "coxph":
+        beta, means = _json_arrays(data, "beta", "feature_means")
+        knots, values = _json_arrays(data, "baseline_knots", "baseline_values")
+        if np.any(np.diff(knots) <= 0):
+            raise ValueError("field 'baseline_knots' must be strictly increasing")
         return CoxModel(
-            beta=np.asarray(data["beta"], dtype=float),
-            baseline_cumhaz=CumulativeHazard(
-                knots=np.asarray(data["baseline_knots"], dtype=float),
-                values=np.asarray(data["baseline_values"], dtype=float),
-            ),
-            feature_means=np.asarray(data["feature_means"], dtype=float),
+            beta=beta,
+            baseline_cumhaz=CumulativeHazard(knots=knots, values=values),
+            feature_means=means,
         )
     if kind == "weibull_aft":
-        return WeibullAFTModel(shape=float(data["shape"]), scale=float(data["scale"]))
+        return WeibullAFTModel(
+            shape=_json_positive(data, "shape"), scale=_json_positive(data, "scale")
+        )
     raise ValueError(f"unknown model kind {kind!r}")

@@ -1,10 +1,14 @@
 """Tests for the Kaplan-Meier, Cox PH, and Weibull AFT estimators."""
 
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import random_censored_dataset
+from survmae import estimators
 from survmae import (
     ConvergenceError,
     CoxModel,
@@ -93,6 +97,20 @@ def test_km_input_validation():
         km_fit([1.0, -2.0], [True, True])
     with pytest.raises(ValueError):
         km_fit([1.0, 2.0], [True])
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([np.nan, 1.0], "subject 0: non-finite time value"),
+        ([1.0, np.inf, -np.inf], "subject 1: non-finite time value"),
+        ([1.0, 0.0, np.nan], "subject 1: observed time must be positive, got 0.0"),
+        ([2.0, 1.0, -3.0], "subject 2: observed time must be positive, got -3.0"),
+    ],
+)
+def test_km_fit_names_the_first_bad_subject(times, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        km_fit(times, np.ones(len(times), dtype=bool))
 
 
 def test_censoring_km_frozen():
@@ -372,6 +390,51 @@ def test_weibull_matches_grid_oracle():
     assert abs(m.scale - best[2]) <= 2 * (scales[1] - scales[0])
 
 
+def test_weibull_halving_failure_keeps_the_start_point():
+    # every candidate after the start point has a NaN likelihood, so the
+    # first line search halves its step 40 times and gives up
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 5.0], [True, False, True, True])
+    real = estimators._weibull_loglik
+    calls = []
+
+    def nan_after_start(*args):
+        ll, *terms = real(*args)
+        calls.append(args[:2])
+        return (ll if len(calls) == 1 else np.nan, *terms)
+
+    with mock.patch.object(estimators, "_weibull_loglik", nan_after_start):
+        with pytest.raises(ConvergenceError) as err:
+            weibull_aft_fit(ds)
+    assert str(err.value) == "step halving failed to improve the Weibull likelihood"
+    theta0 = np.array([0.0, np.log(float(ds.times.sum()) / float(ds.events.sum()))])
+    assert err.value.last_params.tobytes() == np.exp(theta0).tobytes()
+    assert len(calls) == 1 + 40
+
+
+def two_feature_data():
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(40, 2))
+    t = rng.exponential(np.exp(-x[:, 0]))
+    return SurvivalDataset.from_arrays(t, rng.random(40) < 0.8, features=x)
+
+
+@pytest.mark.parametrize("fit", [coxph_fit, weibull_aft_fit])
+@pytest.mark.parametrize("max_iter", [-1, True, False, 2.5, "3", None])
+def test_fits_refuse_a_bad_max_iter(fit, max_iter):
+    with pytest.raises(ValueError, match="^max_iter must be an integer >= 0, got "):
+        fit(two_feature_data(), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("fit", [coxph_fit, weibull_aft_fit])
+def test_fits_take_any_integer_budget_and_no_tol(fit):
+    ds = two_feature_data()
+    assert model_to_json(fit(ds, max_iter=np.int64(100))) == model_to_json(fit(ds))
+    with pytest.raises(ConvergenceError, match="^no convergence after 0 Newton iterations$"):
+        fit(ds, max_iter=0)
+    with pytest.raises(TypeError):
+        fit(ds, tol=1e-8)
+
+
 def test_weibull_needs_events():
     ds = SurvivalDataset.from_arrays([1.0, 2.0], [False, False])
     with pytest.raises(InsufficientEventsError):
@@ -421,3 +484,65 @@ def test_model_json_unknown_kind():
         model_from_json('{"kind": "mystery"}')
     with pytest.raises(TypeError):
         model_to_json(object())
+
+
+def cox_payload(**changes):
+    payload = {
+        "kind": "coxph",
+        "beta": [0.5, -0.25],
+        "baseline_knots": [1.0, 2.0],
+        "baseline_values": [0.1, 0.3],
+        "feature_means": [0.0, 1.0],
+    }
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+def km_payload(**changes):
+    payload = json.loads(model_to_json(km_fit([1.0, 2.0, 3.0, 4.0], [True, False, True, True])))
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+def weibull_payload(**changes):
+    return json.dumps({"kind": "weibull_aft", "shape": 1.5, "scale": 2.0, **changes})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (weibull_payload(shape=0), "field 'shape' must be a finite number > 0, got 0"),
+        (weibull_payload(shape=float("nan")), "field 'shape' must be a finite number > 0"),
+        (weibull_payload(shape=-2.0), "field 'shape' must be a finite number > 0, got -2.0"),
+        (weibull_payload(scale=-1.0), "field 'scale' must be a finite number > 0, got -1.0"),
+        (weibull_payload(scale="2.0"), "field 'scale' must be a finite number > 0"),
+        (weibull_payload(shape=True), "field 'shape' must be a finite number > 0"),
+        (weibull_payload(scale=10**400), "field 'scale' must be a finite number > 0"),
+        (cox_payload(beta=[0.5, float("nan")]), "field 'beta' entry 1 must be a finite number"),
+        (cox_payload(beta=[0.5]), "field 'feature_means' has 2 entries but 'beta' has 1"),
+        (cox_payload(baseline_knots=[2.0, 1.0]), "field 'baseline_knots' must be strictly"),
+        (cox_payload(baseline_values=[0.1]), "field 'baseline_values' has 1 entries"),
+        (cox_payload(beta=0.5), "field 'beta' must be a list of numbers"),
+        ('{"kind": "weibull_aft", "shape": 1.5}', "model JSON lacks the field 'scale'"),
+        ('{"shape": 1.5, "scale": 2.0}', "model JSON lacks the field 'kind'"),
+        ('{"kind": "coxph", "beta": [1.0]}', "model JSON lacks the field 'feature_means'"),
+        (km_payload(at_risk=[4, 2.5, 1]), "field 'at_risk' must hold whole numbers >= 0"),
+        (km_payload(n_events=[1, -1, 1]), "field 'n_events' must hold whole numbers >= 0"),
+        (km_payload(event_times=[1.0]), "field 'at_risk' has 3 entries but 'event_times' has 1"),
+        ("[1, 2]", "model JSON must be an object, got list"),
+        ('  ["kind", "km"]', "model JSON must be an object, got list"),
+    ],
+)
+def test_model_from_json_refuses_what_model_to_json_cannot_write(text, message):
+    with pytest.raises(ValueError, match=message):
+        model_from_json(text)
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "3.5", '"coxph"', "null"])
+def test_model_from_json_refuses_a_file_that_holds_no_object(tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match="model JSON must be an object"):
+        model_from_json(path)
+    with pytest.raises(ValueError, match="model JSON must be an object"):
+        model_from_json(str(path))
