@@ -19,7 +19,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -666,21 +669,26 @@ def _parse_float(text: str, line: int, column: str) -> float:
     return value
 
 
-# lines per block handed to orjson. Reading a 1000 x 101 curve file raised
-# peak memory above its line list by 2.6 MB with 64-line blocks (np.loadtxt:
-# 2.8 MB), 5.3 MB with 256 and 12 MB with one block; larger blocks were no
-# faster
+# lines per block handed to orjson. Reading a 2.1 MB, 1000 x 101 curve file
+# peaked at 3.9 MB of traced memory with 64-line blocks (its bytes, the
+# table and one block's parse), 5.7 MB with 256 and 10.3 MB with one block;
+# larger blocks were no faster
 _BLOCK_LINES = 64
 # the bytes of rows of plain numbers, one per line; with these alone, a line
-# can add no JSON structure (no bracket, quote, brace, name or literal)
-_NUMERIC_BYTES = b"0123456789.eE+-, \t\n"
+# can add no JSON structure (no bracket, quote, brace, name or literal). A
+# carriage return is JSON white space; the reader takes it only before a
+# line feed
+_NUMERIC_BYTES = b"0123456789.eE+-, \t\r\n"
 # an integer -0 field: orjson reads it as 0 where float() gives -0.0
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])")
+# a line ending, as a text file opened with newline="" splits its lines
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
-def _read_columns(lines, width, index=False):
-    """The comma-separated ``lines`` (a file's lines below its header, each
-    with its own line ending) as an ``n x width`` float table, or None.
+def _read_columns(data, offset, width, index=False):
+    """The comma-separated lines of the bytes ``data`` from byte ``offset``
+    on (a file's lines below its header) as an ``n x width`` float table, or
+    None. ``offset`` None gives None.
 
     Each block of ``_BLOCK_LINES`` lines is parsed by one ``orjson.loads``
     of its rows rejoined as ``[[row],[row],...]``, and fills its slice of the
@@ -689,38 +697,71 @@ def _read_columns(lines, width, index=False):
     an integer that fits int64, and the result is that column as int64 and
     the other columns as the table.
 
-    Returns None for anything else: a line with a byte other than an ASCII
-    digit, ``.eE+-,``, space or tab; an integer ``-0`` field; a field over
-    the ``csv`` module's size limit; a blank row or one of another width; an
-    index that is not an int64 integer; text that is not a JSON number; no
-    rows. Callers then read the lines with ``csv``, which names the fault.
+    Returns None for anything else: a carriage return not followed by a line
+    feed (a line break to the line reader); a byte other than an ASCII digit,
+    ``.eE+-,``, space, tab or line ending; an integer ``-0`` field; a field
+    over the ``csv`` module's size limit; a blank row or one of another
+    width; an index that is not an int64 integer; text that is not a JSON
+    number; no rows. Callers then read the lines with ``csv``, which names
+    the fault.
     """
     import orjson
 
-    if not lines:
+    if offset is None:
         return None
+    end = len(data)  # the last line ends here, before its line ending
+    if data.endswith(b"\n", offset):
+        end -= 2 if data.endswith(b"\r\n", offset) else 1
+    bare_cr = data.find(b"\r", offset, end) >= 0 and (
+        data.count(b"\r", offset, end) != data.count(b"\r\n", offset, end)
+    )
+    if bare_cr:
+        return None
+    # each block's span of bytes, up to the line feed that ends it, and
+    # whether one of its lines is longer than csv's field size limit
     limit = csv.field_size_limit()
-    table = np.empty((len(lines), width))
+    find = data.find
+    blocks, n = [], 0
+    start = offset
+    while start <= end:
+        line_start, long_line = start, False
+        for lines in range(1, _BLOCK_LINES + 1):
+            line_end = find(b"\n", line_start, end)
+            if line_end < 0:
+                line_end = end
+            if line_end - line_start > limit:
+                long_line = True
+            if line_end == end:
+                break
+            line_start = line_end + 1
+        blocks.append((start, line_end, long_line))
+        n += lines
+        start = line_end + 1
+    table = np.empty((n, width))
+    cells = table.reshape(-1)
+    filled = 0
     first = []
-    for start in range(0, len(lines), _BLOCK_LINES):
-        block = [line.rstrip("\r\n") for line in lines[start : start + _BLOCK_LINES]]
-        if max(map(len, block)) > limit and any(
-            len(field) > limit for line in block for field in line.split(",")
+    for start, stop, long_line in blocks:
+        block = data[start:stop]
+        if long_line and any(
+            len(field) > limit for field in block.replace(b"\n", b",").split(b",")
+        ):
+            return None
+        if block.translate(None, _NUMERIC_BYTES) or (
+            b"-0" in block and _INTEGER_MINUS_ZERO.search(block)
         ):
             return None
         try:
-            text = "\n".join(block).encode("ascii")
-        except UnicodeEncodeError:
-            return None
-        if text.translate(None, _NUMERIC_BYTES) or _INTEGER_MINUS_ZERO.search(text):
-            return None
-        try:
-            rows = orjson.loads(b"[[" + text.replace(b"\n", b"],[") + b"]]")
+            rows = orjson.loads(b"".join((b"[[", block.replace(b"\n", b"],["), b"]]")))
         except orjson.JSONDecodeError:
             return None
         if set(map(len, rows)) != {width}:
             return None
-        table[start : start + len(rows)] = rows
+        count = len(rows) * width
+        cells[filled : filled + count] = np.fromiter(
+            itertools.chain.from_iterable(rows), float, count
+        )
+        filled += count
         if index:
             first.extend([row[0] for row in rows])
     if not index:
@@ -731,18 +772,33 @@ def _read_columns(lines, width, index=False):
 
 
 def _split_csv(path: Path):
-    """The header row of the csv file at ``path``, the file's other lines and
-    the file line of the first of them (a quoted header field may span
-    lines). The file is read once, so it may be a pipe."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        except csv.Error as exc:  # e.g. a field over csv's size limit
-            raise DataFormatError(f"line 1: {exc}") from None
-        return header, fh.readlines(), reader.line_num + 1
+    """Read the csv file at ``path`` once, so that it may be a pipe, dropping
+    a leading UTF-8 byte-order mark. Returns its header row; its bytes and
+    the offset of the lines below the header in them, for
+    :func:`_read_columns`; a text stream of those lines, decoded as
+    ``path.open(newline="")`` decodes them; and the file line of the first of
+    them (a quoted header field may span lines). The offset is None when the
+    text's encoding does not read the bytes of plain numbers as ASCII.
+    """
+    with path.open("rb") as fh:
+        data = fh.read()
+    offset = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    buffer = io.BytesIO(data)
+    buffer.seek(offset)
+    text = io.TextIOWrapper(buffer, newline="")
+    reader = csv.reader(text)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: file is empty") from None
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise DataFormatError(f"line 1: {exc}") from None
+    for _ in range(reader.line_num):
+        found = _LINE_END.search(data, offset)
+        offset = len(data) if found is None else found.end()
+    if codecs.decode(_NUMERIC_BYTES, text.encoding, "replace") != _NUMERIC_BYTES.decode():
+        offset = None
+    return header, data, offset, text, reader.line_num + 1
 
 
 def _read_lines(lines, start, width, parse):
@@ -791,12 +847,15 @@ def load_dataset(
     same column for time and event, is rejected. Rows keep their file order
     and parse errors name the offending line (the header is line 1).
 
-    The file is read once, so it may be a pipe. A valid file is parsed in
-    blocks by orjson's exact number parser; any other file is parsed again
-    line by line.
+    The file is read once, as bytes, so it may be a pipe; a leading UTF-8
+    byte-order mark is dropped. The header is decoded as ``open`` decodes
+    text. The rows of a valid file are parsed from those bytes in blocks by
+    orjson's exact number parser; any other file (a bare carriage return, a
+    text encoding that does not read ASCII digits as ASCII, any field that
+    is not a plain number) is decoded and parsed again line by line.
     """
     path = Path(path)
-    header, rest, start = _split_csv(path)
+    header, raw, offset, rest, start = _split_csv(path)
     header = [h.strip() for h in header]
     for needed in (time_column, event_column):
         if needed not in header:
@@ -821,7 +880,7 @@ def load_dataset(
         truths = data[:, 2] if truth_idx else None
         return data[:, 0], data[:, 1] == 1.0, data[:, 2 + len(truth_idx) :], truths
 
-    table = _read_columns(rest, len(header))
+    table = _read_columns(raw, offset, len(header))
     if table is not None:
         data = table[:, order]
         if np.all((data[:, 1] == 0.0) | (data[:, 1] == 1.0)):
@@ -837,7 +896,7 @@ def load_dataset(
             raise DataFormatError(f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}")
         return [time, flag] + [_parse_float(row[j], line, header[j]) for j in order[2:]]
 
-    rows, lines, failure = _read_lines(rest, start, len(header), parse)
+    rows, lines, failure = _read_lines(rest.readlines(), start, len(header), parse)
     times, events, features, truths = columns(
         np.array(rows, dtype=float).reshape(len(rows), len(order))
     )

@@ -122,7 +122,12 @@ def censoring_km_fit(ds: SurvivalDataset) -> KaplanMeierFit:
 
 @dataclass(frozen=True)
 class CumulativeHazard:
-    """Nondecreasing step function, zero before its first knot."""
+    """Nondecreasing step function, zero before its first knot.
+
+    Its knots must be finite, nonnegative and strictly increasing, as a
+    :class:`~survmae.core.StepCurve`'s are, and its values nonnegative and
+    nondecreasing; a broken rule raises ``ValueError``.
+    """
 
     knots: np.ndarray
     values: np.ndarray
@@ -134,6 +139,10 @@ class CumulativeHazard:
         object.__setattr__(self, "values", values)
         if knots.size != values.size or knots.ndim != 1:
             raise ValueError("knots and values must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(knots)):
+            raise ValueError("knots must be finite")
+        if (knots.size and knots[0] < 0) or np.any(np.diff(knots) <= 0):
+            raise ValueError("knots must be nonnegative and strictly increasing")
         if np.any(np.diff(values) < -1e-12) or (values.size and values[0] < 0):
             raise ValueError("cumulative hazard must be nonnegative and nondecreasing")
 

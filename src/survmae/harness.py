@@ -247,8 +247,15 @@ class CurveTable(Mapping):
         return len(self._row)
 
     def select(self, subjects) -> CurveBatch:
-        """The batch of ``subjects``, in that order; all must be in the file."""
+        """The batch of ``subjects``, in that order; all must be in the file.
+
+        Subjects that are the file's rows, in file order, give the loaded
+        batch itself, with no copy and no second check of its curves; any
+        other selection gives a new batch of copied rows.
+        """
         subjects = [int(i) for i in subjects]
+        if len(subjects) == len(self.batch) and subjects == list(self._row):
+            return self.batch
         missing = [i for i in subjects if i not in self._row]
         if missing:
             raise ConfigurationError(
@@ -265,12 +272,14 @@ def load_curve_file(path) -> CurveTable:
     grid. The grid is checked as a row of knots first; the curve rules are
     checked on all rows at once; every error names the first bad line.
 
-    The file is read once, so it may be a pipe. A valid file is parsed in
-    blocks by orjson's exact number parser; any other file is parsed again
-    line by line.
+    The file is read once, as bytes, so it may be a pipe, and is read as
+    :func:`~survmae.core.load_dataset` reads a CSV file: a leading UTF-8
+    byte-order mark is dropped, the rows of a valid file are parsed from the
+    bytes in blocks by orjson's exact number parser, and any other file is
+    decoded and parsed again line by line.
     """
     path = Path(path)
-    header, rest, start = _split_csv(path)
+    header, raw, offset, rest, start = _split_csv(path)
     if not header or header[0].strip() != "t":
         raise DataFormatError(f"{path}: first header field must be 't'")
     try:
@@ -283,7 +292,7 @@ def load_curve_file(path) -> CurveTable:
         CurveBatch(knots=grid, values=np.ones((1, grid.size)))
     except InvalidCurveError as exc:
         raise DataFormatError(f"line 1: {exc.reason}") from None
-    table = _read_columns(rest, grid.size + 1, index=True)
+    table = _read_columns(raw, offset, grid.size + 1, index=True)
     if table is not None:
         subjects, values = table
         if np.unique(subjects).size == subjects.size:
@@ -306,7 +315,7 @@ def load_curve_file(path) -> CurveTable:
         seen.add(idx)
         return idx, values
 
-    rows, lines, failure = _read_lines(rest, start, grid.size + 1, parse)
+    rows, lines, failure = _read_lines(rest.readlines(), start, grid.size + 1, parse)
     values = np.array([v for _, v in rows]).reshape(len(rows), grid.size)
     try:
         # a bad curve on a line before the failure is the first error

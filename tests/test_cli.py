@@ -70,6 +70,27 @@ def test_stats_honors_column_names(tmp_path, capsys):
     assert_allclose(out["t_max_event"], 7.0)
 
 
+def test_stats_reads_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    # as Excel's "CSV UTF-8" export writes it
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbftime,event\r\n1.5,1\r\n2.5,1\r\n4.0,0\r\n")
+    assert main(["stats", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 3 and out["t_max_event"] == 2.5
+
+
+def test_eval_reads_files_with_a_byte_order_mark(truth_csv, tmp_path, capsys):
+    ds = load_dataset(truth_csv)
+    curves = tmp_path / "curves.csv"
+    save_curve_file(curves, [1.0, 5.0, 20.0], np.tile([0.9, 0.5, 0.1], (ds.n, 1)))
+    assert main(["eval", str(truth_csv), "--curves", str(curves)]) == 0
+    plain = capsys.readouterr().out
+    for path in (truth_csv, curves):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["eval", str(truth_csv), "--curves", str(curves)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_missing_file_reports_error(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -13,6 +13,8 @@ number the fast path reads must be the double ``float()`` gives.
 import contextlib
 import csv
 import decimal
+import functools
+import io
 import math
 import os
 import string
@@ -283,6 +285,13 @@ DATASET_CASES = {
     "header-quote-swallows-rows": 'time,event,"f\n1.5,1,2\n',
     "quoted-header": 'time,"event"\n1.5,1\n',
     "padded-header": " time , event \n1.5,1\n",
+    # csv splits a row at a bare CR, where JSON reads white space
+    "bare-cr-in-row": "time,event,f\n1.5,1\r,3\n2.0,0,4\n",
+    "bare-cr-last": "time,event\n1.5,1\n2.0,0\r",
+    "crlf-and-lf": "time,event\r\n1.5,1\n2.0,0\r\n2.5,1\n",
+    "cr-and-lf": "time,event\r1.5,1\n2.0,0\n",
+    "two-line-header-crlf": 'time,event,"f\r\ng"\r\n1.5,1,2\r\n',
+    "two-line-header-no-newline": 'time,event,"f\ng"',
 }
 
 
@@ -317,6 +326,12 @@ CURVE_CASES = {
     "two-line-header": 't,1,"2\n"\n0,0.9,0.5\n',
     "header-quote-swallows-rows": 't,1,"2\n0,0.9,0.5\n',
     "decreasing-grid": "t,2,1\n0,0.9,0.5\n",
+    "bare-cr-in-row": "t,1,2\n0,0.9\r,0.5\n1,0.8,0.4\n",
+    "bare-cr-before-crlf": "t,1,2\n0,0.9,0.5\r\r\n",
+    "crlf-and-lf": "t,1,2\n0,0.9,0.5\r\n1,0.8,0.4\n",
+    "cr-crlf-and-lf": "t,1,2\r\n0,0.9,0.5\r1,0.8,0.4\n2,0.7,0.3\r\n",
+    "two-line-header-cr": 't,1,"2\r"\r\n0,0.9,0.5\n',
+    "header-no-newline": "t,1,2",
 }
 
 
@@ -351,7 +366,7 @@ def test_index_above_int64_keeps_python_ints(tmp_path):
 )
 def test_c_reader_declines_what_it_cannot_read_exactly(lines):
     # the line reader then reads the file, and names the fault if there is one
-    assert core._read_columns(lines, 3, index=True) is None
+    assert core._read_columns("".join(lines).encode(), 0, 3, index=True) is None
 
 
 # --------------------------------------------------------- exact numbers
@@ -395,7 +410,7 @@ def test_c_reader_parses_each_number_as_float_does(width, n, data):
         st.lists(number_fields(), min_size=n * width, max_size=n * width), label="fields"
     )
     lines = [",".join(fields[i : i + width]) + "\r\n" for i in range(0, n * width, width)]
-    got = core._read_columns(lines, width)
+    got = core._read_columns("".join(lines).encode(), 0, width)
     if "-0" in fields:  # the one number orjson reads to another double
         assert got is None
     else:
@@ -409,7 +424,7 @@ def test_c_reader_parses_each_number_as_float_does(width, n, data):
     ids=lambda text: text[:24],
 )
 def test_c_reader_reads_edge_numbers_as_float_does(text):
-    got = core._read_columns([f"0,{text}\n"], 2, index=True)
+    got = core._read_columns(f"0,{text}\n".encode(), 0, 2, index=True)
     assert got[1].tobytes() == np.array([[float(text)]]).tobytes()
 
 
@@ -587,6 +602,100 @@ def test_errors_name_the_file_line_across_multi_line_fields(tmp_path, load, text
             kind, cls, got = outcome(load, path)
         assert (kind, cls) == ("error", DataFormatError)
         assert got.startswith(message)
+
+
+# ------------------------------------------------------ one read of the bytes
+
+def test_a_bare_cr_in_a_row_is_a_line_break(tmp_path):
+    for load, text in (
+        (load_dataset, DATASET_CASES["bare-cr-in-row"]),
+        (load_curve_file, CURVE_CASES["bare-cr-in-row"]),
+    ):
+        kind, _, message = outcome(load, write(tmp_path, text))
+        assert (kind, message) == ("error", "line 2: expected 3 fields, found 2")
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_dataset, DATASET_CASES["crlf-and-lf"]),
+        (load_curve_file, CURVE_CASES["crlf-and-lf"]),
+        (load_dataset, DATASET_CASES["two-line-header-crlf"]),
+        (load_curve_file, CURVE_CASES["two-line-header-cr"]),
+    ],
+    ids=["dataset-crlf-and-lf", "curves-crlf-and-lf", "dataset-two-line-header", "curves-two-line-header"],
+)
+def test_crlf_lf_and_multi_line_headers_take_the_block_reader(tmp_path, load, text):
+    assert rows_read(load, write(tmp_path, text)) == [1]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128], ids=lambda n: f"{n}-rows")
+@pytest.mark.parametrize("tail", ["\n", "\r\n", ""], ids=["lf", "crlf", "no-final-newline"])
+@pytest.mark.parametrize(
+    "load, header, rows",
+    [(load_dataset, "time,event,f", dataset_rows), (load_curve_file, "t,1,2", curve_rows)],
+    ids=["dataset", "curves"],
+)
+def test_block_edges_read_every_row(tmp_path, load, header, rows, n, tail):
+    ending = "\r\n" if tail == "\r\n" else "\n"
+    path = write(tmp_path, ending.join([header] + rows(n)) + tail)
+    got = assert_same_as_line_reader(load, path)
+    assert rows_read(load, path) == [1]
+    assert got[-2][0] == n  # the shape of the table
+
+
+BOM = "\ufeff"  # UTF-8 writes it as EF BB BF
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_dataset, DATASET_CASES["valid"]),
+        (load_curve_file, CURVE_CASES["valid"]),
+        (load_dataset, 'time,event,"f\ng"\n1.5,x,2\n'),
+        (load_curve_file, "t,1,2\n0,0.9,0.5\n1,0.5,0.9\n"),
+    ],
+    ids=["dataset", "curves", "dataset-error", "curves-error"],
+)
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, load, text):
+    with_bom = assert_same_as_line_reader(load, write(tmp_path, BOM + text, "bom.csv"))
+    assert with_bom == outcome(load, write(tmp_path, text))
+    assert (tmp_path / "bom.csv").read_bytes()[:3] == b"\xef\xbb\xbf"
+
+
+def test_only_a_leading_byte_order_mark_is_dropped(tmp_path):
+    assert outcome(load_dataset, write(tmp_path, "time,event\n" + BOM + "1.5,1\n")) == (
+        "error",
+        DataFormatError,
+        "line 2: non-numeric value '\\ufeff1.5' in column 'time'",
+    )
+
+
+@pytest.mark.parametrize(
+    "load, header, fault",
+    [(load_dataset, "time,event", "x,1"), (load_curve_file, "t,1", "0,x")],
+    ids=["dataset", "curves"],
+)
+def test_an_undecodable_byte_fails_before_any_row_is_read(tmp_path, load, header, fault):
+    # the line reader decodes every line below the header before it reads a
+    # row, so the byte past the first 8 KiB fails the read, not the bad row
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{header}\n{fault}\n".encode() + b"1.5,1\n" * 2000 + b"\xff\n")
+    for reader in (contextlib.nullcontext, slow):
+        with reader(), pytest.raises(UnicodeDecodeError):
+            load(path)
+
+
+def test_a_text_encoding_not_ascii_compatible_declines_the_block_reader(tmp_path):
+    # as UTF-16 the row below reads as one field; as ASCII, as two numbers
+    path = tmp_path / "utf16.csv"
+    path.write_bytes("t,1\n".encode("utf-16-be") + b"0,0.5\n")
+    utf16 = mock.Mock(
+        BytesIO=io.BytesIO, TextIOWrapper=functools.partial(io.TextIOWrapper, encoding="utf-16-be")
+    )
+    with mock.patch.object(core, "io", utf16):
+        got = assert_same_as_line_reader(load_curve_file, path)
+    assert got == ("error", DataFormatError, "line 2: expected 2 fields, found 1")
 
 
 # ------------------------------------------------------------------- pipes

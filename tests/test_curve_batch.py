@@ -7,6 +7,7 @@ ragged batches.
 
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scipy import stats as sps
 from survmae import (
     BinningError,
     CurveBatch,
+    CurveTable,
     DataFormatError,
     DegenerateCurveError,
     DegenerateScoreWarning,
@@ -27,6 +29,7 @@ from survmae import (
     UndefinedMetricError,
     brier_score_at,
     censoring_km_fit,
+    core,
     cox_survival_curve,
     coxph_fit,
     d_calibration,
@@ -307,6 +310,46 @@ def test_curve_table_selects_rows_by_subject(tmp_path):
     assert_array_equal(table[5].values, [0.9, 0.5])
     with pytest.raises(ValueError, match=r"does not cover subjects \[3\]"):
         table.select([2, 3])
+
+
+def curve_checks(table, subjects):
+    """The batch ``table.select(subjects)`` gives, and how many batch curve
+    checks it ran."""
+    with mock.patch.object(core, "_first_bad_row", wraps=core._first_bad_row) as check:
+        picked = table.select(subjects)
+    return picked, check.call_count
+
+
+def test_selecting_the_file_order_returns_the_loaded_batch(tmp_path):
+    path = tmp_path / "curves.csv"
+    path.write_text("t,1,2\n0,0.9,0.5\n1,0.8,0.1\n2,0.7,0.2\n")
+    table = load_curve_file(path)
+    picked, checks = curve_checks(table, range(3))
+    assert picked is table.batch and checks == 0
+    assert_array_equal(picked.values, [[0.9, 0.5], [0.8, 0.1], [0.7, 0.2]])
+    assert_array_equal(picked.knots, [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "subjects", [[2, 0, 1], [0, 1], [1, 2], [0, 1, 2, 2], [0, 0, 1]],
+    ids=["permuted", "partial", "tail", "repeated", "repeated-first"],
+)
+def test_any_other_selection_is_a_fresh_checked_batch(tmp_path, subjects):
+    path = tmp_path / "curves.csv"
+    path.write_text("t,1,2\n0,0.9,0.5\n1,0.8,0.1\n2,0.7,0.2\n")
+    table = load_curve_file(path)
+    picked, checks = curve_checks(table, subjects)
+    assert picked is not table.batch and checks == 1
+    assert not np.shares_memory(picked.values, table.batch.values)
+    assert_array_equal(picked.values, table.batch.values[subjects])
+
+
+def test_a_table_with_repeated_indices_never_hands_out_its_batch():
+    batch = CurveBatch(knots=[1.0, 2.0], values=[[0.9, 0.5], [0.8, 0.1], [0.7, 0.2]])
+    table = CurveTable([1, 1, 0], batch)
+    picked = table.select([1, 0])
+    assert picked is not batch
+    assert_array_equal(picked.values, [[0.8, 0.1], [0.7, 0.2]])
 
 
 # -------------------------------------------------------------- structure

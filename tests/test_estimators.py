@@ -308,6 +308,28 @@ def test_cumulative_hazard_refuses_nan_and_negative_times(t):
         h.value(t)
 
 
+@pytest.mark.parametrize(
+    "knots, message",
+    [
+        ([2.0, 1.0], "nonnegative and strictly increasing"),
+        ([1.0, 1.0], "nonnegative and strictly increasing"),
+        ([-1.0, 1.0], "nonnegative and strictly increasing"),
+        ([np.nan, 1.0], "finite"),
+        ([1.0, np.inf], "finite"),
+    ],
+    ids=["decreasing", "repeated", "negative", "nan", "inf"],
+)
+def test_cumulative_hazard_refuses_bad_knots(knots, message):
+    # a lookup on decreasing knots read [0.2, 0.2] at [1.5, 2.5]
+    with pytest.raises(ValueError, match=f"knots must be .*{message}"):
+        CumulativeHazard(knots=knots, values=[0.1, 0.2])
+
+
+def test_cumulative_hazard_takes_a_first_knot_at_zero():
+    h = CumulativeHazard(knots=[0.0, 1.0], values=[0.1, 0.2])
+    assert_array_equal(h.value([0.0, 0.5, 1.5]), [0.1, 0.1, 0.2])
+
+
 def test_cox_risk_frozen():
     h = CumulativeHazard(knots=np.array([1.0]), values=np.array([0.2]))
     model = CoxModel(
