@@ -747,9 +747,7 @@ def _read_columns(data, offset, width, index=False):
             len(field) > limit for field in block.replace(b"\n", b",").split(b",")
         ):
             return None
-        if block.translate(None, _NUMERIC_BYTES) or (
-            b"-0" in block and _INTEGER_MINUS_ZERO.search(block)
-        ):
+        if block.translate(None, _NUMERIC_BYTES):
             return None
         try:
             rows = orjson.loads(b"".join((b"[[", block.replace(b"\n", b"],["), b"]]")))
@@ -758,9 +756,11 @@ def _read_columns(data, offset, width, index=False):
         if set(map(len, rows)) != {width}:
             return None
         count = len(rows) * width
-        cells[filled : filled + count] = np.fromiter(
-            itertools.chain.from_iterable(rows), float, count
-        )
+        parsed = cells[filled : filled + count]
+        parsed[:] = np.fromiter(itertools.chain.from_iterable(rows), float, count)
+        # an integer -0 parses to a zero cell, so a block without one holds none
+        if not parsed.all() and _INTEGER_MINUS_ZERO.search(block):
+            return None
         filled += count
         if index:
             first.extend([row[0] for row in rows])

@@ -405,12 +405,13 @@ def _top3(scores: dict) -> set:
 
 
 def _kendall_tau_b(x, y) -> float:
-    """Kendall's tau-b of two equal-length score lists, as ``scipy.stats.kendalltau``.
+    """Kendall's tau-b of two equal-length score lists.
 
     Counts every pair once with integer counts and returns
     ``(concordant - discordant) / sqrt(tot - x_ties) / sqrt(tot - y_ties)``
-    clipped to [-1, 1], the formula and order of operations scipy uses. NaN
-    when either list holds a NaN or is tied throughout.
+    clipped to [-1, 1], in the order of operations of the usual reference
+    implementation, which the tests check it against bit for bit. NaN when
+    either list holds a NaN or is tied throughout.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

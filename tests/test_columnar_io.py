@@ -362,6 +362,7 @@ def test_index_above_int64_keeps_python_ints(tmp_path):
         ["0,\u0660.9,0.5\n"],  # ARABIC-INDIC DIGIT ZERO: float() reads it, JSON does not
         ["0,0.9,0.5\n", "\n"],  # a blank row
         [f"{2**63},0.9,0.5\n"],  # an index above int64
+        ["-0,0.9,0.5\n"],  # an integer -0 as the index
     ],
 )
 def test_c_reader_declines_what_it_cannot_read_exactly(lines):
@@ -420,12 +421,36 @@ def test_c_reader_parses_each_number_as_float_does(width, n, data):
 
 @pytest.mark.parametrize(
     "text",
-    ["0.1", "-0.0", "-0e5", "1e-05", "2e-324", "4.9e-324", "1e-999", str(2**64 + 1), "9" * 300],
+    ["0.1", "-0.0", "-0e5", "-0e0", "-0E+00", "1e-05", "2e-324", "4.9e-324", "1e-999"]
+    + [str(2**64 + 1), "9" * 300],
     ids=lambda text: text[:24],
 )
 def test_c_reader_reads_edge_numbers_as_float_does(text):
     got = core._read_columns(f"0,{text}\n".encode(), 0, 2, index=True)
     assert got[1].tobytes() == np.array([[float(text)]]).tobytes()
+
+
+def nonzero_rows(n):
+    """Index and values of ``n`` rows of which no cell is zero."""
+    return [f"{i + 1},{0.9 - i * 1e-4!r},{0.4 - i * 1e-4!r}" for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [(0, 0), (5, 1), (core._BLOCK_LINES - 1, 2), (core._BLOCK_LINES, 2)],
+    ids=["first-index", "value", "last-field-of-a-block", "first-line-of-the-next"],
+)
+def test_an_integer_minus_zero_is_found_in_a_block_with_no_other_zero(row, field):
+    # the -0 scan runs only on blocks that parse to a zero cell; an integer
+    # -0 parses to one, wherever it sits
+    rows = [line.split(",") for line in nonzero_rows(2 * core._BLOCK_LINES)]
+    rows[row][field] = "-0"
+    data = "".join(",".join(cells) + "\n" for cells in rows).encode()
+    assert core._read_columns(data, 0, 3, index=True) is None
+    rows[row][field] = "0"  # a zero that reads the same as float() reads it
+    data = "".join(",".join(cells) + "\n" for cells in rows).encode()
+    index, table = core._read_columns(data, 0, 3, index=True)
+    assert (index == 0).sum() + (table == 0.0).sum() == 1
 
 
 # ---------------------------------------------------- faults in a later block

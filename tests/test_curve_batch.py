@@ -2,7 +2,9 @@
 
 The per-subject ``StepCurve`` path is the slow oracle: every batched result
 must equal it exactly (``np.array_equal``), on shared-grid, per-row and
-ragged batches.
+ragged batches. The calibration oracles test the binning, so they take
+their chi-square tail from ``_chi2_sf``, which ``test_vectorized_scoring``
+checks on its own.
 """
 
 import re
@@ -14,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
-from scipy import stats as sps
 
 from survmae import (
     BinningError,
@@ -43,6 +44,7 @@ from survmae import (
 )
 from survmae.core import _batch_passes, _first_bad_row, _scan_bad_row
 from survmae.harness import _PROB_GRID, _REL_KNOTS
+from survmae.metrics import _chi2_sf
 
 PROPERTY = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -125,7 +127,7 @@ def oracle_one_calibration(curves, ds, t_star, n_bins):
         elif expected >= n_g:
             expected = n_g - 0.5
         statistic += (observed - expected) ** 2 / (expected * (1.0 - expected / n_g))
-    return float(statistic), float(sps.chi2.sf(statistic, df=n_bins - 2)), tuple(table)
+    return float(statistic), _chi2_sf(statistic, n_bins - 2), tuple(table)
 
 
 def oracle_d_calibration(curves, ds, n_bins):
@@ -144,7 +146,7 @@ def oracle_d_calibration(curves, ds, n_bins):
         masses[top] += (p - top * width) / p
     expected = ds.n / n_bins
     statistic = float(np.sum((masses - expected) ** 2 / expected))
-    return statistic, float(sps.chi2.sf(statistic, df=n_bins - 1)), tuple(
+    return statistic, _chi2_sf(statistic, n_bins - 1), tuple(
         (expected, float(m)) for m in masses
     )
 

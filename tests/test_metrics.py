@@ -1,5 +1,6 @@
 """Tests for concordance, Brier scores, log-likelihood, and calibration."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -270,6 +271,33 @@ def test_ibs_needs_horizon():
     g = censoring_km_fit(ds)
     with pytest.raises(UndefinedMetricError):
         integrated_brier_score([const_curve(0.9), const_curve(0.9)], ds, g)
+
+
+HORIZON_CALLS = {
+    "one_calibration": (lambda c, ds, g, t: one_calibration(c, ds, t, n_bins=2), "t_star"),
+    "brier_score_at": (lambda c, ds, g, t: brier_score_at(c, ds, t, g), "t_star"),
+    "integrated_brier_score": (
+        lambda c, ds, g, t: integrated_brier_score(c, ds, g, t_max=t),
+        "t_max",
+    ),
+    "integrated_brier_score_one_point": (
+        lambda c, ds, g, t: integrated_brier_score(c, ds, g, grid_size=1, t_max=t),
+        "t_max",
+    ),
+}
+
+
+@pytest.mark.parametrize("call", HORIZON_CALLS)
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, -1.0, np.float64(np.inf)])
+def test_a_horizon_must_be_finite_and_nonnegative(call, horizon):
+    fn, name = HORIZON_CALLS[call]
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
+    g = censoring_km_fit(ds)
+    curves = [const_curve(v, knot=2.5) for v in (0.2, 0.9, 0.8, 0.6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numpy warning
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fn(curves, ds, g, horizon)
 
 
 # ---------------------------------------------------------- log-likelihood

@@ -5,10 +5,14 @@ in one pass; the per-subject loops they replaced are kept here as the slow
 oracles. The margin surrogate adds its tail integral in another order, so it
 is compared to 1e-12 relative; its weights and inclusion flags, and all of
 ``ipcw_t_surrogates``, must be equal exactly. Kendall's tau-b and the
-chi-square tail must equal ``scipy.stats``, which the package no longer
-imports.
+chi-square tail are checked against ``scipy.stats``, which the package does
+not import: tau-b exactly, the tail to 1e-12 relative and with its zeros at
+the same points. The tail is also checked to 1e-14 relative against stored
+40-digit values (``chi2_sf_table.py``).
 """
 
+import decimal
+import json
 import math
 import os
 import subprocess
@@ -24,6 +28,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats as sps
 
 import survmae
+from chi2_sf_table import CHI2_SF_TABLE
 from survmae import (
     SurvivalDataset,
     ipcw_t_surrogates,
@@ -221,12 +226,26 @@ def test_kendall_tau_b_cases_equal_scipy(x, y):
 # ------------------------------------------------------------- chi-square tail
 
 
+TINY = 2.2250738585072014e-308  # the smallest normal double
+
+
+def assert_near_scipy(df, statistic):
+    """``_chi2_sf`` within 1e-12 relative of scipy's tail, and 0.0 exactly
+    where scipy's is 0.0."""
+    got, want = _chi2_sf(statistic, df), float(sps.chi2.sf(statistic, df=df))
+    assert (got == 0.0) == (want == 0.0), (df, statistic, got, want)
+    if want >= TINY:
+        assert abs(got - want) <= 1e-12 * want, (df, statistic, got, want)
+    else:
+        assert got < TINY, (df, statistic, got, want)
+
+
 @pytest.mark.parametrize("df", [1, 2, 3, 5, 8, 9, 30])
 @pytest.mark.parametrize(
     "statistic", [0.0, 1e-300, 1e-3, 0.5, 3.0, 17.5, 80.0, 1e3, 1e6, 1e300, np.inf]
 )
 def test_chi2_sf_equals_scipy(df, statistic):
-    assert _chi2_sf(statistic, df) == float(sps.chi2.sf(statistic, df=df))
+    assert_near_scipy(df, statistic)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,8 +253,56 @@ def test_chi2_sf_equals_scipy(df, statistic):
     df=st.integers(1, 60),
     statistic=st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
 )
+@example(df=1, statistic=5e-324)  # halves to 0.0
 def test_chi2_sf_equals_scipy_property(df, statistic):
-    assert _chi2_sf(statistic, df) == float(sps.chi2.sf(statistic, df=df))
+    assert_near_scipy(df, statistic)
+
+
+def test_chi2_sf_matches_the_40_digit_table():
+    normal = 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for df, x, q in CHI2_SF_TABLE:
+            got, want = _chi2_sf(x, df), decimal.Decimal(q)
+            if want >= TINY:
+                normal += 1
+                error = abs(decimal.Decimal(got) - want) / want
+                assert error <= decimal.Decimal("1e-14"), (df, x, got, q)
+            else:
+                assert got < TINY, (df, x, got, q)
+    assert normal > 1000
+
+
+@pytest.mark.parametrize("df", range(1, 10))
+def test_chi2_sf_underflows_to_zero_where_scipy_does(df):
+    # the tail leaves the doubles between x = 1425 (df 1) and 1474 (df 9)
+    xs = np.linspace(1420.0, 1480.0, 6001)
+    got = np.array([_chi2_sf(x, df) for x in xs.tolist()])
+    want = sps.chi2.sf(xs, df=df)
+    assert_array_equal(got == 0.0, want == 0.0)
+    assert (got == 0.0).any() and (got > 0.0).any()
+    normal = want >= TINY
+    assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("df", [1, 2, 9, 60])
+def test_chi2_sf_edges(df):
+    assert math.isnan(_chi2_sf(math.nan, df))
+    assert _chi2_sf(0.0, df) == _chi2_sf(-1.0, df) == _chi2_sf(-math.inf, df) == 1.0
+    assert _chi2_sf(math.inf, df) == 0.0
+
+
+@pytest.mark.parametrize(
+    "df, x, q",  # q from mpmath at 50 digits
+    [
+        (700, 2000.0, 2.2063535914621017e-125),
+        (1200, 2900.0, 6.9084348630494246e-142),
+        (2000, 2000.0, 0.49579475581978449),
+    ],
+)
+def test_chi2_sf_holds_at_a_large_df(df, x, q):
+    # past x = 1416 the factor e^(-x/2) comes in pieces, so no term overflows
+    assert_allclose(_chi2_sf(x, df), q, rtol=1e-14)
 
 
 def test_chi2_sf_without_degrees_of_freedom_is_nan():
@@ -259,16 +326,27 @@ def test_one_calibration_with_two_bins_has_nan_p_value():
 
 
 def test_import_does_not_load_scipy_stats(tmp_path):
-    # nor any other part of scipy: scipy.special comes with the first
-    # p-value; nor orjson, which comes with the first file read
-    csv_path = tmp_path / "data.csv"
-    csv_path.write_text("time,event\n1.5,1\n")
+    # nor any other part of scipy, which the package runs without: in a
+    # process where importing scipy fails, `eval` and an experiment give both
+    # p-values. orjson comes with the first file read, not with the import.
+    rng = np.random.default_rng(3)
+    times = rng.uniform(0.5, 10.0, 60)
+    events = rng.random(60) < 0.7
+    ds = SurvivalDataset.from_arrays(times, events, true_times=np.where(events, times, times + 1.0))
+    data, curves = tmp_path / "data.csv", tmp_path / "curves.csv"
+    survmae.save_dataset(ds, data)
+    grid = np.linspace(0.0, 12.0, 25)
+    survmae.save_curve_file(curves, grid, np.exp(-np.outer(rng.uniform(0.05, 0.3, 60), grid)))
     code = (
-        "import sys, survmae, survmae.cli; "
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'orjson')); "
-        "print(loaded); assert not loaded; "
-        "survmae.metrics._chi2_sf(3.0, 2); assert 'scipy.special' in sys.modules; "
-        f"survmae.load_dataset({str(csv_path)!r}); assert 'orjson' in sys.modules"
+        "import json, sys; sys.modules['scipy'] = None; "
+        "import survmae, survmae.cli; assert 'orjson' not in sys.modules; "
+        f"assert survmae.cli.main(['eval', {str(data)!r}, '--curves', {str(curves)!r}]) == 0; "
+        "assert 'orjson' in sys.modules; "
+        f"ds = survmae.load_dataset({str(data)!r}); "
+        "report = survmae.run_experiment(ds, [survmae.parse_model_spec('noisy:0.2')], k=3); "
+        "print(json.dumps(report.mean_scores)); "
+        "loaded = [m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v]; "
+        "assert not loaded, loaded"
     )
     src = str(Path(survmae.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -277,3 +355,9 @@ def test_import_does_not_load_scipy_stats(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stdout + result.stderr
+    decoder = json.JSONDecoder()
+    scores, at = decoder.raw_decode(result.stdout)  # the eval report
+    (means,) = json.loads(result.stdout[at:]).values()  # the experiment's one model
+    for p_values in (scores, means):
+        for name in ("one_calibration_p", "d_calibration_p"):
+            assert 0.0 <= p_values[name] <= 1.0, (name, p_values)
