@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -101,7 +102,7 @@ def _cmd_eval(args) -> int:
     curves = load_curve_file(args.curves).select(range(ds.n))
     scores = evaluate_dataset(ds, curves, pred_method=args.pred_method)
     cleaned = {
-        k: (None if v is None or not np.isfinite(v) else float(v))
+        k: (None if v is None or not math.isfinite(v) else float(v))
         for k, v in scores.items()
     }
     print(json.dumps(cleaned, indent=2))

@@ -85,7 +85,9 @@ def km_fit(times, events) -> KaplanMeierFit:
     Parameters
     ----------
     times : sequence of positive floats
-    events : sequence of bools, True where the event was observed
+    events : sequence of bools or 0/1 flags, true where the event was
+        observed; any other flag, NaN included, raises ``ValueError`` naming
+        the first subject that holds one
 
     Notes
     -----
@@ -93,7 +95,8 @@ def km_fit(times, events) -> KaplanMeierFit:
     t remains in the at-risk count n_k for events at t.
     """
     t = np.asarray(times, dtype=float)
-    e = np.asarray(events, dtype=bool)
+    flags = np.asarray(events)
+    e = flags.astype(bool, copy=False)
     if t.ndim != 1 or t.shape != e.shape:
         raise ValueError("times and events must be 1-d arrays of equal length")
     if t.size == 0:
@@ -101,6 +104,12 @@ def km_fit(times, events) -> KaplanMeierFit:
     if not (np.isfinite(t).all() and (t > 0).all()):
         bad = _first_bad_subject(t, e, None, np.empty((t.size, 0)))
         raise ValueError("subject {}: {}".format(*bad))
+    if flags.dtype != bool:
+        # NaN compares false too
+        off = np.flatnonzero(~((flags == 0) | (flags == 1)))
+        if off.size:
+            i = int(off[0])
+            raise ValueError(f"subject {i}: event flag must be 0 or 1, got {flags.tolist()[i]!r}")
 
     event_times, n_k, d_k, surv = _product_limit(t, e)
     all_times = np.unique(t)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CurveBatch, SurvivalDataset, stratified_kfold
-from .core import _read_columns, _read_lines, _split_csv, _write_csv
+from .core import _read_columns, _read_lines, _split_csv, _write_columns
 from .errors import (
     BinningError,
     ConfigurationError,
@@ -328,15 +328,31 @@ def load_curve_file(path) -> CurveTable:
 
 
 def save_curve_file(path, grid, value_rows, indices=None) -> None:
-    """Write curves sharing ``grid`` in the format :func:`load_curve_file` reads."""
+    """Write curves sharing ``grid`` in the format :func:`load_curve_file` reads.
+
+    ``value_rows`` is one row of ``len(grid)`` values per curve, and
+    ``indices`` (default ``0, 1, ...``) one subject index per row, written
+    as ``str(int(index))``. A grid that is not 1-d, a value matrix that is
+    not 2-d or not ``len(grid)`` wide, or an index count other than the row
+    count raises ``ValueError`` before the file is opened.
+    """
     grid = np.asarray(grid, dtype=float)
     value_rows = np.asarray(value_rows, dtype=float)
-    if indices is None:
-        indices = range(value_rows.shape[0])
-    _write_csv(
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be 1-d, got {grid.ndim} dimensions")
+    if value_rows.ndim != 2 or value_rows.shape[1] != grid.size:
+        raise ValueError(
+            f"value_rows has shape {value_rows.shape}, expected (rows, {grid.size}):"
+            " one value per grid time"
+        )
+    n = value_rows.shape[0]
+    index = [str(int(i)) for i in (range(n) if indices is None else indices)]
+    if len(index) != n:
+        raise ValueError(f"{len(index)} indices for {n} value rows")
+    _write_columns(
         path,
         ["t"] + [repr(t) for t in grid.tolist()],
-        ([str(int(idx)), *map(repr, row)] for idx, row in zip(indices, value_rows.tolist())),
+        [np.array(index, dtype=object), *value_rows.T],
     )
 
 
@@ -369,7 +385,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         def clean(v):
-            if v is None or not np.isfinite(v):
+            if v is None or not math.isfinite(v):
                 return None
             return float(v)
 
@@ -413,22 +429,24 @@ def _kendall_tau_b(x, y) -> float:
     implementation, which the tests check it against bit for bit. NaN when
     either list holds a NaN or is tied throughout.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.isnan(x).any() or np.isnan(y).any():
+    x = np.asarray(x, dtype=float).tolist()
+    y = np.asarray(y, dtype=float).tolist()
+    if any(map(math.isnan, x)) or any(map(math.isnan, y)):
         return float("nan")
-    i, j = np.triu_indices(x.size, k=1)
-    # comparisons, not differences: inf - inf is NaN
-    sign_x = (x[i] > x[j]).astype(np.int64) - (x[i] < x[j])
-    sign_y = (y[i] > y[j]).astype(np.int64) - (y[i] < y[j])
-    tot = i.size
-    x_ties = int(np.count_nonzero(sign_x == 0))
-    y_ties = int(np.count_nonzero(sign_y == 0))
+    tot = con_minus_dis = x_ties = y_ties = 0
+    for i, (xi, yi) in enumerate(zip(x, y)):
+        for xj, yj in zip(x[i + 1 :], y[i + 1 :]):
+            # comparisons, not differences: inf - inf is NaN
+            sign_x = (xi > xj) - (xi < xj)
+            sign_y = (yi > yj) - (yi < yj)
+            tot += 1
+            x_ties += not sign_x
+            y_ties += not sign_y
+            con_minus_dis += sign_x * sign_y
     if x_ties == tot or y_ties == tot:
         return float("nan")
-    con_minus_dis = int(np.sum(sign_x * sign_y))
-    tau = con_minus_dis / np.sqrt(tot - x_ties) / np.sqrt(tot - y_ties)
-    return float(min(1.0, max(-1.0, tau)))
+    tau = con_minus_dis / math.sqrt(tot - x_ties) / math.sqrt(tot - y_ties)
+    return min(1.0, max(-1.0, tau))
 
 
 def rank_agreement(true_scores: dict, metric_scores: dict):

@@ -19,6 +19,7 @@ import math
 import os
 import string
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -453,6 +454,19 @@ def test_an_integer_minus_zero_is_found_in_a_block_with_no_other_zero(row, field
     assert (index == 0).sum() + (table == 0.0).sum() == 1
 
 
+@pytest.mark.parametrize("exponent", ["1e-0", "2.5E-0", "-3e-0"])
+def test_an_exponent_minus_zero_takes_the_block_reader(tmp_path, exponent):
+    # the -0 of an exponent is no integer -0 field: with a zero cell in the
+    # block, it is still read from the bytes, as float() reads it
+    got = core._read_columns(f"0,0.0,{exponent}\n".encode(), 0, 3, index=True)
+    assert got is not None
+    assert got[1].tobytes() == np.array([[0.0, float(exponent)]]).tobytes()
+    path = write(tmp_path, f"t,1,2\n0,0.0,{exponent}\n1,-0,{exponent}\n")
+    assert_same_as_line_reader(load_curve_file, path)
+    # the real -0 field on the second line still sends the file to the line reader
+    assert core._read_columns(path.read_bytes(), 6, 3, index=True) is None
+
+
 # ---------------------------------------------------- faults in a later block
 
 LATER = 2 * core._BLOCK_LINES + 3  # a line of the third block
@@ -865,6 +879,149 @@ def test_save_curve_file_equals_the_csv_writer(tmp_path, width, n, data):
     oracle_save_curve_file(tmp_path / "rows.csv", grid, values, indices)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     assert_same_as_line_reader(load_curve_file, tmp_path / "columns.csv")
+
+
+def written_lines(tmp_path, columns):
+    """The rows ``core._write_columns`` writes for ``columns``, as texts."""
+    path = tmp_path / "block.csv"
+    core._write_columns(path, [f"c{j}" for j in range(len(columns))], columns)
+    text = path.read_bytes().decode()
+    assert text.endswith("\r\n")
+    return text.split("\r\n")[1:-1]
+
+
+@PROPERTY
+@given(data=st.data(), width=st.integers(1, 4), n=st.integers(1, 40))
+def test_the_block_writer_spells_every_float_as_repr(tmp_path, data, width, n):
+    values = data.draw(st.lists(st.floats(width=64), min_size=n * width, max_size=n * width))
+    columns = np.array(values, dtype=float).reshape(width, n)
+    want = [",".join(map(repr, row)) for row in columns.T.tolist()]
+    assert written_lines(tmp_path, list(columns)) == want
+
+
+LARGEST = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize(
+    "value, shortest",
+    [
+        (1e-4, True),
+        (math.nextafter(1e-4, 0.0), False),  # 9.999999999999999e-05
+        (1e16, False),  # 1e+16
+        (math.nextafter(1e16, 0.0), True),  # 9999999999999998.0
+        (0.0, True),
+        (-0.0, True),
+        (5e-324, False),
+        (LARGEST, False),
+        (math.nan, False),
+        (math.inf, False),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_the_block_writer_edges_of_the_orjson_range(tmp_path, value, shortest, sign):
+    # orjson's own text is kept only inside [1e-4, 1e16) and at zero
+    x = sign * value
+    spelled = core._spelled(np.array([x, 0.5]))
+    assert isinstance(spelled[0], float) == shortest
+    assert written_lines(tmp_path, [np.array([x, 0.5])]) == [repr(x), "0.5"]
+
+
+def edge_floats(rng, n):
+    """``n`` floats, most of them ordinary, some outside orjson's range."""
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 20, n)
+    odd = rng.random(n) < 0.1
+    x[odd] = rng.choice([0.0, -0.0, 1e-300, -5e-324, 1e300, LARGEST, 1e16, 1e-5], odd.sum())
+    return x
+
+
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1, 1000], ids=lambda r: f"{r:+d}-rows")
+def test_save_dataset_over_several_blocks_equals_the_csv_writer(tmp_path, extra_rows):
+    rng = np.random.default_rng(extra_rows + 10)
+    width = 8  # time, event, true_time and 5 features
+    n = 3 * (core._BLOCK_CELLS // width) + extra_rows
+    times = np.abs(edge_floats(rng, n)) + 1e-300
+    events = rng.random(n) < 0.5
+    truths = np.where(events, times, times + 1.0)
+    features = edge_floats(rng, 5 * n).reshape(n, 5)
+    ds = SurvivalDataset(times, events, features, truths, tuple("abcde"))
+    save_dataset(ds, tmp_path / "columns.csv")
+    oracle_save_dataset(ds, tmp_path / "rows.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert_same_as_line_reader(load_dataset, tmp_path / "columns.csv")
+
+
+def test_save_curve_file_over_several_blocks_equals_the_csv_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    grid = np.linspace(0.0, 30.0, 101)
+    n = 3 * (core._BLOCK_CELLS // 102) + 7
+    values = edge_floats(rng, n * 101).reshape(n, 101)
+    indices = [int(i) for i in rng.integers(-(2**62), 2**62, n)]
+    indices[::50] = [2**70 + i for i in range(len(indices[::50]))]
+    save_curve_file(tmp_path / "columns.csv", grid, values, indices=indices)
+    oracle_save_curve_file(tmp_path / "rows.csv", grid, values, indices)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def row_writer_save_dataset(ds, path):
+    """``save_dataset`` as the per-row writer it replaced wrote it: each
+    column as a list of ``repr`` texts, the rows joined one by one."""
+    header = ["time", "event"] + (["true_time"] if ds.true_times is not None else [])
+    columns = [map(repr, ds.times.tolist()), map(str, ds.events.astype(int).tolist())]
+    if ds.true_times is not None:
+        columns.append(map(repr, ds.true_times.tolist()))
+    columns.extend(map(repr, col) for col in ds.feature_matrix.T.tolist())
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header + list(ds.feature_names))
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+
+
+def traced_peak(write, *args):
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_dataset_memory_is_bounded_by_its_blocks(tmp_path):
+    rng = np.random.default_rng(11)
+
+    def dataset(n):
+        x = rng.normal(size=(n, 5))
+        truths = 10.0 * rng.weibull(1.5, n) * np.exp(-(x @ [0.5, -0.3, 0.2, 0.0, 0.4]) / 1.5)
+        times = np.minimum(truths, rng.uniform(0.0, 20.0, n) + 1e-3)
+        return SurvivalDataset(times, truths == times, x, truths, tuple("abcde"))
+
+    big, small = dataset(100_000), dataset(10_000)
+    path = tmp_path / "out.csv"
+    rows_peak = traced_peak(row_writer_save_dataset, big, tmp_path / "rows.csv")
+    big_peak = traced_peak(save_dataset, big, path)
+    assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    small_peak = traced_peak(save_dataset, small, path)
+    assert big_peak <= rows_peak
+    # ten times the rows in blocks of the same size: no more memory
+    assert big_peak < 2 * small_peak
+
+
+@pytest.mark.parametrize(
+    "grid, rows, indices, message",
+    [
+        ([1.0, 2.0], np.full((3, 2), 0.5), [0, 1], "2 indices for 3 value rows"),
+        ([1.0, 2.0], np.full((2, 2), 0.5), [0, 1, 2], "3 indices for 2 value rows"),
+        ([1.0, 2.0], [0.9, 0.5], None, r"shape \(2,\), expected \(rows, 2\)"),
+        ([1.0, 2.0], np.full((2, 3), 0.5), None, r"shape \(2, 3\), expected \(rows, 2\)"),
+        ([1.0, 2.0], np.full((2, 2, 1), 0.5), None, r"shape \(2, 2, 1\)"),
+        ([[1.0, 2.0]], np.full((2, 2), 0.5), None, "grid must be 1-d, got 2 dimensions"),
+    ],
+    ids=["short-indices", "long-indices", "1-d-values", "wide-values", "3-d-values", "2-d-grid"],
+)
+def test_save_curve_file_refuses_rows_that_do_not_match(tmp_path, grid, rows, indices, message):
+    path = tmp_path / "curves.csv"
+    with pytest.raises(ValueError, match=message):
+        save_curve_file(path, grid, rows, indices=indices)
+    assert not path.exists()
 
 
 # ------------------------------------------------------- feature-name round trip

@@ -113,6 +113,33 @@ def test_km_fit_names_the_first_bad_subject(times, message):
         km_fit(times, np.ones(len(times), dtype=bool))
 
 
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        ([2, 1, 0], "subject 0: event flag must be 0 or 1, got 2"),
+        ([1.0, np.nan, 0.0], "subject 1: event flag must be 0 or 1, got nan"),
+        ([0, 1, -1], "subject 2: event flag must be 0 or 1, got -1"),
+        ([1.0, 0.5, 2.0], "subject 1: event flag must be 0 or 1, got 0.5"),
+    ],
+)
+def test_km_fit_refuses_event_flags_other_than_0_and_1(events, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        km_fit([1.0, 2.0, 3.0], events)
+
+
+def test_km_fit_reads_0_1_flags_as_booleans():
+    rng = np.random.default_rng(8)
+    times = rng.integers(1, 6, 40).astype(float)
+    events = rng.random(40) < 0.6
+    want = km_fit(times, events)
+    for flags in (events.astype(int), events.astype(float), events.tolist()):
+        got = km_fit(times, flags)
+        for name in ("event_times", "at_risk", "n_events"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.curve.knots.tobytes() == want.curve.knots.tobytes()
+        assert got.curve.values.tobytes() == want.curve.values.tobytes()
+
+
 def test_censoring_km_frozen():
     ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [True, False, True])
     g = censoring_km_fit(ds)
