@@ -15,7 +15,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -27,11 +26,13 @@ from .errors import ConfigurationError
 from .estimators import model_to_json
 from .harness import (
     REFERENCE_MODELS,
+    _finite_or_none,
     evaluate_dataset,
     load_curve_file,
     parse_model_spec,
     run_experiment,
 )
+from .mae import _PRED_METHODS
 from .synth import CENSORING_KINDS, CensoringSpec, make_semi_synthetic
 
 
@@ -63,11 +64,10 @@ _KIND_ALIASES = {
 def _cmd_synth(args) -> int:
     ds = _load(args)
     args.kind = _KIND_ALIASES.get(args.kind, args.kind)
-    params = {}
-    if args.kind == "external":
-        if not args.external:
-            raise ConfigurationError("--external is required for the external kind")
-        params["reference"] = args.external
+    if args.kind == "external" and not args.external:
+        raise ConfigurationError("--external is required for the external kind")
+    # another kind refuses the reference, as it would not read it
+    params = {"reference": args.external} if args.external else {}
     spec = CensoringSpec(kind=args.kind, params=params)
     out = make_semi_synthetic(ds, spec, seed=args.seed)
     save_dataset(out, args.output)
@@ -101,11 +101,7 @@ def _cmd_eval(args) -> int:
     ds = _load(args)
     curves = load_curve_file(args.curves).select(range(ds.n))
     scores = evaluate_dataset(ds, curves, pred_method=args.pred_method)
-    cleaned = {
-        k: (None if v is None or not math.isfinite(v) else float(v))
-        for k, v in scores.items()
-    }
-    print(json.dumps(cleaned, indent=2))
+    print(json.dumps({k: _finite_or_none(v) for k, v in scores.items()}, indent=2))
     return 0
 
 
@@ -172,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pred-method",
         dest="pred_method",
         default="median",
-        choices=["median", "mean"],
+        choices=list(_PRED_METHODS),
     )
     _add_column_options(p_eval)
 
@@ -185,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--k", type=int, default=5, help="number of folds")
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--pred-method", default="median", choices=["median", "mean"])
+    p_exp.add_argument("--pred-method", default="median", choices=list(_PRED_METHODS))
     p_exp.add_argument("-o", "--output", help="report JSON path (default: stdout)")
     p_exp.add_argument("--csv", help="also write per-fold scores as flat CSV")
     _add_column_options(p_exp)

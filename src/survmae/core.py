@@ -63,16 +63,18 @@ def _first_failure(checks):
     return first
 
 
-def _first_bad_subject(times, events, true_times, features):
+def _first_bad_subject(times, flags, true_times, features):
     """``(index, reason)`` of the first subject that breaks a dataset rule, or
-    None (``true_times`` None: no truths to check). A subject that breaks
-    several rules is reported with the first one listed."""
+    None; ``flags`` are the event flags as given, ``true_times`` None when
+    there are none. A subject breaking several rules gets the first listed."""
     truths = times if true_times is None else true_times
+    events = flags if flags.dtype == bool else flags == 1
     checks = (
         (~np.isfinite(times), "non-finite time value"),
         (~np.isfinite(truths), "non-finite true time value"),
         (~np.isfinite(features).all(axis=1), "non-finite feature value"),
         (~(times > 0), "observed time must be positive, got {t}"),
+        (~events & (flags != 0), "event flag must be 0 or 1, got {flag!r}"),
         (
             events & (truths != times),
             "uncensored record must have true_event_time equal to its observed "
@@ -88,7 +90,13 @@ def _first_bad_subject(times, events, true_times, features):
     if first is None:
         return None
     i, reason = first
-    return i, reason.format(t=float(times[i]), truth=float(truths[i]))
+    return i, reason.format(t=float(times[i]), truth=float(truths[i]), flag=flags.tolist()[i])
+
+
+def _check_count(count, n, what, error=ValueError):
+    """Raise ``error`` unless the ``count`` curves or predictions serve ``n`` subjects."""
+    if count != n:
+        raise error(f"got {count} {what} for {n} subjects")
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -107,8 +115,8 @@ class SurvivalDataset:
     semi-synthetic data, or None: a true time must equal the observed time
     of an event and be at least the observed time of a censored subject.
     The columns are stored as read-only copies. A subject that breaks a rule
-    (a non-finite value, a time that is not positive, an inconsistent true
-    time) raises ``ValueError`` naming its index.
+    (a non-finite value, a time that is not positive, an event flag other
+    than 0 or 1, an inconsistent true time) raises ``ValueError`` naming it.
     """
 
     times: np.ndarray
@@ -119,11 +127,11 @@ class SurvivalDataset:
 
     def __post_init__(self):
         times = _frozen(self.times, float)
-        events = _frozen(self.events, bool)
+        flags = np.asarray(self.events)
         features = _frozen(self.feature_matrix, float)
         truths = None if self.true_times is None else _frozen(self.true_times, float)
         names = tuple(self.feature_names)
-        if times.ndim != 1 or events.shape != times.shape:
+        if times.ndim != 1 or flags.shape != times.shape:
             raise ValueError("times and events must be 1-d arrays of the same length")
         if times.size == 0:
             raise ValueError("dataset must contain at least one record")
@@ -134,11 +142,11 @@ class SurvivalDataset:
                 f"feature_matrix has shape {features.shape}, expected "
                 f"{(times.size, len(names))} (one column per feature name)"
             )
-        bad = _first_bad_subject(times, events, truths, features)
+        bad = _first_bad_subject(times, flags, truths, features)
         if bad is not None:
             raise ValueError("subject {}: {}".format(*bad))
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "events", _frozen(flags, bool))
         object.__setattr__(self, "feature_matrix", features)
         object.__setattr__(self, "true_times", truths)
         object.__setattr__(self, "feature_names", names)
@@ -215,7 +223,7 @@ class StepCurve:
             raise ValueError("knots must be finite")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if knots[0] < 0 or not np.all(np.diff(knots) > 0):
+        if knots[0] < 0 or not np.all(knots[1:] > knots[:-1]):
             raise ValueError("knots must be nonnegative and strictly increasing")
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("values must lie in [0, 1]")
@@ -918,37 +926,31 @@ def load_dataset(
     def columns(data):
         """Times, event flags, features and true times (or None) of ``data``."""
         truths = data[:, 2] if truth_idx else None
-        return data[:, 0], data[:, 1] == 1.0, data[:, 2 + len(truth_idx) :], truths
+        return data[:, 0], data[:, 1], data[:, 2 + len(truth_idx) :], truths
 
     table = _read_columns(raw, offset, len(header))
     if table is not None:
-        data = table[:, order]
-        if np.all((data[:, 1] == 0.0) | (data[:, 1] == 1.0)):
-            try:
-                return SurvivalDataset(*columns(data), names)
-            except ValueError:
-                pass  # a rule is broken: the line-by-line read names the line
+        try:
+            return SurvivalDataset(*columns(table[:, order]), names)
+        except ValueError:
+            pass  # a rule is broken: the line-by-line read names the line
 
     def parse(row, line):
-        time = _parse_float(row[t_idx], line, time_column)
-        flag = _parse_float(row[e_idx], line, event_column)
-        if flag not in (0.0, 1.0):
-            raise DataFormatError(f"line {line}: event flag must be 0 or 1, got {row[e_idx]!r}")
-        return [time, flag] + [_parse_float(row[j], line, header[j]) for j in order[2:]]
+        return [_parse_float(row[j], line, header[j]) for j in order]
 
     rows, lines, failure = _read_lines(rest.readlines(), start, len(header), parse)
-    times, events, features, truths = columns(
+    times, flags, features, truths = columns(
         np.array(rows, dtype=float).reshape(len(rows), len(order))
     )
     # a rule broken on a line before the failure is the first error
-    bad = _first_bad_subject(times, events, truths, features)
+    bad = _first_bad_subject(times, flags, truths, features)
     if bad is not None:
         raise DataFormatError(f"line {lines[bad[0]]}: {bad[1]}")
     if failure is not None:
         raise failure
     if not times.size:
         raise DataFormatError(f"{path}: no data rows")
-    return SurvivalDataset(times, events, features, truths, names)
+    return SurvivalDataset(times, flags, features, truths, names)
 
 
 def save_dataset(ds: SurvivalDataset, path) -> None:

@@ -40,6 +40,8 @@ __all__ = [
 _SEPARATION_BOUND = 50.0
 # Gradient max-norm below which a Newton fit has converged.
 _TOL = 1e-8
+# Survival probabilities 0.99, 0.98, ..., 0.01 at which curves are sampled.
+_PROB_GRID = np.arange(99, 0, -1) / 100.0
 
 
 @dataclass(frozen=True)
@@ -96,20 +98,14 @@ def km_fit(times, events) -> KaplanMeierFit:
     """
     t = np.asarray(times, dtype=float)
     flags = np.asarray(events)
-    e = flags.astype(bool, copy=False)
-    if t.ndim != 1 or t.shape != e.shape:
+    if t.ndim != 1 or t.shape != flags.shape:
         raise ValueError("times and events must be 1-d arrays of equal length")
     if t.size == 0:
         raise ValueError("cannot fit on an empty sample")
-    if not (np.isfinite(t).all() and (t > 0).all()):
-        bad = _first_bad_subject(t, e, None, np.empty((t.size, 0)))
+    bad = _first_bad_subject(t, flags, None, np.empty((t.size, 0)))
+    if bad is not None:
         raise ValueError("subject {}: {}".format(*bad))
-    if flags.dtype != bool:
-        # NaN compares false too
-        off = np.flatnonzero(~((flags == 0) | (flags == 1)))
-        if off.size:
-            i = int(off[0])
-            raise ValueError(f"subject {i}: event flag must be 0 or 1, got {flags.tolist()[i]!r}")
+    e = flags.astype(bool, copy=False)
 
     event_times, n_k, d_k, surv = _product_limit(t, e)
     all_times = np.unique(t)
@@ -134,8 +130,8 @@ class CumulativeHazard:
     """Nondecreasing step function, zero before its first knot.
 
     Its knots must be finite, nonnegative and strictly increasing, as a
-    :class:`~survmae.core.StepCurve`'s are, and its values nonnegative and
-    nondecreasing; a broken rule raises ``ValueError``.
+    :class:`~survmae.core.StepCurve`'s are, and its values finite, nonnegative
+    and nondecreasing; a broken rule raises ``ValueError``.
     """
 
     knots: np.ndarray
@@ -150,9 +146,11 @@ class CumulativeHazard:
             raise ValueError("knots and values must be 1-d arrays of equal length")
         if not np.all(np.isfinite(knots)):
             raise ValueError("knots must be finite")
-        if (knots.size and knots[0] < 0) or np.any(np.diff(knots) <= 0):
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        if (knots.size and knots[0] < 0) or np.any(knots[1:] <= knots[:-1]):
             raise ValueError("knots must be nonnegative and strictly increasing")
-        if np.any(np.diff(values) < -1e-12) or (values.size and values[0] < 0):
+        if np.any(values[1:] < values[:-1] - 1e-12) or (values.size and values[0] < 0):
             raise ValueError("cumulative hazard must be nonnegative and nondecreasing")
 
     def value(self, t):
@@ -369,9 +367,7 @@ class WeibullAFTModel:
 
     def as_step_curve(self, probs=None) -> StepCurve:
         """Sample the continuous curve onto a survival-probability grid."""
-        if probs is None:
-            probs = np.arange(99, 0, -1) / 100.0
-        probs = np.asarray(probs, dtype=float)
+        probs = np.array(_PROB_GRID if probs is None else probs, dtype=float)
         knots = self.scale * (-np.log(probs)) ** (1.0 / self.shape)
         return StepCurve(knots=knots, values=probs)
 
@@ -525,7 +521,7 @@ def model_from_json(source):
     if kind == "coxph":
         beta, means = _json_arrays(data, "beta", "feature_means")
         knots, values = _json_arrays(data, "baseline_knots", "baseline_values")
-        if np.any(np.diff(knots) <= 0):
+        if np.any(knots[1:] <= knots[:-1]):
             raise ValueError("field 'baseline_knots' must be strictly increasing")
         return CoxModel(
             beta=beta,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CurveBatch, SurvivalDataset, stratified_kfold
-from .core import _read_columns, _read_lines, _split_csv, _write_columns
+from .core import _check_count, _read_columns, _read_lines, _split_csv, _write_columns
 from .errors import (
     BinningError,
     ConfigurationError,
@@ -33,6 +33,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .estimators import (
+    _PROB_GRID,
     censoring_km_fit,
     cox_survival_curve,
     coxph_fit,
@@ -40,6 +41,7 @@ from .estimators import (
     weibull_aft_fit,
 )
 from .mae import (
+    _check_pred_method,
     extract_predicted_times,
     ipcw_t_surrogates,
     mae_hinge,
@@ -190,7 +192,6 @@ def parse_model_spec(text: str) -> ModelSpec:
 
 
 _ORACLE_SHAPE = 2.0
-_PROB_GRID = np.arange(99, 0, -1) / 100.0
 # relative knot positions of a Weibull curve with unit median; the entry for
 # probability one half is exactly 1, so the extracted median is exact
 _REL_KNOTS = (np.log(_PROB_GRID) / np.log(0.5)) ** (1.0 / _ORACLE_SHAPE)
@@ -269,8 +270,9 @@ def load_curve_file(path) -> CurveTable:
     """Read a curve file: header ``t,<grid times>``, rows ``<index>,<values>``.
 
     Returns a :class:`CurveTable` mapping subject index to curve on the shared
-    grid. The grid is checked as a row of knots first; the curve rules are
-    checked on all rows at once; every error names the first bad line.
+    grid. The grid is checked as a row of knots first (a fault of line 1);
+    the curve rules are checked on all rows at once; every error names the
+    first bad line.
 
     The file is read once, as bytes, so it may be a pipe, and is read as
     :func:`~survmae.core.load_dataset` reads a CSV file: a leading UTF-8
@@ -286,12 +288,10 @@ def load_curve_file(path) -> CurveTable:
         grid = np.array([float(v) for v in header[1:]], dtype=float)
     except ValueError:
         raise DataFormatError(f"{path}: non-numeric grid time in header") from None
-    if grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise DataFormatError("line 1: need at least one grid time, all finite")
     try:
         CurveBatch(knots=grid, values=np.ones((1, grid.size)))
-    except InvalidCurveError as exc:
-        raise DataFormatError(f"line 1: {exc.reason}") from None
+    except ValueError as exc:  # InvalidCurveError, or no grid time at all
+        raise DataFormatError(f"line 1: {getattr(exc, 'reason', exc)}") from None
     table = _read_columns(raw, offset, grid.size + 1, index=True)
     if table is not None:
         subjects, values = table
@@ -365,6 +365,11 @@ class AgreementStats:
     mean_abs_gap: float
 
 
+def _finite_or_none(value):
+    """``value`` as a float for JSON, or None when it is None, NaN or infinite."""
+    return None if value is None or not math.isfinite(value) else float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Everything a cross-validated comparison produced.
@@ -384,20 +389,15 @@ class ExperimentReport:
     agreement: dict
 
     def to_json_dict(self) -> dict:
-        def clean(v):
-            if v is None or not math.isfinite(v):
-                return None
-            return float(v)
-
         return {
             "models": list(self.model_names),
             "metrics": list(self.metric_names),
             "per_fold": {
-                m: {met: [clean(v) for v in rows] for met, rows in d.items()}
+                m: {met: [_finite_or_none(v) for v in rows] for met, rows in d.items()}
                 for m, d in self.per_fold.items()
             },
             "mean_scores": {
-                m: {met: clean(v) for met, v in d.items()}
+                m: {met: _finite_or_none(v) for met, v in d.items()}
                 for m, d in self.mean_scores.items()
             },
             "per_metric_rank": {
@@ -406,9 +406,9 @@ class ExperimentReport:
             "true_mae_rank": list(self.true_mae_rank) if self.true_mae_rank else None,
             "agreement": {
                 met: {
-                    "kendall_tau": clean(a.kendall_tau),
+                    "kendall_tau": _finite_or_none(a.kendall_tau),
                     "top3_overlap": a.top3_overlap,
-                    "mean_abs_gap": clean(a.mean_abs_gap),
+                    "mean_abs_gap": _finite_or_none(a.mean_abs_gap),
                 }
                 for met, a in self.agreement.items()
             },
@@ -572,9 +572,10 @@ def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -
     Reference quantities (KM curve, censoring KM, calibration horizon) come
     from the dataset itself. Returns a metric-name to score map with None for
     undefined entries; ``true_mae`` appears only when ground truth is present.
+    A wrong curve count or ``pred_method`` raises :class:`ConfigurationError`.
     """
-    if len(curves) != ds.n:
-        raise ConfigurationError(f"got {len(curves)} curves for {ds.n} subjects")
+    _check_count(len(curves), ds.n, "curves", ConfigurationError)
+    _check_pred_method(pred_method)
     scores = _score(CurveBatch.from_curves(curves), _reference(ds, ds, None), pred_method)
     if ds.true_times is None:
         scores.pop("true_mae")
@@ -601,9 +602,10 @@ def run_experiment(
     agreement statistics against the true MAE. Undefined metrics become
     missing cells rather than failures. Deterministic for a fixed seed.
 
-    Raises :class:`ConfigurationError` naming the model, before any fold
-    starts, when a ``coxph`` model meets a dataset without feature columns.
+    Raises :class:`ConfigurationError`, before any fold starts, for an
+    unknown ``pred_method`` or a ``coxph`` model on a dataset without features.
     """
+    _check_pred_method(pred_method)
     models = list(models)
     if not models:
         raise ConfigurationError("need at least one model")

@@ -17,11 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset
-from .errors import (
-    MissingGroundTruthError,
-    UndefinedMetricError,
-)
+from .core import CurveBatch, SurvivalDataset, _check_count
+from .errors import ConfigurationError, MissingGroundTruthError, UndefinedMetricError
 from .estimators import KaplanMeierFit, km_fit
 
 __all__ = [
@@ -44,6 +41,18 @@ __all__ = [
 ]
 
 
+# prediction method -> the name of the CurveBatch method that extracts it
+_PRED_METHODS = {"median": "median_times", "mean": "mean_times"}
+
+
+def _check_pred_method(method) -> None:
+    """Raise :class:`ConfigurationError` unless ``method`` names a prediction method."""
+    if not (isinstance(method, str) and method in _PRED_METHODS):
+        raise ConfigurationError(
+            f"unknown prediction method {method!r}; expected one of {list(_PRED_METHODS)}"
+        )
+
+
 @dataclass(frozen=True)
 class PredictedTimes:
     """Point predictions of survival time, one per subject, all finite and positive."""
@@ -58,8 +67,7 @@ class PredictedTimes:
             raise ValueError("predicted times must form a 1-d array")
         if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise ValueError("predicted times must be finite and positive")
-        if self.method not in ("median", "mean"):
-            raise ValueError(f"unknown extraction method {self.method!r}")
+        _check_pred_method(self.method)
 
 
 @dataclass(frozen=True)
@@ -92,23 +100,16 @@ def extract_predicted_times(curves, method: str = "median") -> PredictedTimes:
 
     ``curves`` is a :class:`CurveBatch` or a sequence of ``StepCurve``; a
     curve that never descends raises :class:`DegenerateCurveError` naming its
-    subject.
+    subject; an unknown ``method`` raises :class:`ConfigurationError` first.
     """
+    _check_pred_method(method)
     batch = CurveBatch.from_curves(curves)
-    out = batch.median_times() if method == "median" else batch.mean_times()
-    return PredictedTimes(values=out, method=method)
-
-
-def _check_lengths(preds: PredictedTimes, n: int):
-    if preds.values.size != n:
-        raise ValueError(
-            f"got {preds.values.size} predictions for {n} subjects"
-        )
+    return PredictedTimes(values=getattr(batch, _PRED_METHODS[method])(), method=method)
 
 
 def mae_uncensored(preds: PredictedTimes, ds: SurvivalDataset) -> float:
     """Mean absolute error over the uncensored subjects only."""
-    _check_lengths(preds, ds.n)
+    _check_count(preds.values.size, ds.n, "predictions")
     if not ds.events.any():
         raise UndefinedMetricError("no uncensored subjects")
     err = np.abs(ds.times - preds.values)
@@ -117,7 +118,7 @@ def mae_uncensored(preds: PredictedTimes, ds: SurvivalDataset) -> float:
 
 def mae_hinge(preds: PredictedTimes, ds: SurvivalDataset) -> float:
     """One-sided MAE: censored subjects only penalize predictions below their time."""
-    _check_lengths(preds, ds.n)
+    _check_count(preds.values.size, ds.n, "predictions")
     err = np.abs(ds.times - preds.values)
     hinge = np.maximum(ds.times - preds.values, 0.0)
     return float(np.where(ds.events, err, hinge).mean())
@@ -125,7 +126,7 @@ def mae_hinge(preds: PredictedTimes, ds: SurvivalDataset) -> float:
 
 def true_mae(preds: PredictedTimes, ds: SurvivalDataset) -> float:
     """MAE against the hidden true event times (semi-synthetic data only)."""
-    _check_lengths(preds, ds.n)
+    _check_count(preds.values.size, ds.n, "predictions")
     if ds.true_times is None:
         raise MissingGroundTruthError("dataset has no true event times")
     return float(np.abs(ds.true_times - preds.values).mean())
@@ -133,8 +134,7 @@ def true_mae(preds: PredictedTimes, ds: SurvivalDataset) -> float:
 
 def weighted_mae(surrogates: SurrogateSet, preds: PredictedTimes) -> float:
     """Weighted mean of |surrogate - prediction| over the included subjects."""
-    if surrogates.surrogate.shape != preds.values.shape:
-        raise ValueError("surrogate set and predictions differ in length")
+    _check_count(preds.values.size, surrogates.surrogate.size, "predictions")
     inc = surrogates.included
     total = float(surrogates.weight[inc].sum())
     if not inc.any() or total <= 0.0:
@@ -311,7 +311,7 @@ def mae_ipcw_d(
     weight denominator hits zero are dropped from the numerator while the
     denominator stays at the full subject count.
     """
-    _check_lengths(preds, ds.n)
+    _check_count(preds.values.size, ds.n, "predictions")
     g = g_train.curve.value_before(ds.times)
     usable = ds.events & (g > 0.0)
     if not usable.any():

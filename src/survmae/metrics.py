@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset
+from .core import CurveBatch, SurvivalDataset, _check_count
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
 from .estimators import KaplanMeierFit
 from .mae import PredictedTimes
@@ -116,8 +116,7 @@ def concordance_index(preds: PredictedTimes, ds: SurvivalDataset) -> float:
     al., 1982). The counts are integers below 2**53, so the index is exact
     up to its one division.
     """
-    if preds.values.size != ds.n:
-        raise ValueError(f"got {preds.values.size} predictions for {ds.n} subjects")
+    _check_count(preds.values.size, ds.n, "predictions")
     comparable = _comparable_count(ds.times, ds.events)
     if comparable == 0:
         raise UndefinedMetricError("no comparable pair (check censoring and ties)")
@@ -148,8 +147,7 @@ def brier_score_at(
     before ``t_star`` contribute nothing. Terms whose censoring weight is zero
     are dropped while the denominator stays at the full subject count.
     """
-    if len(curves) != ds.n:
-        raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
+    _check_count(len(curves), ds.n, "curves")
     _check_t_star(t_star)
     s_star = CurveBatch.from_curves(curves).value(t_star)
     dead = (ds.times <= t_star) & ds.events
@@ -256,6 +254,7 @@ def integrated_brier_score(
     otherwise) and shared by the models scored on one test set; the score is
     the same float with them or without.
     """
+    _check_count(len(curves), ds.n, "curves")
     if weights is None:
         weights = _brier_weights(ds, g_train, grid_size, t_max)
     elif (
@@ -288,8 +287,7 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
     a needed point yields negative infinity and a
     :class:`DegenerateScoreWarning`.
     """
-    if len(curves) != ds.n:
-        raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
+    _check_count(len(curves), ds.n, "curves")
     batch = CurveBatch.from_curves(curves)
     times, events = ds.times, ds.events
     rows = np.arange(ds.n)
@@ -446,8 +444,7 @@ def one_calibration(
     when ties straddle a bin edge, reordering the subjects can change the
     result; with distinct S(t*) values it does not.
     """
-    if len(curves) != ds.n:
-        raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
+    _check_count(len(curves), ds.n, "curves")
     _check_t_star(t_star)
     n_bins = _bin_count(n_bins)
     s_star = CurveBatch.from_curves(curves).value(t_star)
@@ -504,8 +501,7 @@ def d_calibration(curves, ds: SurvivalDataset, n_bins: int = 10) -> CalibrationR
     The bin masses are tested against uniform with ``n_bins - 1`` degrees of
     freedom.
     """
-    if len(curves) != ds.n:
-        raise ValueError(f"got {len(curves)} curves for {ds.n} subjects")
+    _check_count(len(curves), ds.n, "curves")
     n_bins = _bin_count(n_bins)
     width = 1.0 / n_bins
     p = CurveBatch.from_curves(curves).value(ds.times)

@@ -39,24 +39,25 @@ __all__ = [
     "sample_censor_times",
 ]
 
-CENSORING_KINDS = frozenset(
-    {
-        "uniform",
-        "uniform_admin",
-        "exponential",
-        "original_independent",
-        "original_dependent",
-        "external",
-    }
-)
+# censoring kind -> the keys of ``CensoringSpec.params`` it reads
+_KIND_PARAMS = {
+    "uniform": (),
+    "uniform_admin": (),
+    "exponential": (),
+    "original_independent": (),
+    "original_dependent": (),
+    "external": ("reference", "time_column", "event_column"),
+}
+CENSORING_KINDS = frozenset(_KIND_PARAMS)
 
 
 @dataclass(frozen=True)
 class CensoringSpec:
     """Which synthetic censoring mechanism to apply, plus its parameters.
 
-    ``params`` is kind-specific; currently only the external kind uses it
-    (``reference``: path to the reference CSV, or a loaded dataset).
+    Only the external kind reads ``params``: ``reference`` (a loaded dataset,
+    or the path of a CSV whose ``time_column`` and ``event_column`` it names);
+    a key the kind does not read raises :class:`ConfigurationError`.
     """
 
     kind: str
@@ -67,6 +68,11 @@ class CensoringSpec:
             raise ConfigurationError(
                 f"unknown censoring kind {self.kind!r}; expected one of "
                 f"{sorted(CENSORING_KINDS)}"
+            )
+        unread = [key for key in self.params or () if key not in _KIND_PARAMS[self.kind]]
+        if unread:
+            raise ConfigurationError(
+                f"censoring kind {self.kind!r} does not read params[{unread[0]!r}]"
             )
 
 
