@@ -149,6 +149,14 @@ REFERENCE_MODELS = {
 _NOISE_RULE = "noise must be a finite number >= 0"
 
 
+def _valid_noise(noise) -> bool:
+    """Whether ``noise`` keeps the noisy oracle's rule, ``_NOISE_RULE``."""
+    try:
+        return 0.0 <= float(noise) < math.inf
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model to evaluate: a reference fit, a noisy oracle, or external curves.
@@ -161,17 +169,13 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in MODEL_KINDS):
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; expected one of {sorted(MODEL_KINDS)}"
             )
         if self.kind == "noisy_oracle":
             noise = self.params.get("noise", 0.0)
-            try:
-                valid = 0.0 <= float(noise) < math.inf
-            except (TypeError, ValueError, OverflowError):
-                valid = False
-            if not valid:
+            if not _valid_noise(noise):
                 spec = f"noisy:{noise}"
                 raise ConfigurationError(f"model spec {spec!r}: {_NOISE_RULE}")
 
@@ -209,11 +213,12 @@ def noisy_oracle_predictions(ds_test: SurvivalDataset, noise: float, seed: int):
     """
     if ds_test.true_times is None:
         raise MissingGroundTruthError("noisy oracle needs true event times")
-    if not 0.0 <= noise < math.inf:
+    if not _valid_noise(noise):
         raise ValueError(_NOISE_RULE)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
-        medians = ds_test.true_times * np.exp(rng.normal(0.0, noise, ds_test.n))
+        # abs: -0.0 keeps the rule, but numpy refuses a scale whose sign bit is set
+        medians = ds_test.true_times * np.exp(rng.normal(0.0, abs(noise), ds_test.n))
         knots = medians[:, None] * _REL_KNOTS[None, :]
     try:
         return CurveBatch(

@@ -288,29 +288,10 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
     :class:`DegenerateScoreWarning`.
     """
     _check_count(len(curves), ds.n, "curves")
-    batch = CurveBatch.from_curves(curves)
-    times, events = ds.times, ds.events
-    rows = np.arange(ds.n)
-    # censored subjects: log S(t)
-    surv, before = batch.value_and_knots_before(times)
-    alive = surv > 0.0
-    # events: the bin edges are the knots, led by 0 unless the first knot is
-    # 0; edge j is the first at or above t, at knot position j - lead
-    lead = batch.knots[..., 0] != 0.0
-    j = before + (lead & (times > 0.0))
-    binned = (j >= 1) & (j < batch.lengths + lead)
-    hi = np.where(binned, j - lead, 0)
-    lo = hi - 1  # -1 is the leading 0, where the curve is 1
-    knots = np.broadcast_to(batch.knots, batch.values.shape)
-    lo_t = np.where(lo >= 0, knots[rows, np.maximum(lo, 0)], 0.0)
-    lo_v = np.where(lo >= 0, batch.values[rows, np.maximum(lo, 0)], 1.0)
-    mass = lo_v - batch.values[rows, hi]
-    dense = binned & (mass > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        density = np.where(dense, mass / (knots[rows, hi] - lo_t), 1.0)
-    usable = np.where(events, dense, alive)
+    surv, mass, width = CurveBatch.from_curves(curves).value_and_piece(ds.times)
+    usable = np.where(ds.events, mass > 0.0, surv > 0.0)
     contributions = np.full(ds.n, -np.inf)
-    contributions[usable] = np.log(np.where(events, density, surv)[usable])
+    contributions[usable] = np.log(np.where(ds.events, mass / width, surv)[usable])
     degenerate = not usable.all()
     if degenerate:
         warnings.warn(

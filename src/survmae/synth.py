@@ -64,7 +64,7 @@ class CensoringSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in CENSORING_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in CENSORING_KINDS):
             raise ConfigurationError(
                 f"unknown censoring kind {self.kind!r}; expected one of "
                 f"{sorted(CENSORING_KINDS)}"

@@ -93,22 +93,27 @@ def oracle_ibs(curves, ds, g_train, grid_size, t_max):
     return area / t_max
 
 
+def oracle_piece(curve, t):
+    """``curve.value(t)`` at a time ``t > 0``, and the mass the curve drops
+    over the bin that holds ``t`` and that bin's width. The bin edges are
+    the knots, led by 0 unless the first knot is 0; past the last edge there
+    is no bin: no mass, infinite width."""
+    edges = curve.knots if curve.knots[0] == 0.0 else np.concatenate(([0.0], curve.knots))
+    j = np.searchsorted(edges, t, side="left")
+    assert j > 0, "times are positive"
+    if j >= edges.size:
+        return curve.value(t), 0.0, np.inf
+    return curve.value(t), curve.value(edges[j - 1]) - curve.value(edges[j]), edges[j] - edges[j - 1]
+
+
 def oracle_log_likelihood(curves, ds):
     contributions = np.empty(ds.n)
     for i, curve in enumerate(curves):
-        t_i = float(ds.times[i])
+        s_i, mass, width = oracle_piece(curve, float(ds.times[i]))
         if not ds.events[i]:
-            s_i = curve.value(t_i)
             contributions[i] = -np.inf if s_i <= 0.0 else np.log(s_i)
-            continue
-        edges = curve.knots if curve.knots[0] == 0.0 else np.concatenate(([0.0], curve.knots))
-        j = np.searchsorted(edges, t_i, side="left")
-        if j == 0 or j >= edges.size:
-            contributions[i] = -np.inf
-            continue
-        mass = curve.value(edges[j - 1]) - curve.value(edges[j])
-        width = edges[j] - edges[j - 1]
-        contributions[i] = -np.inf if mass <= 0.0 else np.log(mass / width)
+        else:
+            contributions[i] = -np.inf if mass <= 0.0 else np.log(mass / width)
     return float(np.mean(contributions))
 
 
@@ -271,7 +276,7 @@ def test_nan_query_times_rejected(method, query):
     with pytest.raises(ValueError, match="NaN"):
         getattr(batch, method)(query)
     with pytest.raises(ValueError, match="NaN"):
-        getattr(batch, method + "_on")(np.atleast_1d(query))
+        batch.value_on(np.atleast_1d(query))
 
 
 @pytest.mark.parametrize(
@@ -531,9 +536,6 @@ def test_lookups_match_step_curves(data):
     grid = np.unique(np.concatenate(([0.0], t, np.concatenate([c.knots for c in curves]))))
     grid = data.draw(st.permutations(grid.tolist()))
     assert_array_equal(batch.value_on(grid), np.stack([c.value(grid) for c in curves]))
-    assert_array_equal(
-        batch.value_before_on(grid), np.stack([c.value_before(grid) for c in curves])
-    )
     for i, c in enumerate(curves):
         assert_array_equal(batch[i].knots, c.knots)
         assert_array_equal(batch[i].values, c.values)
@@ -577,14 +579,10 @@ def test_lookups_on_any_grid_match_step_curves(case, data):
         np.array(ticks, dtype=float) * KNOT_STEP / 2,  # as drawn
     ):
         assert_array_equal(batch.value_on(grid), np.stack([c.value(grid) for c in curves]))
-        assert_array_equal(
-            batch.value_before_on(grid), np.stack([c.value_before(grid) for c in curves])
-        )
     # the ascending path equals the sorting path on a permutation of the grid
     grid = np.sort(np.array(ticks, dtype=float)) * KNOT_STEP / 2
     perm = np.array(data.draw(st.permutations(range(grid.size))))
-    for method in (batch.value_on, batch.value_before_on):
-        assert_array_equal(method(grid)[:, perm], method(grid[perm]))
+    assert_array_equal(batch.value_on(grid)[:, perm], batch.value_on(grid[perm]))
     t = np.array(data.draw(st.lists(st.integers(0, 90), min_size=len(curves), max_size=len(curves))))
     for query in (t * KNOT_STEP / 2, float(t[0]) * KNOT_STEP / 2):
         per_row = np.broadcast_to(query, (len(curves),))
@@ -592,11 +590,7 @@ def test_lookups_on_any_grid_match_step_curves(case, data):
         assert_array_equal(
             batch.value_before(query), [c.value_before(x) for c, x in zip(curves, per_row)]
         )
-        value, before = batch.value_and_knots_before(query)
-        assert_array_equal(value, batch.value(query))
-        assert_array_equal(
-            before, [np.searchsorted(c.knots, x, side="left") for c, x in zip(curves, per_row)]
-        )
+        assert_array_equal(batch.value_and_piece(query)[0], batch.value(query))
 
 
 @PROPERTY
@@ -613,6 +607,83 @@ def test_extraction_matches_step_curves(curves):
                 batched()
         else:
             assert_array_equal(batched(), expected)
+
+
+def km_broadcast(seed, n):
+    """A Kaplan-Meier curve of a few hundred random times, shared by ``n`` rows."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 400))
+    times = rng.exponential(1.0, size)
+    events = rng.random(size) < 0.7
+    events[rng.integers(size)] = True
+    return CurveBatch.broadcast(km_fit(times, events).curve, n)
+
+
+@PROPERTY
+@given(case=batch_layouts(), seed=st.integers(0, 2**32 - 1))
+def test_the_piece_at_t_is_the_log_likelihood_oracle_bin(case, seed):
+    km = km_broadcast(seed, len(case[1]))
+    for batch, curves in (case, (km, [km[i] for i in range(len(km))])):
+        # per row: on a knot, between two, before the first and past the last
+        queries = []
+        for c in curves:
+            mids = (np.concatenate(([0.0], c.knots[:-1])) + c.knots) / 2
+            points = np.concatenate((c.knots, mids, [c.t_last + 1.0]))
+            queries.append(points[points > 0.0])
+        for k in range(max(q.size for q in queries)):
+            t = np.array([q[k % q.size] for q in queries])
+            expected = [oracle_piece(c, x) for c, x in zip(curves, t)]
+            for column, got in enumerate(batch.value_and_piece(t)):
+                assert_array_equal(got, [e[column] for e in expected])
+
+
+# widths on both sides of numpy's pairwise-sum boundaries: 8 partial sums
+# from 8 entries, blocks of 128
+SUM_WIDTHS = st.one_of(st.integers(1, 9), st.integers(127, 129), st.integers(300, 520))
+
+
+def wide_row(rng, size, at_zero, to_zero):
+    """Knots and values of a curve with ``size`` knots and unrounded entries,
+    the first knot at 0 or above, the last value 0 or above."""
+    knots = np.cumsum(rng.exponential(1.0, size))
+    if at_zero:
+        knots[0] = 0.0
+    values = np.sort(rng.random(size))[::-1].copy()
+    if to_zero:
+        values[-1] = 0.0
+    return knots, values
+
+
+@st.composite
+def wide_batches(draw):
+    """A batch of curves up to 520 knots wide, in each batch layout."""
+    layout = draw(st.sampled_from(["shared", "per_row", "ragged", "shared_values", "km"]))
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if layout == "km":
+        return km_broadcast(seed, n)
+    rng = np.random.default_rng(seed)
+    flags = st.tuples(st.booleans(), st.booleans())
+    if layout == "ragged":
+        rows = [wide_row(rng, draw(SUM_WIDTHS), *draw(flags)) for _ in range(n)]
+        return CurveBatch.from_curves([StepCurve(knots=k, values=v) for k, v in rows])
+    size = draw(SUM_WIDTHS)
+    rows = [wide_row(rng, size, *draw(flags)) for _ in range(n)]
+    knots = np.stack([k for k, _ in rows])
+    values = np.stack([v for _, v in rows])
+    if layout == "shared":
+        knots = knots[0]
+    elif layout == "shared_values":
+        values = np.broadcast_to(values[0], values.shape)
+    return CurveBatch(knots=knots, values=values)
+
+
+@PROPERTY
+@given(batch=wide_batches(), block=st.sampled_from([1, 300, core._PIECE_BLOCK]))
+def test_mean_times_equal_the_step_curve_bit_for_bit(batch, block):
+    expected = [batch[i].mean_time() for i in range(len(batch))]
+    with mock.patch.object(core, "_PIECE_BLOCK", block):
+        assert_array_equal(batch.mean_times(), expected)
 
 
 @PROPERTY

@@ -10,6 +10,9 @@ input applies that one rule.
   knot row is a ``ValueError`` and never a numpy warning.
 * A prediction method and a censoring parameter are checked against one
   table before any work.
+* A model or censoring kind that names no table entry, hashable or not, is
+  refused by name; a noisy oracle's noise has one rule for the spec and
+  the oracle.
 """
 
 import math
@@ -271,6 +274,39 @@ def test_the_cli_offers_the_methods_of_the_table():
     for command in ("eval", "experiment"):
         action = next(a for a in subparsers[command]._actions if a.dest == "pred_method")
         assert action.choices == list(_PRED_METHODS)
+
+
+# ------------------------------------------------------- kinds and noise
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ModelSpec(kind=["km"]), "unknown model kind ['km']; expected one of"),
+        (
+            lambda: CensoringSpec(kind=["uniform"]),
+            "unknown censoring kind ['uniform']; expected one of",
+        ),
+    ],
+    ids=["model", "censoring"],
+)
+def test_an_unhashable_kind_is_refused_by_name(make, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        make()
+
+
+@pytest.mark.parametrize(
+    "noise", [0, 0.0, -0.0, 0.25, 2.0, True, -1, -0.5, math.nan, math.inf, -math.inf, "x", None, 10**400]
+)
+def test_a_noisy_spec_and_the_oracle_keep_one_noise_rule(noise):
+    ds = SurvivalDataset.from_arrays([1.0, 2.0], [True, True], true_times=[1.0, 2.0])
+    try:
+        ModelSpec("noisy_oracle", {"noise": noise})
+    except ConfigurationError:
+        with pytest.raises(ValueError, match="^noise must be a finite number >= 0$"):
+            harness.noisy_oracle_predictions(ds, noise, seed=0)
+    else:
+        assert len(harness.noisy_oracle_predictions(ds, noise, seed=0)) == 2
 
 
 # ------------------------------------------------------- censoring params
