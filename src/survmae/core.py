@@ -487,39 +487,40 @@ class CurveBatch:
         below = self.knots <= t[:, None] if side == "right" else self.knots < t[:, None]
         return np.count_nonzero(below, axis=1)
 
-    def _grid_counts(self, grid):
-        """``n x G`` counts of each row's knots at or below every point of ``grid``."""
+    def _grid_counts(self, grid, rows):
+        """``len(rows) x G`` counts of the knots of rows ``rows`` (a slice) at or
+        below every point of ``grid``."""
         if self.knots.ndim == 1:
-            return np.broadcast_to(np.searchsorted(self.knots, grid, side="right"), (len(self), grid.size))
+            counts = np.searchsorted(self.knots, grid, side="right")
+            return np.broadcast_to(counts, (len(self._rows[rows]), grid.size))
+        knots = self.knots[rows]
         # an ascending grid, such as the IBS grid, needs no sort
         order = None if np.all(grid[1:] >= grid[:-1]) else np.argsort(grid, kind="stable")
         # a knot counts toward every grid point from the first one it does not exceed
-        first = np.searchsorted(grid if order is None else grid[order], self.knots, side="left")
+        first = np.searchsorted(grid if order is None else grid[order], knots, side="left")
         size = grid.size + 1
-        hist = np.bincount((self._rows[:, None] * size + first).ravel(), minlength=len(self) * size)
-        counts = np.cumsum(hist.reshape(len(self), size), axis=1)[:, :-1]
+        n = len(knots)
+        hist = np.bincount((np.arange(n)[:, None] * size + first).ravel(), minlength=n * size)
+        counts = np.cumsum(hist.reshape(n, size), axis=1)[:, :-1]
         if order is None:
             return counts
-        unsorted = np.empty((len(self), grid.size), dtype=np.intp)
+        unsorted = np.empty((n, grid.size), dtype=np.intp)
         unsorted[:, order] = counts
         return unsorted
 
-    def _pick(self, counts):
-        """Values after the given knot counts (one column per query): one
-        gather from the values led by ones, so a count of 0 reads 1."""
+    def _pick(self, counts, rows=slice(None)):
+        """Values of rows ``rows`` (a slice) after the given knot counts (one
+        column per query): one gather from the values led by ones, so a
+        count of 0 reads 1."""
         led = self._led
         if led.strides[0] == 0:
             return led[0].take(counts)
-        rows = self._rows if counts.ndim == 1 else self._rows[:, None]
+        rows = self._rows[rows] if counts.ndim == 1 else self._rows[rows, None]
         return led.ravel().take(counts + rows * led.shape[1])
 
     def value(self, t) -> np.ndarray:
         """Row ``i`` at ``t[i]`` (right-continuous); a scalar ``t`` serves every row."""
         return self._pick(self._counts(self._row_times(t), "right"))
-
-    def value_before(self, t) -> np.ndarray:
-        """Left limits: row ``i`` just before ``t[i]``; a scalar ``t`` serves every row."""
-        return self._pick(self._counts(self._row_times(t), "left"))
 
     def value_and_piece(self, t):
         """``(value, mass, width)`` per row: ``value(t)``, and the survival
@@ -544,7 +545,12 @@ class CurveBatch:
         grid = _query_times(grid)
         if grid.ndim != 1:
             raise ValueError("grid must be a 1-d array of times")
-        return self._pick(self._grid_counts(grid))
+        return self._grid_values(grid, slice(None))
+
+    def _grid_values(self, grid, rows) -> np.ndarray:
+        """:meth:`value_on` of rows ``rows`` (a slice) alone, at a ``grid``
+        of valid query times."""
+        return self._pick(self._grid_counts(grid, rows), rows)
 
     def median_times(self) -> np.ndarray:
         """:meth:`StepCurve.median_time` of every row. Rows that share one
@@ -684,15 +690,26 @@ def _parse_float(text: str, line: int, column: str) -> float:
 
 
 # lines per block handed to orjson. Reading a 2.1 MB, 1000 x 101 curve file
-# peaked at 3.9 MB of traced memory with 64-line blocks (its bytes, the
-# table and one block's parse), 5.7 MB with 256 and 10.3 MB with one block;
-# larger blocks were no faster
+# held whole peaked at 3.9 MB of traced memory with 64-line blocks (its
+# bytes, the table and one block's parse), 5.7 MB with 256 and 10.3 MB with
+# one block; larger blocks were no faster. Read in chunks, the same file
+# peaks at 2.1 MB: the table and the batch that checks it
 _BLOCK_LINES = 64
+# bytes the readers take from a file at once, then up to the end of the line
+# they cut. A 192 MiB, 1e5 x 101 curve file read in 1.40-1.68 s in chunks of
+# 2**16 bytes, 1.17-1.21 s in 2**18 and 1.12-1.19 s in 2**20; the 2.1 MB
+# file peaked at 1.8, 2.1 and 3.3 MB traced
+_CHUNK_BYTES = 1 << 18
 # the bytes of rows of plain numbers, one per line; with these alone, a line
 # can add no JSON structure (no bracket, quote, brace, name or literal). A
 # carriage return is JSON white space; the reader takes it only before a
 # line feed
 _NUMERIC_BYTES = b"0123456789.eE+-, \t\r\n"
+# a carriage return not followed by a line feed: csv breaks a line there.
+# Searched only where find sees a carriage return: alone it took 1.4 ms on a
+# 2 MB LF file, where find takes 0.06 ms; on a CRLF file it took 0.86 ms
+# against 3.8 ms for counting CRs and CRLFs
+_BARE_CR = re.compile(rb"\r(?!\n)")
 # an integer -0 field: orjson reads it as 0 where float() gives -0.0. The -0
 # of an exponent (1e-0) is read exactly. The lookbehind comes last: one that
 # leads the pattern costs re its literal-prefix search, 25 times the scan
@@ -703,8 +720,8 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 
 def _read_columns(data, offset, width, index=False):
     """The comma-separated lines of the bytes ``data`` from byte ``offset``
-    on (a file's lines below its header) as an ``n x width`` float table, or
-    None. ``offset`` None gives None.
+    on (a chunk of a file's lines below its header) as an ``n x width``
+    float table, or None.
 
     Each block of ``_BLOCK_LINES`` lines is parsed by one ``orjson.loads``
     of its rows rejoined as ``[[row],[row],...]``, and fills its slice of the
@@ -723,15 +740,10 @@ def _read_columns(data, offset, width, index=False):
     """
     import orjson
 
-    if offset is None:
-        return None
     end = len(data)  # the last line ends here, before its line ending
     if data.endswith(b"\n", offset):
         end -= 2 if data.endswith(b"\r\n", offset) else 1
-    bare_cr = data.find(b"\r", offset, end) >= 0 and (
-        data.count(b"\r", offset, end) != data.count(b"\r\n", offset, end)
-    )
-    if bare_cr:
+    if data.find(b"\r", offset, end) >= 0 and _BARE_CR.search(data, offset, end):
         return None
     # each block's span of bytes, up to the line feed that ends it, and
     # whether one of its lines is longer than csv's field size limit
@@ -787,21 +799,44 @@ def _read_columns(data, offset, width, index=False):
     return np.array(first, dtype=np.int64), table[:, 1:]
 
 
-def _split_csv(path: Path):
-    """Read the csv file at ``path`` once, so that it may be a pipe, dropping
-    a leading UTF-8 byte-order mark. Returns its header row; its bytes and
-    the offset of the lines below the header in them, for
-    :func:`_read_columns`; a text stream of those lines, decoded as
-    ``path.open(newline="")`` decodes them; and the file line of the first of
-    them (a quoted header field may span lines). The offset is None when the
-    text's encoding does not read the bytes of plain numbers as ASCII.
+class _Stream(io.RawIOBase):
+    """The bytes ``head``, then the rest of the binary file ``fh``, as a raw
+    stream for a text stream to decode. With ``kept`` a list, each read also
+    appends the bytes it gives to it."""
+
+    def __init__(self, fh, head=b"", kept=None):
+        self._fh = fh
+        self._head = memoryview(head)
+        self.kept = kept
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if self._head:
+            size = min(len(buffer), len(self._head))
+            buffer[:size] = self._head[:size]
+            self._head = self._head[size:]
+        else:
+            size = self._fh.readinto(buffer)
+        if self.kept is not None:
+            self.kept.append(bytes(buffer[:size]))
+        return size
+
+
+def _split_csv(fh, path: Path):
+    """Read the header row of the csv file at ``path``, open as the binary
+    ``fh``, dropping a leading UTF-8 byte-order mark; it is decoded as
+    ``path.open(newline="")`` decodes text. Returns the header; the file line
+    of the first row below it (a quoted header field may span lines); the
+    bytes read past the header, with which those rows begin, and None. When
+    the text's encoding does not read the bytes of plain numbers as ASCII,
+    it returns None and a text stream of the rows instead.
     """
-    with path.open("rb") as fh:
-        data = fh.read()
-    offset = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    buffer = io.BytesIO(data)
-    buffer.seek(offset)
-    text = io.TextIOWrapper(buffer, newline="")
+    head = fh.read(len(codecs.BOM_UTF8))
+    kept = []
+    stream = _Stream(fh, b"" if head == codecs.BOM_UTF8 else head, kept)
+    text = io.TextIOWrapper(stream, newline="")
     reader = csv.reader(text)
     try:
         header = next(reader)
@@ -809,12 +844,82 @@ def _split_csv(path: Path):
         raise DataFormatError(f"{path}: file is empty") from None
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise DataFormatError(f"line 1: {exc}") from None
+    stream.kept = None
+    start = reader.line_num + 1
+    if codecs.decode(_NUMERIC_BYTES, text.encoding, "replace") != _NUMERIC_BYTES.decode():
+        return header, start, None, text
+    # the text stream read ahead of the header: the rows begin in what it kept
+    data = b"".join(kept)
+    offset = 0
     for _ in range(reader.line_num):
         found = _LINE_END.search(data, offset)
         offset = len(data) if found is None else found.end()
-    if codecs.decode(_NUMERIC_BYTES, text.encoding, "replace") != _NUMERIC_BYTES.decode():
-        offset = None
-    return header, data, offset, text, reader.line_num + 1
+    return header, start, data[offset:], None
+
+
+def _chunks(head, fh):
+    """The bytes ``head``, then the rest of the binary file ``fh``, in chunks
+    of about ``_CHUNK_BYTES`` bytes; each but the file's last ends at a line
+    feed."""
+    chunk = head + fh.read(_CHUNK_BYTES)
+    while chunk:
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        yield chunk
+        chunk = fh.read(_CHUNK_BYTES)
+
+
+def _put(array, n, rows) -> None:
+    """Write ``rows`` below the first ``n`` rows of ``array``, first growing
+    it in place, to at least twice its rows, when they do not fit."""
+    stop = n + len(rows)
+    if stop > len(array):
+        # no view of the array is alive, so it may move
+        array.resize((max(stop, 2 * len(array)), *array.shape[1:]), refcheck=False)
+    array[n:stop] = rows
+
+
+def _read_rows(fh, head, text, start, width, parse, index=False):
+    """The rows below the header of a csv file, as :func:`_split_csv` left
+    the binary ``fh`` and returned ``head``, ``text`` and ``start``.
+
+    Chunk after chunk of the file is parsed by :func:`_read_columns` into one
+    table that grows in place. From the first chunk it declines on, the rest
+    of the file is decoded and read by :func:`_read_lines` with ``parse``
+    (``width`` fields a row); the chunks before held only plain numbers, so
+    no quoted field crosses the hand-off. Every read goes to the end of the
+    file, so that a pipe is drained.
+
+    Returns the table of the rows the chunks gave, as :func:`_read_columns`
+    returns it for ``index``; the entries of the line reader; the file line
+    of every row, the table's first (a chunk with a blank row is declined,
+    so row ``i`` of the table is line ``start + i``); and the line reader's
+    error or None.
+    """
+    table = np.empty((0, width - 1 if index else width))
+    first = np.empty(0, dtype=np.int64)
+    n = 0
+    if text is None:
+        for chunk in _chunks(head, fh):
+            got = _read_columns(chunk, 0, width, index)
+            if got is None:
+                text = io.TextIOWrapper(_Stream(fh, chunk), newline="")
+                break
+            if index:
+                _put(first, n, got[0])
+                got = got[1]
+            _put(table, n, got)
+            n += len(got)
+    table.resize((n, table.shape[1]), refcheck=False)
+    if index:
+        first.resize(n, refcheck=False)
+        table = first, table
+    lines = range(start, start + n)
+    entries, failure = [], None
+    if text is not None:
+        entries, more, failure = _read_lines(text.readlines(), start + n, width, parse)
+        lines = [*lines, *more]
+    return table, entries, lines, failure
 
 
 def _read_lines(lines, start, width, parse):
@@ -901,62 +1006,57 @@ def load_dataset(
     same column for time and event, is rejected. Rows keep their file order
     and parse errors name the offending line (the header is line 1).
 
-    The file is read once, as bytes, so it may be a pipe; a leading UTF-8
-    byte-order mark is dropped. The header is decoded as ``open`` decodes
-    text. The rows of a valid file are parsed from those bytes in blocks by
-    orjson's exact number parser; any other file (a bare carriage return, a
-    text encoding that does not read ASCII digits as ASCII, any field that
-    is not a plain number) is decoded and parsed again line by line.
+    The file is read once, as bytes, in chunks, so it may be a pipe; a
+    leading UTF-8 byte-order mark is dropped. The header is decoded as
+    ``open`` decodes text. The rows of a valid file are parsed from those
+    bytes, chunk by chunk, by orjson's exact number parser; from the first
+    chunk that is not plain numbers (a bare carriage return, a text encoding
+    that does not read ASCII digits as ASCII, any field that is not a plain
+    number) the rest of the file is decoded and parsed line by line.
     """
     path = Path(path)
-    header, raw, offset, rest, start = _split_csv(path)
-    header = [h.strip() for h in header]
-    for needed in (time_column, event_column):
-        if needed not in header:
-            raise DataFormatError(f"{path}: column {needed!r} not found in header")
-    if time_column == event_column:
-        raise DataFormatError(f"line 1: column {time_column!r} cannot be both time and event")
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise DataFormatError(f"line 1: column {name!r} appears more than once")
-        seen.add(name)
-    t_idx = header.index(time_column)
-    e_idx = header.index(event_column)
-    truth_idx = [header.index("true_time")] if "true_time" in header else []
-    feat_idx = [j for j in range(len(header)) if j not in (t_idx, e_idx, *truth_idx)]
-    names = tuple(header[j] for j in feat_idx)
-    # both readers give the columns in this order
-    order = [t_idx, e_idx, *truth_idx, *feat_idx]
+    with path.open("rb") as fh:
+        header, start, head, text = _split_csv(fh, path)
+        header = [h.strip() for h in header]
+        for needed in (time_column, event_column):
+            if needed not in header:
+                raise DataFormatError(f"{path}: column {needed!r} not found in header")
+        if time_column == event_column:
+            raise DataFormatError(f"line 1: column {time_column!r} cannot be both time and event")
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise DataFormatError(f"line 1: column {name!r} appears more than once")
+            seen.add(name)
+        t_idx = header.index(time_column)
+        e_idx = header.index(event_column)
+        truth_idx = [header.index("true_time")] if "true_time" in header else []
+        feat_idx = [j for j in range(len(header)) if j not in (t_idx, e_idx, *truth_idx)]
+        names = tuple(header[j] for j in feat_idx)
+        # both readers give the columns in this order
+        order = [t_idx, e_idx, *truth_idx, *feat_idx]
 
-    def columns(data):
-        """Times, event flags, features and true times (or None) of ``data``."""
-        truths = data[:, 2] if truth_idx else None
-        return data[:, 0], data[:, 1], data[:, 2 + len(truth_idx) :], truths
+        def parse(row, line):
+            return [_parse_float(row[j], line, header[j]) for j in order]
 
-    table = _read_columns(raw, offset, len(header))
-    if table is not None:
+        table, rows, lines, failure = _read_rows(fh, head, text, start, len(header), parse)
+    data = table[:, order]
+    if rows:
+        data = np.concatenate((data, np.array(rows, dtype=float)))
+    times, flags, features = data[:, 0], data[:, 1], data[:, 2 + len(truth_idx) :]
+    truths = data[:, 2] if truth_idx else None
+    if failure is None:
         try:
-            return SurvivalDataset(*columns(table[:, order]), names)
+            return SurvivalDataset(times, flags, features, truths, names)
         except ValueError:
-            pass  # a rule is broken: the line-by-line read names the line
-
-    def parse(row, line):
-        return [_parse_float(row[j], line, header[j]) for j in order]
-
-    rows, lines, failure = _read_lines(rest.readlines(), start, len(header), parse)
-    times, flags, features, truths = columns(
-        np.array(rows, dtype=float).reshape(len(rows), len(order))
-    )
+            pass  # a rule is broken, or there is no row: name the line
     # a rule broken on a line before the failure is the first error
     bad = _first_bad_subject(times, flags, truths, features)
     if bad is not None:
         raise DataFormatError(f"line {lines[bad[0]]}: {bad[1]}")
     if failure is not None:
         raise failure
-    if not times.size:
-        raise DataFormatError(f"{path}: no data rows")
-    return SurvivalDataset(times, flags, features, truths, names)
+    raise DataFormatError(f"{path}: no data rows")
 
 
 def save_dataset(ds: SurvivalDataset, path) -> None:

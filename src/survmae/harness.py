@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CurveBatch, SurvivalDataset, stratified_kfold
-from .core import _check_count, _read_columns, _read_lines, _split_csv, _write_columns
+from .core import _check_count, _read_rows, _split_csv, _write_columns
 from .errors import (
     BinningError,
     ConfigurationError,
@@ -279,49 +279,47 @@ def load_curve_file(path) -> CurveTable:
     the curve rules are checked on all rows at once; every error names the
     first bad line.
 
-    The file is read once, as bytes, so it may be a pipe, and is read as
-    :func:`~survmae.core.load_dataset` reads a CSV file: a leading UTF-8
-    byte-order mark is dropped, the rows of a valid file are parsed from the
-    bytes in blocks by orjson's exact number parser, and any other file is
-    decoded and parsed again line by line.
+    The file is read once, as bytes, in chunks, so it may be a pipe, and is
+    read as :func:`~survmae.core.load_dataset` reads a CSV file: a leading
+    UTF-8 byte-order mark is dropped, the rows of a valid file are parsed
+    from the bytes, chunk by chunk, by orjson's exact number parser, and from
+    the first chunk that is not plain numbers the rest of the file is
+    decoded and parsed line by line.
     """
     path = Path(path)
-    header, raw, offset, rest, start = _split_csv(path)
-    if not header or header[0].strip() != "t":
-        raise DataFormatError(f"{path}: first header field must be 't'")
-    try:
-        grid = np.array([float(v) for v in header[1:]], dtype=float)
-    except ValueError:
-        raise DataFormatError(f"{path}: non-numeric grid time in header") from None
-    try:
-        CurveBatch(knots=grid, values=np.ones((1, grid.size)))
-    except ValueError as exc:  # InvalidCurveError, or no grid time at all
-        raise DataFormatError(f"line 1: {getattr(exc, 'reason', exc)}") from None
-    table = _read_columns(raw, offset, grid.size + 1, index=True)
-    if table is not None:
-        subjects, values = table
-        if np.unique(subjects).size == subjects.size:
-            try:
-                batch = CurveBatch(knots=grid, values=values)
-            except InvalidCurveError:
-                pass  # a rule is broken: the line-by-line read names the line
-            else:
-                return CurveTable(subjects.tolist(), batch)
-    seen = set()
-
-    def parse(row, line):
+    with path.open("rb") as fh:
+        header, start, head, text = _split_csv(fh, path)
+        if not header or header[0].strip() != "t":
+            raise DataFormatError(f"{path}: first header field must be 't'")
         try:
-            idx = int(row[0])
-            values = np.fromiter(map(float, row[1:]), dtype=float, count=grid.size)
+            grid = np.array([float(v) for v in header[1:]], dtype=float)
         except ValueError:
-            raise DataFormatError(f"line {line}: non-numeric field") from None
-        if idx in seen:
-            raise DataFormatError(f"line {line}: duplicate subject index {idx}")
-        seen.add(idx)
-        return idx, values
+            raise DataFormatError(f"{path}: non-numeric grid time in header") from None
+        try:
+            CurveBatch(knots=grid, values=np.ones((1, grid.size)))
+        except ValueError as exc:  # InvalidCurveError, or no grid time at all
+            raise DataFormatError(f"line 1: {getattr(exc, 'reason', exc)}") from None
 
-    rows, lines, failure = _read_lines(rest.readlines(), start, grid.size + 1, parse)
-    values = np.array([v for _, v in rows]).reshape(len(rows), grid.size)
+        def parse(row, line):
+            try:
+                idx = int(row[0])
+                values = np.fromiter(map(float, row[1:]), dtype=float, count=grid.size)
+            except ValueError:
+                raise DataFormatError(f"line {line}: non-numeric field") from None
+            return idx, values
+
+        (first, values), rows, lines, failure = _read_rows(
+            fh, head, text, start, grid.size + 1, parse, index=True
+        )
+    subjects = first.tolist() + [i for i, _ in rows]
+    if rows:
+        values = np.concatenate((values, [v for _, v in rows]))
+    # a line that repeats a subject index ends the rows read, as a failure
+    repeat = _first_repeat(subjects)
+    if repeat is not None:
+        failure = DataFormatError(f"line {lines[repeat]}: duplicate subject index {subjects[repeat]}")
+        del subjects[repeat:]
+        values = values[:repeat]
     try:
         # a bad curve on a line before the failure is the first error
         batch = CurveBatch(knots=grid, values=values)
@@ -329,7 +327,18 @@ def load_curve_file(path) -> CurveTable:
         raise DataFormatError(f"line {lines[exc.row]}: {exc.reason}") from None
     if failure is not None:
         raise failure
-    return CurveTable([i for i, _ in rows], batch)
+    return CurveTable(subjects, batch)
+
+
+def _first_repeat(items):
+    """Index of the first of ``items`` equal to an earlier one, or None."""
+    if len(set(items)) == len(items):
+        return None
+    seen = set()
+    for i, item in enumerate(items):
+        if item in seen:
+            return i
+        seen.add(item)
 
 
 def save_curve_file(path, grid, value_rows, indices=None) -> None:

@@ -32,7 +32,6 @@ from survmae import (
     DataFormatError,
     SurvivalDataset,
     core,
-    harness,
     load_curve_file,
     load_dataset,
     save_curve_file,
@@ -52,10 +51,7 @@ PROPERTY = settings(
 @contextmanager
 def slow():
     """The loaders with the fast path switched off: only the line reader runs."""
-    with (
-        mock.patch.object(core, "_read_columns", lambda *args, **kwargs: None),
-        mock.patch.object(harness, "_read_columns", lambda *args, **kwargs: None),
-    ):
+    with mock.patch.object(core, "_read_columns", lambda *args, **kwargs: None):
         yield
 
 
@@ -548,11 +544,136 @@ def test_valid_files_skip_the_line_reader(tmp_path):
     assert rows_read(load_curve_file, write(tmp_path, CURVE_CASES["valid"])) == [1]
 
 
-def test_bad_files_fall_back_to_the_line_reader(tmp_path):
-    # the header, then both rows from the lines read with it: the second row
-    # breaks a rule or repeats an index
-    assert rows_read(load_dataset, write(tmp_path, DATASET_CASES["rule-break"])) == [1, 2]
-    assert rows_read(load_curve_file, write(tmp_path, CURVE_CASES["duplicate-index"])) == [1, 2]
+def test_broken_rules_are_named_without_the_line_reader(tmp_path):
+    # the second row breaks a rule or repeats an index: row i of the fast
+    # path's table is file line i + 2, so only the header is read with csv
+    for load, text, message in (
+        (load_dataset, DATASET_CASES["rule-break"], "line 3: observed time must be positive, got 0.0"),
+        (load_curve_file, CURVE_CASES["rule-break"], "line 3: values must be non-increasing"),
+        (load_curve_file, CURVE_CASES["duplicate-index"], "line 3: duplicate subject index 0"),
+    ):
+        path = write(tmp_path, text)
+        assert rows_read(load, path) == [1]
+        assert assert_same_as_line_reader(load, path) == ("error", DataFormatError, message)
+
+
+# ---------------------------------------------------- faults in a later chunk
+
+
+@contextmanager
+def chunks_of(size):
+    """The loaders reading files in chunks of about ``size`` bytes."""
+    with mock.patch.object(core, "_CHUNK_BYTES", size):
+        yield
+
+
+# The header is read through a text stream that reads 8 KiB ahead, and the
+# first chunk begins with those bytes. Files of 1,000 rows (about 25 KB) with
+# a fault on row 800 put the fault past them, in a later chunk of 256 or 1000
+# bytes; chunks of 1 byte end at every line, and each size cuts lines.
+CHUNKED = 1000
+FAULT_ROW = 800
+FAULT_LINE = FAULT_ROW + 2  # the header is line 1
+CHUNK_SIZES = [1, 256, 1000]
+
+
+def with_rows(header, rows, changes):
+    """The text of ``header`` and ``rows``, with the rows at the keys of ``changes`` replaced."""
+    for row, line in changes.items():
+        rows[row] = line
+    return "\n".join([header] + rows) + "\n"
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize(
+    "load, header, rows, fault, message",
+    [
+        (load_dataset, "time,event,f", dataset_rows, "1.5,1,x", "non-numeric value 'x' in column 'f'"),
+        (load_dataset, "time,event,f", dataset_rows, "1.5,1\r,3", "expected 3 fields, found 2"),
+        (load_dataset, "time,event,f", dataset_rows, "1.5,1", "expected 3 fields, found 2"),
+        (load_dataset, "time,event,f", dataset_rows, "-1.5,1,2", "observed time must be positive, got -1.5"),
+        (load_curve_file, "t,1,2", curve_rows, "5000,0.9,x", "non-numeric field"),
+        (load_curve_file, "t,1,2", curve_rows, "5000,0.9\r,0.5", "expected 3 fields, found 2"),
+        (load_curve_file, "t,1,2", curve_rows, "5000,0.9", "expected 3 fields, found 2"),
+        (load_curve_file, "t,1,2", curve_rows, "5,0.9,0.4", "duplicate subject index 5"),
+        (load_curve_file, "t,1,2", curve_rows, "5000,0.4,0.9", "values must be non-increasing"),
+    ],
+    ids=[
+        "dataset-bad-field",
+        "dataset-bare-cr",
+        "dataset-short-row",
+        "dataset-negative-time",
+        "curves-bad-field",
+        "curves-bare-cr",
+        "curves-short-row",
+        "curves-duplicate-index",
+        "curves-rising",
+    ],
+)
+def test_a_fault_in_a_later_chunk_names_its_line(tmp_path, load, header, rows, fault, message, size):
+    path = write(tmp_path, with_rows(header, rows(CHUNKED), {FAULT_ROW: fault}))
+    with chunks_of(size):
+        got = assert_same_as_line_reader(load, path)
+        read = rows_read(load, path)
+    assert got == ("error", DataFormatError, f"line {FAULT_LINE}: {message}")
+    # the rows before the fault's chunk took the fast path
+    assert read[0] == 1 and sum(read[1:]) < FAULT_ROW // 2
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize(
+    "load, header, rows, odd, fault, message",
+    [
+        # a quoted field, a blank line and a quoted field over two lines send
+        # the rest of the file to the line reader, which counts every line
+        (load_dataset, "time,event,f", dataset_rows, '"1.5",1,2', "1.5,1,x", "non-numeric value 'x' in column 'f'"),
+        (load_dataset, "time,event,f", dataset_rows, "", "1.5,1", "expected 3 fields, found 2"),
+        (load_dataset, "time,event,f", dataset_rows, '1.5,1,"2\n"', "-1.5,1,2", "observed time must be positive, got -1.5"),
+        (load_curve_file, "t,1,2", curve_rows, '5001,"0.9",0.5', "5000,0.9,x", "non-numeric field"),
+        (load_curve_file, "t,1,2", curve_rows, "", "5,0.9,0.4", "duplicate subject index 5"),
+        (load_curve_file, "t,1,2", curve_rows, '5001,0.9,"0.5\n"', "5000,0.4,0.9", "values must be non-increasing"),
+    ],
+    ids=[
+        "dataset-quoted-field",
+        "dataset-blank-line",
+        "dataset-two-line-field",
+        "curves-quoted-field",
+        "curves-blank-line",
+        "curves-two-line-field",
+    ],
+)
+def test_the_line_reader_takes_over_at_a_later_chunk(tmp_path, load, header, rows, odd, fault, message, size):
+    lines = rows(CHUNKED)
+    path = write(tmp_path, with_rows(header, list(lines), {FAULT_ROW: odd}))
+    with chunks_of(size):
+        valid = assert_same_as_line_reader(load, path)
+        read = rows_read(load, path)
+    # the file still loads, and csv read only the rows from the odd one's chunk on
+    assert valid[0] != "error"
+    assert read[0] == 1 and 0 < sum(read[1:]) < FAULT_ROW // 2
+    path = write(tmp_path, with_rows(header, lines, {FAULT_ROW: odd, FAULT_ROW + 5: fault}))
+    with chunks_of(size):
+        got = assert_same_as_line_reader(load, path)
+    spans = 1 + odd.count("\n")  # the odd row's lines
+    assert got == ("error", DataFormatError, f"line {FAULT_LINE + 4 + spans}: {message}")
+
+
+@pytest.mark.parametrize("size", [1, 7, 100, 1000, 1 << 14])
+@pytest.mark.parametrize("tail", ["\n", "\r\n", ""], ids=["lf", "crlf", "no-final-newline"])
+@pytest.mark.parametrize(
+    "load, header, rows",
+    [(load_dataset, "time,event,f", dataset_rows), (load_curve_file, "t,1,2", curve_rows)],
+    ids=["dataset", "curves"],
+)
+def test_lines_cut_by_a_chunk_edge_are_read_whole(tmp_path, load, header, rows, tail, size):
+    # a chunk read ends inside a line; the chunk is extended to that line's end
+    ending = "\r\n" if tail == "\r\n" else "\n"
+    path = write(tmp_path, ending.join([header] + rows(CHUNKED)) + tail)
+    whole = outcome(load, path)
+    with chunks_of(size):
+        assert outcome(load, path) == whole
+        assert rows_read(load, path) == [1]
+    assert whole[-2][0] == CHUNKED
 
 
 # a field over the csv module's size limit (131,072 characters)
@@ -742,16 +863,16 @@ def test_a_text_encoding_not_ascii_compatible_declines_the_block_reader(tmp_path
 
 def big_dataset_text(bad):
     rows = [f"{1.0 + i / 7!r},{i % 2},{i * 0.1!r}" for i in range(4000)]
-    if bad:
-        rows[-1] = "2.5,1,x"
+    if bad is not None:
+        rows[bad] = "2.5,1,x"
     return "time,event,f\r\n" + "\r\n".join(rows) + "\r\n"
 
 
 def big_curve_text(bad):
     grid = ",".join(repr(0.5 * k) for k in range(1, 11))
     rows = [f"{i}," + ",".join(repr(1.0 - k / 10 - i * 1e-6) for k in range(10)) for i in range(1500)]
-    if bad:
-        rows[-1] = "0," + rows[-1].split(",", 1)[1]
+    if bad is not None:
+        rows[bad] = "0," + rows[bad].split(",", 1)[1]
     return f"t,{grid}\n" + "\n".join(rows) + "\n"
 
 
@@ -786,21 +907,29 @@ def read_through_pipe(tmp_path, text, load):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("bad", [False, True], ids=["valid", "bad-last-row"])
+@pytest.mark.parametrize(
+    "bad", [None, -1, 1000], ids=["valid", "bad-last-row", "bad-row-in-a-later-chunk"]
+)
 @pytest.mark.parametrize(
     "load, make", [(load_dataset, big_dataset_text), (load_curve_file, big_curve_text)]
 )
 def test_loaders_read_a_pipe_to_its_end(tmp_path, load, make, bad):
     # well past one read buffer: a loader that opened the pipe a second time
-    # would find the first rows gone
+    # would find the first rows gone. Chunks of 16 KiB read the file in
+    # several, and row 1,000 lies past the first; a loader that stopped at a
+    # fault would leave the writer blocked or broken
     text = make(bad)
     assert len(text) > 64 * 1024
-    with csv_readers() as readers:
-        piped = read_through_pipe(tmp_path, text, load)
-    assert piped == outcome(load, write(tmp_path, text))
-    assert piped[0] == ("error" if bad else "dataset" if load is load_dataset else "curves")
-    if not bad:  # the fast path took every row
+    with chunks_of(1 << 14):
+        with csv_readers() as readers:
+            piped = read_through_pipe(tmp_path, text, load)
+        assert piped == outcome(load, write(tmp_path, text))
+    assert piped[0] == ("error" if bad is not None else "dataset" if load is load_dataset else "curves")
+    if bad is None:  # the fast path took every row
         assert [reader.rows for reader in readers] == [1]
+    elif bad > 0:  # the fast path took the rows of the chunks before the fault's
+        assert readers[0].rows == 1 and sum(reader.rows for reader in readers[1:]) < bad
+        assert piped[2].startswith(f"line {bad + 2}: ")
 
 
 # ----------------------------------------------------------------- writers
@@ -1003,6 +1132,19 @@ def test_save_dataset_memory_is_bounded_by_its_blocks(tmp_path):
     assert big_peak <= rows_peak
     # ten times the rows in blocks of the same size: no more memory
     assert big_peak < 2 * small_peak
+
+
+def test_load_curve_file_memory_is_bounded_by_its_table(tmp_path):
+    # the file is read in chunks and parsed into a table that grows in place,
+    # so the traced peak stays within 2.5 times the value table: the table at
+    # most doubled, or the table and the batch checking it
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.3, 30.0, 100)
+    medians = 10.0 * rng.weibull(1.5, 20_000) + 0.1
+    values = np.exp(-np.log(2.0) * (grid / medians[:, None]) ** 1.5)
+    path = tmp_path / "curves.csv"
+    save_curve_file(path, grid, values)
+    assert traced_peak(load_curve_file, path) < 2.5 * values.nbytes
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ checks on its own.
 """
 
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -39,6 +40,7 @@ from survmae import (
     km_fit,
     load_curve_file,
     log_likelihood,
+    metrics,
     noisy_oracle_predictions,
     one_calibration,
 )
@@ -274,7 +276,7 @@ def test_nan_query_times_rejected(method, query):
     with pytest.raises(ValueError, match="NaN"):
         getattr(curve, method)(query)
     with pytest.raises(ValueError, match="NaN"):
-        getattr(batch, method)(query)
+        batch.value(query)
     with pytest.raises(ValueError, match="NaN"):
         batch.value_on(np.atleast_1d(query))
 
@@ -530,7 +532,6 @@ def test_lookups_match_step_curves(data):
     batch = CurveBatch.from_curves(curves)
     t = query_times(data.draw, curves)
     assert_array_equal(batch.value(t), [c.value(ti) for c, ti in zip(curves, t)])
-    assert_array_equal(batch.value_before(t), [c.value_before(ti) for c, ti in zip(curves, t)])
     for scalar in (0.0, float(t[0])):
         assert_array_equal(batch.value(scalar), [c.value(scalar) for c in curves])
     grid = np.unique(np.concatenate(([0.0], t, np.concatenate([c.knots for c in curves]))))
@@ -587,9 +588,6 @@ def test_lookups_on_any_grid_match_step_curves(case, data):
     for query in (t * KNOT_STEP / 2, float(t[0]) * KNOT_STEP / 2):
         per_row = np.broadcast_to(query, (len(curves),))
         assert_array_equal(batch.value(query), [c.value(x) for c, x in zip(curves, per_row)])
-        assert_array_equal(
-            batch.value_before(query), [c.value_before(x) for c, x in zip(curves, per_row)]
-        )
         assert_array_equal(batch.value_and_piece(query)[0], batch.value(query))
 
 
@@ -746,6 +744,64 @@ def test_curve_metrics_match_step_curves(case, data):
         outcome(lambda: extract_predicted_times(curves, "mean").values),
         outcome(lambda: extract_predicted_times(batch, "mean").values),
     )
+
+
+@PROPERTY
+@given(case=batch_layouts(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_ibs_in_blocks_of_subjects_equals_the_oracle_bit_for_bit(case, seed, data):
+    n = len(case[1])
+    times = np.array(data.draw(st.lists(st.integers(1, 45), min_size=n, max_size=n))) * KNOT_STEP
+    events = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ds = SurvivalDataset.from_arrays(times, events)
+    g = censoring_km_fit(ds)
+    grid_size = data.draw(st.sampled_from([2, 7, 100]))
+    t_max = data.draw(st.integers(1, 45)) * KNOT_STEP
+    km = km_broadcast(seed, n)
+    for batch, curves in (case, (km, [km[i] for i in range(n)])):
+        want = outcome(oracle_ibs, curves, ds, g, grid_size, t_max)
+        # blocks of one row, of seven rows, and of the default size
+        for cells in (1, 7 * grid_size, metrics._IBS_CELLS):
+            with mock.patch.object(metrics, "_IBS_CELLS", cells):
+                assert_same(outcome(integrated_brier_score, batch, ds, g, grid_size, t_max), want)
+
+
+@pytest.mark.parametrize("layout", ["shared", "noisy"])
+def test_ibs_over_several_default_blocks_equals_the_oracle_bit_for_bit(layout):
+    # 1,500 subjects on a 100-point grid fill several blocks of the default size
+    rng = np.random.default_rng(5)
+    n = 1500
+    times = rng.exponential(5.0, n) + 0.01
+    events = rng.random(n) < 0.6
+    ds = SurvivalDataset.from_arrays(times, events, true_times=np.where(events, times, times + 1.0))
+    if layout == "shared":
+        grid = np.linspace(0.1, 20.0, 60)
+        batch = CurveBatch(knots=grid, values=np.exp(-np.outer(rng.uniform(0.05, 0.5, n), grid)))
+    else:
+        batch = noisy_oracle_predictions(ds, 0.3, seed=1)
+    assert n * 100 > 2 * metrics._IBS_CELLS
+    g = censoring_km_fit(ds)
+    got = integrated_brier_score(batch, ds, g)
+    assert_same(got, oracle_ibs([batch[i] for i in range(n)], ds, g, 100, float(times[events].max())))
+
+
+def test_ibs_memory_is_bounded_by_its_blocks():
+    # 10,000 subjects on a 100-point grid; scored as whole n x G matrices the
+    # metric peaked at 26.2 MB traced, 3.27 times the 8 MB value matrix. In
+    # blocks of subjects it must take under a quarter of that
+    rng = np.random.default_rng(4)
+    n, grid = 10_000, np.linspace(0.3, 30.0, 100)
+    medians = 10.0 * rng.weibull(1.5, n) + 0.1
+    values = np.exp(-np.log(2.0) * (grid / medians[:, None]) ** 1.5)
+    censor = rng.uniform(0.0, 25.0, n)
+    ds = SurvivalDataset.from_arrays(np.minimum(medians, censor), medians <= censor)
+    batch, g = CurveBatch(knots=grid, values=values), censoring_km_fit(ds)
+    tracemalloc.start()
+    try:
+        integrated_brier_score(batch, ds, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.27 / 4 * values.nbytes
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Tests for concordance, Brier scores, log-likelihood, and calibration."""
 
+import re
 import warnings
 from unittest import mock
 
@@ -298,6 +299,39 @@ def test_a_horizon_must_be_finite_and_nonnegative(call, horizon):
         warnings.simplefilter("error")  # refused before any numpy warning
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             fn(curves, ds, g, horizon)
+
+
+@pytest.mark.parametrize("call", HORIZON_CALLS)
+@pytest.mark.parametrize("horizon", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_a_bool_is_no_horizon(call, horizon):
+    # True is no horizon of 1.0, nor False one of 0.0
+    fn, name = HORIZON_CALLS[call]
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
+    g = censoring_km_fit(ds)
+    curves = [const_curve(v, knot=2.5) for v in (0.2, 0.9, 0.8, 0.6)]
+    with pytest.raises(ValueError, match=f"^{name} must be finite.*, got {horizon!r}$"):
+        fn(curves, ds, g, horizon)
+
+
+@pytest.mark.parametrize(
+    "grid_size", [2.5, np.nan, np.inf, True, False, np.True_, 0, -3, "100", None, np.float64(100.0)]
+)
+def test_ibs_takes_an_integer_grid_size_of_at_least_one(grid_size):
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
+    g = censoring_km_fit(ds)
+    curves = [const_curve(v, knot=2.5) for v in (0.2, 0.9, 0.8, 0.6)]
+    weights = metrics._brier_weights(ds, g, 100, None)
+    message = f"^grid_size must be an integer of at least 1, got {re.escape(repr(grid_size))}$"
+    for kwargs in ({}, {"weights": weights}):
+        with pytest.raises(ValueError, match=message):
+            integrated_brier_score(curves, ds, g, grid_size, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        metrics._brier_weights(ds, g, grid_size, None)
+    # a NumPy integer is an integer, and scores as the int does
+    for size in (1, 7, 100):
+        want = integrated_brier_score(curves, ds, g, size)
+        for count in (np.int64(size), np.int32(size)):
+            assert integrated_brier_score(curves, ds, g, count) == want
 
 
 # ---------------------------------------------------------- log-likelihood
