@@ -375,12 +375,13 @@ class WeibullAFTModel:
 def _weibull_loglik(a, b, log_t, e):
     """Censored Weibull log-likelihood in (log shape, log scale), with the
     shape ``k`` and the terms ``u = log t - b`` and ``z = exp(k u)`` that its
-    derivatives reuse."""
-    k = np.exp(a)
+    derivatives reuse. A Newton step may overshoot to a log shape whose ``k``
+    overflows; the likelihood there is not finite and the step is halved."""
     u = log_t - b
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.exp(a)
         z = np.exp(k * u)
-    ll = float(np.sum(e * (a + (k - 1.0) * log_t - k * b)) - np.sum(z))
+        ll = float(np.sum(e * (a + (k - 1.0) * log_t - k * b)) - np.sum(z))
     return ll, k, u, z
 
 
