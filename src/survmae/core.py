@@ -24,6 +24,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,6 +98,35 @@ def _check_count(count, n, what, error=ValueError):
     """Raise ``error`` unless the ``count`` curves or predictions serve ``n`` subjects."""
     if count != n:
         raise error(f"got {count} {what} for {n} subjects")
+
+
+def _at_least(value, name, least, error=ValueError) -> int:
+    """``value`` as an int; ``error`` naming the argument ``name`` unless it
+    is an integer (a NumPy integer too, not a bool) of at least ``least``."""
+    try:
+        count = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+    return count
+
+
+def _check_seed(seed) -> int:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
+    return int(seed)
+
+
+def _first_repeat(items):
+    """Index of the first of ``items`` equal to an earlier one, or None."""
+    if len(set(items)) == len(items):
+        return None
+    seen = set()
+    for i, item in enumerate(items):
+        if item in seen:
+            return i
+        seen.add(item)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -219,16 +249,9 @@ class StepCurve:
             raise ValueError("knots and values must be 1-d arrays of equal length")
         if knots.size == 0:
             raise ValueError("curve must have at least one knot")
-        if not np.all(np.isfinite(knots)):
-            raise ValueError("knots must be finite")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        if knots[0] < 0 or not np.all(knots[1:] > knots[:-1]):
-            raise ValueError("knots must be nonnegative and strictly increasing")
-        if np.any(values < 0) or np.any(values > 1):
-            raise ValueError("values must lie in [0, 1]")
-        if np.any(np.diff(values) > 1e-12):
-            raise ValueError("values must be non-increasing")
+        bad = _first_bad_row(knots, values[None, :], None)
+        if bad is not None:
+            raise ValueError(bad[1])
 
     @property
     def t_last(self) -> float:
@@ -656,8 +679,9 @@ def stratified_kfold(
     across strata, so fold sizes differ by at most one and censoring is spread
     as evenly as the counts allow.
     """
-    if k < 2:
-        raise ConfigurationError(f"need at least two folds, got k={k}")
+    k = _at_least(k, "k", 2, ConfigurationError)
+    time_bins = _at_least(time_bins, "time_bins", 1, ConfigurationError)
+    seed = _check_seed(seed)
     if k > ds.n:
         raise ConfigurationError(f"cannot split {ds.n} records into {k} folds")
     times = ds.times
@@ -689,17 +713,12 @@ def _parse_float(text: str, line: int, column: str) -> float:
     return value
 
 
-# lines per block handed to orjson. Reading a 2.1 MB, 1000 x 101 curve file
-# held whole peaked at 3.9 MB of traced memory with 64-line blocks (its
-# bytes, the table and one block's parse), 5.7 MB with 256 and 10.3 MB with
-# one block; larger blocks were no faster. Read in chunks, the same file
-# peaks at 2.1 MB: the table and the batch that checks it
-_BLOCK_LINES = 64
 # bytes the readers take from a file at once, then up to the end of the line
-# they cut. A 192 MiB, 1e5 x 101 curve file read in 1.40-1.68 s in chunks of
-# 2**16 bytes, 1.17-1.21 s in 2**18 and 1.12-1.19 s in 2**20; the 2.1 MB
-# file peaked at 1.8, 2.1 and 3.3 MB traced
-_CHUNK_BYTES = 1 << 18
+# they cut; each chunk is parsed by one orjson.loads. In short benchmark runs
+# on a 2-vCPU host, fitted_cli's peak RSS was lowest with chunks of 2**15
+# bytes; 2**16 and 2**17 raised it by about 0.1 and 0.35 MB. A 192 MiB,
+# 1e5 x 101 curve file read in 1.2-1.9 s at each of these sizes
+_CHUNK_BYTES = 1 << 15
 # the bytes of rows of plain numbers, one per line; with these alone, a line
 # can add no JSON structure (no bracket, quote, brace, name or literal). A
 # carriage return is JSON white space; the reader takes it only before a
@@ -718,17 +737,15 @@ _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![.eE0-9])(?<![eE]-0)")
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
-def _read_columns(data, offset, width, index=False):
-    """The comma-separated lines of the bytes ``data`` from byte ``offset``
-    on (a chunk of a file's lines below its header) as an ``n x width``
-    float table, or None.
+def _read_columns(data, width, index=False):
+    """The comma-separated lines of the bytes ``data`` (a chunk of a file's
+    lines below its header) as an ``n x width`` float table, or None.
 
-    Each block of ``_BLOCK_LINES`` lines is parsed by one ``orjson.loads``
-    of its rows rejoined as ``[[row],[row],...]``, and fills its slice of the
-    table. orjson parses every number to the double ``float()`` gives, save
-    the integer ``-0``. With ``index``, the first field of each row must be
-    an integer that fits int64, and the result is that column as int64 and
-    the other columns as the table.
+    The lines are parsed by one ``orjson.loads`` of the rows rejoined as
+    ``[[row],[row],...]``. orjson parses every number to the double
+    ``float()`` gives, save the integer ``-0``. With ``index``, the first
+    field of each row must be an integer that fits int64, and the result is
+    that column as int64 and the other columns as the table.
 
     Returns None for anything else: a carriage return not followed by a line
     feed (a line break to the line reader); a byte other than an ASCII digit,
@@ -741,59 +758,41 @@ def _read_columns(data, offset, width, index=False):
     import orjson
 
     end = len(data)  # the last line ends here, before its line ending
-    if data.endswith(b"\n", offset):
-        end -= 2 if data.endswith(b"\r\n", offset) else 1
-    if data.find(b"\r", offset, end) >= 0 and _BARE_CR.search(data, offset, end):
+    if data.endswith(b"\n"):
+        end -= 2 if data.endswith(b"\r\n") else 1
+    if data.find(b"\r", 0, end) >= 0 and _BARE_CR.search(data, 0, end):
         return None
-    # each block's span of bytes, up to the line feed that ends it, and
-    # whether one of its lines is longer than csv's field size limit
+    if data.translate(None, _NUMERIC_BYTES):
+        return None
+    # a field over csv's size limit lies on a line over it: step from line
+    # feed to line feed at most the limit apart, and split the fields only
+    # where no line feed lies within the limit
     limit = csv.field_size_limit()
-    find = data.find
-    blocks, n = [], 0
-    start = offset
-    while start <= end:
-        line_start, long_line = start, False
-        for lines in range(1, _BLOCK_LINES + 1):
-            line_end = find(b"\n", line_start, end)
-            if line_end < 0:
-                line_end = end
-            if line_end - line_start > limit:
-                long_line = True
-            if line_end == end:
-                break
-            line_start = line_end + 1
-        blocks.append((start, line_end, long_line))
-        n += lines
-        start = line_end + 1
-    table = np.empty((n, width))
-    cells = table.reshape(-1)
-    filled = 0
-    first = []
-    for start, stop, long_line in blocks:
-        block = data[start:stop]
-        if long_line and any(
-            len(field) > limit for field in block.replace(b"\n", b",").split(b",")
-        ):
-            return None
-        if block.translate(None, _NUMERIC_BYTES):
-            return None
-        try:
-            rows = orjson.loads(b"".join((b"[[", block.replace(b"\n", b"],["), b"]]")))
-        except orjson.JSONDecodeError:
-            return None
-        if set(map(len, rows)) != {width}:
-            return None
-        count = len(rows) * width
-        parsed = cells[filled : filled + count]
-        parsed[:] = np.fromiter(itertools.chain.from_iterable(rows), float, count)
-        # an integer -0 parses to a zero cell, so a block without one holds none
-        if not parsed.all() and _INTEGER_MINUS_ZERO.search(block):
-            return None
-        filled += count
-        if index:
-            first.extend([row[0] for row in rows])
+    start = 0
+    while end - start > limit:
+        cut = data.rfind(b"\n", start, start + limit + 1)
+        if cut < 0:
+            fields = data[:end].replace(b"\n", b",").split(b",")
+            if any(len(field) > limit for field in fields):
+                return None
+            break
+        start = cut + 1
+    try:
+        rows = orjson.loads(
+            b"".join((b"[[", memoryview(data)[:end], b"]]")).replace(b"\n", b"],[")
+        )
+    except orjson.JSONDecodeError:
+        return None
+    if set(map(len, rows)) != {width}:
+        return None
+    table = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+    table = table.reshape(len(rows), width)
+    # an integer -0 parses to a zero cell, so a chunk without one holds none
+    if not table.all() and _INTEGER_MINUS_ZERO.search(data):
+        return None
     if not index:
         return table
+    first = [row[0] for row in rows]
     if not all(type(i) is int and -(2**63) <= i < 2**63 for i in first):
         return None
     return np.array(first, dtype=np.int64), table[:, 1:]
@@ -901,7 +900,7 @@ def _read_rows(fh, head, text, start, width, parse, index=False):
     n = 0
     if text is None:
         for chunk in _chunks(head, fh):
-            got = _read_columns(chunk, 0, width, index)
+            got = _read_columns(chunk, width, index)
             if got is None:
                 text = io.TextIOWrapper(_Stream(fh, chunk), newline="")
                 break
@@ -1023,11 +1022,9 @@ def load_dataset(
                 raise DataFormatError(f"{path}: column {needed!r} not found in header")
         if time_column == event_column:
             raise DataFormatError(f"line 1: column {time_column!r} cannot be both time and event")
-        seen = set()
-        for name in header:
-            if name in seen:
-                raise DataFormatError(f"line 1: column {name!r} appears more than once")
-            seen.add(name)
+        repeat = _first_repeat(header)
+        if repeat is not None:
+            raise DataFormatError(f"line 1: column {header[repeat]!r} appears more than once")
         t_idx = header.index(time_column)
         e_idx = header.index(event_column)
         truth_idx = [header.index("true_time")] if "true_time" in header else []

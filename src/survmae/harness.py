@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CurveBatch, SurvivalDataset, stratified_kfold
-from .core import _check_count, _read_rows, _split_csv, _write_columns
+from .core import _check_count, _check_seed, _first_repeat, _read_rows, _split_csv, _write_columns
 from .errors import (
     BinningError,
     ConfigurationError,
@@ -215,7 +215,7 @@ def noisy_oracle_predictions(ds_test: SurvivalDataset, noise: float, seed: int):
         raise MissingGroundTruthError("noisy oracle needs true event times")
     if not _valid_noise(noise):
         raise ValueError(_NOISE_RULE)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     with np.errstate(over="ignore"):
         # abs: -0.0 keeps the rule, but numpy refuses a scale whose sign bit is set
         medians = ds_test.true_times * np.exp(rng.normal(0.0, abs(noise), ds_test.n))
@@ -328,17 +328,6 @@ def load_curve_file(path) -> CurveTable:
     if failure is not None:
         raise failure
     return CurveTable(subjects, batch)
-
-
-def _first_repeat(items):
-    """Index of the first of ``items`` equal to an earlier one, or None."""
-    if len(set(items)) == len(items):
-        return None
-    seen = set()
-    for i, item in enumerate(items):
-        if item in seen:
-            return i
-        seen.add(item)
 
 
 def save_curve_file(path, grid, value_rows, indices=None) -> None:

@@ -10,13 +10,12 @@ The curve metrics take a :class:`~survmae.core.CurveBatch` or a sequence of
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset, _check_count
+from .core import CurveBatch, SurvivalDataset, _at_least, _check_count
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
 from .estimators import KaplanMeierFit
 from .mae import PredictedTimes
@@ -137,18 +136,6 @@ def comparable_pair_ratio(ds: SurvivalDataset) -> float:
     if ds.n < 2:
         raise ValueError("need at least two subjects")
     return _comparable_count(ds.times, ds.events) / (ds.n * (ds.n - 1) / 2)
-
-
-def _at_least(value, name, least, error=ValueError) -> int:
-    """``value`` as an int; ``error`` naming the argument ``name`` unless it
-    is an integer (a NumPy integer too, not a bool) of at least ``least``."""
-    try:
-        count = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or count < least:
-        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
-    return count
 
 
 def _check_t_star(t_star) -> None:

@@ -22,6 +22,7 @@ from .core import (
     DatasetStats,
     StepCurve,
     SurvivalDataset,
+    _check_seed,
     dataset_stats,
     load_dataset,
 )
@@ -100,12 +101,6 @@ def keep_uncensored(ds: SurvivalDataset) -> SurvivalDataset:
         raise InsufficientEventsError("dataset has no uncensored subject")
     uncensored = ds.subset(kept)
     return replace(uncensored, true_times=uncensored.times)
-
-
-def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
-    return int(seed)
 
 
 # ``default_rng([seed, i]).random()`` for every subject at once: NumPy's

@@ -1,11 +1,11 @@
 """CSV and curve-file I/O: the orjson fast path against the line reader.
 
-``load_dataset`` and ``load_curve_file`` read a valid file in blocks of
-lines parsed by orjson (``core._read_columns``) and fall back to reading
-line by line on any other file. The line reader is the oracle: with the
-fast path switched off (``slow`` below) every file must give the same
-arrays, bit for bit, or the same exception type and message, and every
-number the fast path reads must be the double ``float()`` gives.
+``load_dataset`` and ``load_curve_file`` read a valid file in chunks of
+lines, each parsed by one orjson call (``core._read_columns``), and fall
+back to reading line by line on any other file. The line reader is the
+oracle: with the fast path switched off (``slow`` below) every file must
+give the same arrays, bit for bit, or the same exception type and message,
+and every number the fast path reads must be the double ``float()`` gives.
 ``save_dataset`` and ``save_curve_file`` must write the bytes of a
 ``csv.writer`` that formats each number with ``repr``.
 """
@@ -364,7 +364,7 @@ def test_index_above_int64_keeps_python_ints(tmp_path):
 )
 def test_c_reader_declines_what_it_cannot_read_exactly(lines):
     # the line reader then reads the file, and names the fault if there is one
-    assert core._read_columns("".join(lines).encode(), 0, 3, index=True) is None
+    assert core._read_columns("".join(lines).encode(), 3, index=True) is None
 
 
 # --------------------------------------------------------- exact numbers
@@ -397,23 +397,35 @@ def number_fields(draw):
     return form % x
 
 
+def file_chunks(data, size):
+    """The chunks the loaders cut the rows ``data`` into, reading about
+    ``size`` bytes at a time."""
+    with chunks_of(size):
+        chunks = list(core._chunks(b"", io.BytesIO(data)))
+    assert b"".join(chunks) == data
+    return chunks
+
+
 @PROPERTY
 @given(
     width=st.integers(1, 6),
-    n=st.integers(1, 2 * core._BLOCK_LINES + 3),
+    n=st.integers(1, 131),
+    size=st.integers(1, 1 << 12),
     data=st.data(),
 )
-def test_c_reader_parses_each_number_as_float_does(width, n, data):
+def test_c_reader_parses_each_number_as_float_does(width, n, size, data):
     fields = data.draw(
         st.lists(number_fields(), min_size=n * width, max_size=n * width), label="fields"
     )
     lines = [",".join(fields[i : i + width]) + "\r\n" for i in range(0, n * width, width)]
-    got = core._read_columns("".join(lines).encode(), 0, width)
-    if "-0" in fields:  # the one number orjson reads to another double
-        assert got is None
-    else:
-        want = np.array([float(f) for f in fields]).reshape(n, width)
-        assert got is not None and got.tobytes() == want.tobytes()
+    for chunk in file_chunks("".join(lines).encode(), size):
+        cells = [f for line in chunk.decode().split("\r\n")[:-1] for f in line.split(",")]
+        got = core._read_columns(chunk, width)
+        if "-0" in cells:  # the one number orjson reads to another double
+            assert got is None
+        else:
+            want = np.array([float(f) for f in cells]).reshape(-1, width)
+            assert got is not None and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -423,7 +435,7 @@ def test_c_reader_parses_each_number_as_float_does(width, n, data):
     ids=lambda text: text[:24],
 )
 def test_c_reader_reads_edge_numbers_as_float_does(text):
-    got = core._read_columns(f"0,{text}\n".encode(), 0, 2, index=True)
+    got = core._read_columns(f"0,{text}\n".encode(), 2, index=True)
     assert got[1].tobytes() == np.array([[float(text)]]).tobytes()
 
 
@@ -432,40 +444,49 @@ def nonzero_rows(n):
     return [f"{i + 1},{0.9 - i * 1e-4!r},{0.4 - i * 1e-4!r}" for i in range(n)]
 
 
+EDGE_ROWS = 64  # the rows of the first chunk below
+
+
 @pytest.mark.parametrize(
     "row, field",
-    [(0, 0), (5, 1), (core._BLOCK_LINES - 1, 2), (core._BLOCK_LINES, 2)],
+    [(0, 0), (5, 1), (EDGE_ROWS - 1, 2), (EDGE_ROWS, 2)],
     ids=["first-index", "value", "last-field-of-a-block", "first-line-of-the-next"],
 )
 def test_an_integer_minus_zero_is_found_in_a_block_with_no_other_zero(row, field):
-    # the -0 scan runs only on blocks that parse to a zero cell; an integer
-    # -0 parses to one, wherever it sits
-    rows = [line.split(",") for line in nonzero_rows(2 * core._BLOCK_LINES)]
-    rows[row][field] = "-0"
-    data = "".join(",".join(cells) + "\n" for cells in rows).encode()
-    assert core._read_columns(data, 0, 3, index=True) is None
-    rows[row][field] = "0"  # a zero that reads the same as float() reads it
-    data = "".join(",".join(cells) + "\n" for cells in rows).encode()
-    index, table = core._read_columns(data, 0, 3, index=True)
-    assert (index == 0).sum() + (table == 0.0).sum() == 1
+    # the -0 scan runs only on chunks that parse to a zero cell; an integer
+    # -0 parses to one, wherever it sits. Chunks the size of the first
+    # EDGE_ROWS lines end at the last of them
+    rows = [line.split(",") for line in nonzero_rows(2 * EDGE_ROWS)]
+
+    def parsed(cell):
+        rows[row][field] = cell
+        lines = [",".join(cells) + "\n" for cells in rows]
+        chunks = file_chunks("".join(lines).encode(), len("".join(lines[:EDGE_ROWS])))
+        assert chunks[0].count(b"\n") == EDGE_ROWS
+        return [core._read_columns(chunk, 3, index=True) for chunk in chunks]
+
+    got = parsed("-0")
+    assert [i for i, chunk in enumerate(got) if chunk is None] == [row // EDGE_ROWS]
+    got = parsed("0")  # a zero that reads the same as float() reads it
+    assert sum((index == 0).sum() + (table == 0.0).sum() for index, table in got) == 1
 
 
 @pytest.mark.parametrize("exponent", ["1e-0", "2.5E-0", "-3e-0"])
 def test_an_exponent_minus_zero_takes_the_block_reader(tmp_path, exponent):
     # the -0 of an exponent is no integer -0 field: with a zero cell in the
     # block, it is still read from the bytes, as float() reads it
-    got = core._read_columns(f"0,0.0,{exponent}\n".encode(), 0, 3, index=True)
+    got = core._read_columns(f"0,0.0,{exponent}\n".encode(), 3, index=True)
     assert got is not None
     assert got[1].tobytes() == np.array([[0.0, float(exponent)]]).tobytes()
     path = write(tmp_path, f"t,1,2\n0,0.0,{exponent}\n1,-0,{exponent}\n")
     assert_same_as_line_reader(load_curve_file, path)
     # the real -0 field on the second line still sends the file to the line reader
-    assert core._read_columns(path.read_bytes(), 6, 3, index=True) is None
+    assert core._read_columns(path.read_bytes()[6:], 3, index=True) is None
 
 
-# ---------------------------------------------------- faults in a later block
+# ---------------------------------------------------- faults in a later chunk
 
-LATER = 2 * core._BLOCK_LINES + 3  # a line of the third block
+LATER = 131  # a row of the first chunk, well below the header
 
 
 def dataset_rows(n):
@@ -487,36 +508,10 @@ def curve_rows(n):
     ids=["dataset-bad-field", "dataset-short-row", "curves-bad-field", "curves-short-row"],
 )
 def test_a_fault_in_a_later_block_names_its_line(tmp_path, load, header, rows, fault, message):
-    lines = rows(3 * core._BLOCK_LINES)
+    lines = rows(2 * LATER)
     lines[LATER] = fault
     got = assert_same_as_line_reader(load, write(tmp_path, "\n".join([header] + lines) + "\n"))
     assert got == ("error", DataFormatError, f"line {LATER + 2}: {message}")  # the header is line 1
-
-
-@pytest.mark.parametrize(
-    "load, header, rows, minus_zero, spot",
-    [
-        (load_dataset, "time,event,f", dataset_rows, "1.5,1,-0", (6, LATER)),
-        (load_curve_file, "t,1,2", curve_rows, "999,0.9,-0", (5, 2 * LATER + 1)),
-    ],
-    ids=["dataset", "curves"],
-)
-def test_an_integer_minus_zero_in_a_later_block_reads_as_minus_zero(
-    tmp_path, load, header, rows, minus_zero, spot
-):
-    lines = rows(3 * core._BLOCK_LINES)
-    lines[LATER] = minus_zero
-    got = assert_same_as_line_reader(load, write(tmp_path, "\n".join([header] + lines) + "\n"))
-    value = np.frombuffer(got[spot[0]])[spot[1]]
-    assert value == 0.0 and np.signbit(value)
-
-
-def test_a_field_over_the_csv_limit_reads_as_the_line_reader_reads_it(tmp_path):
-    # a number orjson would read, in a field csv refuses
-    field = "1." + "0" * csv.field_size_limit() + "1"
-    text = "time,event\n" + "1.5,1\n" * LATER + f"{field},1\n"
-    got = assert_same_as_line_reader(load_dataset, write(tmp_path, text))
-    assert got == ("error", DataFormatError, f"line {LATER + 2}: field larger than field limit (131072)")
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
@@ -674,6 +669,105 @@ def test_lines_cut_by_a_chunk_edge_are_read_whole(tmp_path, load, header, rows, 
         assert outcome(load, path) == whole
         assert rows_read(load, path) == [1]
     assert whole[-2][0] == CHUNKED
+
+
+@pytest.mark.parametrize(
+    "load, header, rows, minus_zero, spot",
+    [
+        (load_dataset, "time,event,f", dataset_rows, "1.5,1,-0", (6, FAULT_ROW)),
+        (load_curve_file, "t,1,2", curve_rows, "5000,0.9,-0", (5, 2 * FAULT_ROW + 1)),
+    ],
+    ids=["dataset", "curves"],
+)
+def test_an_integer_minus_zero_in_a_later_block_reads_as_minus_zero(
+    tmp_path, load, header, rows, minus_zero, spot
+):
+    path = write(tmp_path, with_rows(header, rows(CHUNKED), {FAULT_ROW: minus_zero}))
+    with chunks_of(1000):
+        got = assert_same_as_line_reader(load, path)
+        read = rows_read(load, path)
+    value = np.frombuffer(got[spot[0]])[spot[1]]
+    assert value == 0.0 and np.signbit(value)
+    # the line reader took over at the chunk of the -0
+    assert read[0] == 1 and 0 < sum(read[1:]) < FAULT_ROW // 2
+
+
+# a number orjson would read, in a field csv refuses
+LONG_FIELD = "1." + "0" * csv.field_size_limit() + "1"
+TOO_LONG = "field larger than field limit (131072)"
+
+
+def test_a_field_over_the_csv_limit_reads_as_the_line_reader_reads_it(tmp_path):
+    text = with_rows("time,event,f", dataset_rows(CHUNKED), {FAULT_ROW: f"{LONG_FIELD},1,2"})
+    path = write(tmp_path, text)
+    for size in CHUNK_SIZES:
+        with chunks_of(size):
+            got = assert_same_as_line_reader(load_dataset, path)
+        assert got == ("error", DataFormatError, f"line {FAULT_LINE}: {TOO_LONG}")
+
+
+@pytest.mark.parametrize(
+    "load, header, rows, long_line",
+    [
+        (load_dataset, "time,event,f", dataset_rows, f"1.5,1,{LONG_FIELD}"),
+        (load_curve_file, "t,1,2", curve_rows, f"5000,0.9,{LONG_FIELD}"),
+    ],
+    ids=["dataset", "curves"],
+)
+@pytest.mark.parametrize("spot", ["mid-chunk", "last-line-without-line-feed"])
+def test_a_line_over_the_csv_limit_is_refused_where_it_lies(tmp_path, load, header, rows, long_line, spot):
+    # chunks of 256 KiB hold the whole file: short lines, then the long line,
+    # then short lines or the end of a file that ends with no line feed
+    if spot == "mid-chunk":
+        text = with_rows(header, rows(CHUNKED), {FAULT_ROW: long_line})
+    else:
+        text = "\n".join([header] + rows(FAULT_ROW) + [long_line])
+    with chunks_of(1 << 18):
+        got = assert_same_as_line_reader(load, write(tmp_path, text))
+    assert got == ("error", DataFormatError, f"line {FAULT_LINE}: {TOO_LONG}")
+
+
+@st.composite
+def numeric_files(draw):
+    """A csv file of up to 1000 rows of plain numbers, mostly valid: its
+    loader, its text and a chunk size."""
+    curves = draw(st.booleans())
+    n = draw(st.integers(1, 1000))
+    width = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if curves:
+        header = "t," + ",".join(map(repr, np.cumsum(rng.uniform(0.1, 2.0, width)).tolist()))
+        values = -np.sort(-rng.uniform(0.0, 1.0, (n, width)), axis=1)
+        cells = np.column_stack([rng.permutation(2 * n)[:n], values]).astype(object)
+        cells[:, 0] = cells[:, 0].astype(int)
+    else:
+        header = "time,event," + ",".join(f"f{j}" for j in range(width))
+        times = rng.exponential(5.0, n)
+        features = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-6, 6, (n, width))
+        cells = np.column_stack([times, rng.integers(0, 2, n), features]).astype(object)
+        cells[:, 1] = cells[:, 1].astype(int)
+    lines = [",".join(map(repr, row)) for row in cells.tolist()]
+    for _ in range(draw(st.integers(0, 3))):  # zeros, exponents and integers here and there
+        row = draw(st.integers(0, n - 1))
+        fields = lines[row].split(",")
+        spot = draw(st.integers(1, len(fields) - 1))
+        fields[spot] = draw(st.sampled_from(["-0", "0", "-0.0", "1e-0", "1"]))
+        lines[row] = ",".join(fields)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join([header] + lines) + draw(st.sampled_from(["", ending]))
+    load = load_curve_file if curves else load_dataset
+    return load, text, draw(st.integers(1, 1 << 15))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(case=numeric_files())
+def test_numeric_files_load_alike_at_any_chunk_size(tmp_path, case):
+    load, text, size = case
+    path = write(tmp_path, text)
+    with chunks_of(size):
+        fast = outcome(load, path)
+    with slow():
+        assert fast == outcome(load, path)
 
 
 # a field over the csv module's size limit (131,072 characters)

@@ -107,12 +107,13 @@ def oracle_coxph_fit(ds, max_iter=100, tol=1e-8):
 
 
 def oracle_weibull_loglik(a, b, t, e):
-    k = np.exp(a)
     u = np.log(t) - b
-    with np.errstate(over="ignore"):
+    # an overshooting step may overflow k; its likelihood is then not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.exp(a)
         z = np.exp(k * u)
+        ll = float(np.sum(e * (a + (k - 1.0) * np.log(t) - k * b)) - np.sum(z))
     d = float(e.sum())
-    ll = float(np.sum(e * (a + (k - 1.0) * np.log(t) - k * b)) - np.sum(z))
     # the fit discards the derivatives at a rejected candidate, where these
     # may overflow
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,6 +6,8 @@ input applies that one rule.
   same flags and name the same first subject or line.
 * A curve or prediction count must match the subject count: every metric
   names both counts.
+* A fold count, a time-bin count and a seed each have one integer rule,
+  and every entry point that takes one refuses it by name.
 * Curve knots and hazard values are compared, never differenced, so a bad
   knot row is a ``ValueError`` and never a numpy warning.
 * A prediction method and a censoring parameter are checked against one
@@ -48,6 +50,7 @@ from survmae import (
     one_calibration,
     run_experiment,
     save_dataset,
+    stratified_kfold,
     true_mae,
 )
 from survmae import cli, estimators, harness
@@ -183,6 +186,53 @@ def test_evaluate_dataset_names_both_counts():
     ds, _ = twenty_subjects()
     with pytest.raises(ConfigurationError, match=r"^got 19 curves for 20 subjects$"):
         evaluate_dataset(ds, NINETEEN_CURVES)
+
+
+# -------------------------------------------------- fold counts and seeds
+
+INTEGER_CALLS = {
+    "kfold-k": (lambda ds: stratified_kfold(ds, 2.5, 0), "k must be an integer of at least 2, got 2.5"),
+    "kfold-one-fold": (lambda ds: stratified_kfold(ds, 1, 0), "k must be an integer of at least 2, got 1"),
+    "experiment-k": (
+        lambda ds: run_experiment(ds, [ModelSpec("km")], k=2.5),
+        "k must be an integer of at least 2, got 2.5",
+    ),
+    "kfold-bins": (
+        lambda ds: stratified_kfold(ds, 2, 0, time_bins=2.5),
+        "time_bins must be an integer of at least 1, got 2.5",
+    ),
+    "kfold-no-bins": (
+        lambda ds: stratified_kfold(ds, 2, 0, time_bins=0),
+        "time_bins must be an integer of at least 1, got 0",
+    ),
+    "kfold-float-seed": (
+        lambda ds: stratified_kfold(ds, 2, 2.5),
+        "seed must be a nonnegative integer, got 2.5",
+    ),
+    "oracle-float-seed": (
+        lambda ds: harness.noisy_oracle_predictions(ds, 0.1, 2.5),
+        "seed must be a nonnegative integer, got 2.5",
+    ),
+    "kfold-negative-seed": (
+        lambda ds: stratified_kfold(ds, 2, -1),
+        "seed must be a nonnegative integer, got -1",
+    ),
+    "experiment-negative-seed": (
+        lambda ds: run_experiment(ds, [ModelSpec("km")], k=2, seed=-1),
+        "seed must be a nonnegative integer, got -1",
+    ),
+    "oracle-negative-seed": (
+        lambda ds: harness.noisy_oracle_predictions(ds, 0.1, -1),
+        "seed must be a nonnegative integer, got -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", INTEGER_CALLS.values(), ids=INTEGER_CALLS.keys())
+def test_a_fold_count_bin_count_or_seed_is_refused_by_name(call, message):
+    ds, _ = twenty_subjects()
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call(ds)
 
 
 # ------------------------------------------------------------ curve knots
