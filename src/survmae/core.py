@@ -25,6 +25,7 @@ import io
 import itertools
 import math
 import operator
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,7 +114,9 @@ def _at_least(value, name, least, error=ValueError) -> int:
 
 
 def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """``seed`` as an int; ``ConfigurationError`` unless it is a nonnegative
+    integer (a NumPy integer too, not a bool)."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigurationError(f"seed must be a nonnegative integer, got {seed}")
     return int(seed)
 
@@ -305,21 +308,66 @@ class StepCurve:
         return area
 
 
-def _batch_passes(knots, values) -> bool:
-    """Whether every row of an unpadded batch keeps every :class:`StepCurve`
-    rule, in one pass: knots rise strictly from a nonnegative first knot to a
-    finite last one (so all are finite), and values lie in [0, 1] (so all are
-    finite) and rise nowhere by more than 1e-12. Comparing neighbours instead
-    of differencing them keeps ``inf - inf`` from warning."""
-    if values.strides[0] == 0:
-        values = values[:1]
+# cells per block of rows that the batch checks, CurveBatch.median_times and
+# CurveBatch.mean_times handle at once. For mean_times, of 2**12 ... 2**20,
+# 2**16 was the fastest on both a 2e4-row noisy-oracle batch and 4000 Cox
+# rows of 16,000 knots, with a traced peak of 2.6 MB (30 MB at 2**20). The
+# check of a 1000 x 100 curve file took 282 us in blocks of 2**16 cells, 274
+# at 2**14, 413 at 2**13 and 268 whole
+_PIECE_BLOCK = 1 << 16
+
+
+def _row_blocks(n, width):
+    """Slices that cut ``n`` rows of ``width`` cells into blocks of at most
+    ``_PIECE_BLOCK`` cells (one row at least), in order."""
+    step = max(1, _PIECE_BLOCK // width)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _knots_pass(knots) -> bool:
+    """Whether every knot row rises strictly from a nonnegative first knot to
+    a finite last one (so all are finite). Comparing neighbours instead of
+    differencing them keeps ``inf - inf`` from warning."""
     return bool(
         (knots[..., 0] >= 0).all()
         and np.isfinite(knots[..., -1]).all()
         and (knots[..., 1:] > knots[..., :-1]).all()
+    )
+
+
+def _batch_passes(knots, values) -> bool:
+    """Whether every row of an unpadded batch keeps every :class:`StepCurve`
+    rule, in one pass: its knots pass :func:`_knots_pass`, and its values
+    lie in [0, 1] (so all are finite) and rise nowhere by more than 1e-12.
+    The values are differenced in blocks of rows (``_row_blocks``), so the
+    check builds no temporary as large as the batch."""
+    if values.strides[0] == 0:
+        values = values[:1]
+    return bool(
+        _knots_pass(knots)
         and values.min() >= 0
         and values.max() <= 1
-        and not (values[:, 1:] - values[:, :-1] > 1e-12).any()
+        and not any(
+            (block[:, 1:] - block[:, :-1] > 1e-12).any()
+            for block in map(values.__getitem__, _row_blocks(*values.shape))
+        )
+    )
+
+
+def _hazard_rows_pass(knots, hazard, risks) -> bool:
+    """Whether every row ``exp(-hazard * risks[i])`` on the shared ``knots``
+    keeps every :class:`StepCurve` rule, known in O(n + K) time: the knots
+    pass :func:`_knots_pass`, the hazard is finite, starts at 0 or above and
+    never falls, and every risk is at least 0 (not NaN), infinite only where
+    the hazard starts above 0 (``exp(-0 * inf)`` is NaN). Rows that pass are
+    then finite, in [0, 1] and non-increasing."""
+    return bool(
+        _knots_pass(knots)
+        and np.isfinite(hazard).all()
+        and hazard[0] >= 0
+        and (hazard[1:] >= hazard[:-1]).all()
+        and (risks >= 0).all()
+        and (hazard[0] > 0 or np.isfinite(risks).all())
     )
 
 
@@ -363,11 +411,21 @@ def _scan_bad_row(knots, values, real):
     return _first_failure(checks)
 
 
-# pieces per block of rows that CurveBatch.mean_times sums at once. Of
-# 2**12 ... 2**20, 2**16 was the fastest on both a 2e4-row noisy-oracle batch
-# and 4000 Cox rows of 16,000 knots, with a traced peak of 2.6 MB (30 MB at
-# 2**20)
-_PIECE_BLOCK = 1 << 16
+def _adoptable_led(values):
+    """The matrix whose columns 1: the ``n x K`` array ``values`` are, when
+    it is a C-ordered ``n x (K+1)`` float array whose column 0 holds ones (as
+    :func:`_read_rows` builds a curve file's table), or None."""
+    base = values.base
+    if not (
+        isinstance(base, np.ndarray)
+        and base.dtype == float
+        and base.flags.c_contiguous
+        and base.shape == (values.shape[0], values.shape[1] + 1)
+        and values.strides == base.strides
+        and values.ctypes.data == base.ctypes.data + base.itemsize
+    ):
+        return None
+    return base if (base[:, 0] == 1.0).all() else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,16 +438,34 @@ class CurveBatch:
     ``n x K`` knot matrix: row ``i`` uses its first ``lengths[i]`` entries and
     ignores the rest. Row ``i`` is the :class:`StepCurve` ``batch[i]``.
 
+    A proportional-hazards batch passes ``hazard``, one row of ``K``
+    cumulative hazards on a shared knot row, and ``risks``, one per row, in
+    place of ``values``, which is then None. Row ``i`` is
+    ``exp(-hazard * risks[i])``, row ``i`` of the matrix
+    ``np.exp(-hazard[None, :] * risks[:, None])``, but no ``n x K`` array is
+    held: every lookup computes ``exp(-hazard[c] * risks[i])`` at the cells
+    it reads, bit for bit the matrix's entries.
+
     Every :class:`StepCurve` rule is checked on all rows at once; a broken
-    rule raises :class:`InvalidCurveError` naming the first bad row.
+    rule raises :class:`InvalidCurveError` naming the first bad row. A
+    proportional-hazards batch is checked in O(n + K) time when its hazard
+    never falls (:func:`_hazard_rows_pass`), else on its rows block by block.
     """
 
     knots: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | None = None
     lengths: np.ndarray | None = None
+    hazard: np.ndarray | None = None
+    risks: np.ndarray | None = None
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
+        dense = self.values is not None
+        if dense == (self.hazard is not None) or dense == (self.risks is not None):
+            raise ValueError("pass values, or a hazard row and risks")
+        if not dense:
+            self._init_hazard_rows(knots)
+            return
         values = np.asarray(self.values, dtype=float)
         if (
             values.ndim != 2
@@ -418,13 +494,16 @@ class CurveBatch:
         rows = np.arange(n)
         # the values led by a column of ones: column c holds the value after c
         # knots, so a lookup is one gather at the knot count; one broadcast
-        # row serves rows that share their values
+        # row serves rows that share their values, and a table that already
+        # leads its values with ones is kept, not copied
         if n and values.strides[0] == 0 and real is None:
             led = np.broadcast_to(np.concatenate(([1.0], values[0])), (n, width + 1))
         else:
-            led = np.empty((n, width + 1))
-            led[:, 0] = 1.0
-            led[:, 1:] = values
+            led = None if real is not None else _adoptable_led(values)
+            if led is None:
+                led = np.empty((n, width + 1))
+                led[:, 0] = 1.0
+                led[:, 1:] = values
         if real is not None:
             # padding knots lie beyond every query time and repeat the last value
             knots = np.where(real, knots, np.inf)
@@ -434,6 +513,33 @@ class CurveBatch:
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_led", led)
+
+    def _init_hazard_rows(self, knots):
+        """:meth:`__post_init__` of a proportional-hazards batch."""
+        hazard = np.asarray(self.hazard, dtype=float)
+        risks = np.asarray(self.risks, dtype=float)
+        if knots.ndim != 1 or hazard.shape != knots.shape or risks.ndim != 1:
+            raise ValueError("hazard and knots must be one row of K each and risks 1-d")
+        if self.lengths is not None:
+            raise ValueError("rows of a hazard batch share their knots: no lengths")
+        if knots.size == 0:
+            raise ValueError("curve must have at least one knot")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "hazard", hazard)
+        object.__setattr__(self, "risks", risks)
+        object.__setattr__(self, "lengths", np.full(risks.size, knots.size))
+        object.__setattr__(self, "_rows", np.arange(risks.size))
+        object.__setattr__(self, "_led", None)
+        # the hazard led by 0: entry c is the hazard after c knots
+        object.__setattr__(self, "_hazard", np.concatenate(([0.0], hazard)))
+        object.__setattr__(self, "_infinite", bool(np.isinf(risks).any()))
+        monotone = _hazard_rows_pass(knots, hazard, risks)
+        object.__setattr__(self, "_monotone", monotone)
+        if not monotone:
+            for rows in _row_blocks(risks.size, knots.size):
+                bad = _first_bad_row(knots, self._heights(rows, slice(1, None)), None)
+                if bad is not None:
+                    raise InvalidCurveError(rows.start + bad[0], bad[1])
 
     @classmethod
     def broadcast(cls, curve: StepCurve, n: int) -> "CurveBatch":
@@ -469,19 +575,28 @@ class CurveBatch:
         return cls(knots=knots, values=values, lengths=lengths)
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self._rows.size
 
     def __getitem__(self, i) -> StepCurve:
         i = range(len(self))[i]
         size = self.lengths[i]
         knots = self.knots if self.knots.ndim == 1 else self.knots[i]
-        return StepCurve(knots=knots[:size], values=self.values[i, :size])
+        values = self._heights(slice(i, i + 1), slice(1, size + 1))[0]
+        return StepCurve(knots=knots[:size], values=values)
 
     def take(self, rows) -> "CurveBatch":
         """The batch of the given rows, in that order."""
         rows = np.asarray(rows, dtype=int)
+        if self._led is None:
+            return CurveBatch(knots=self.knots, hazard=self.hazard, risks=self.risks[rows])
         knots = self.knots if self.knots.ndim == 1 else self.knots[rows]
-        return CurveBatch(knots=knots, values=self.values[rows], lengths=self.lengths[rows])
+        # the rows' led values, adopted by the new batch
+        return CurveBatch(knots=knots, values=self._led[rows][:, 1:], lengths=self.lengths[rows])
+
+    @property
+    def _shared(self) -> bool:
+        """Whether every row reads one broadcast row of values."""
+        return self._led is not None and self._led.strides[0] == 0
 
     @property
     def t_last(self) -> np.ndarray:
@@ -489,7 +604,7 @@ class CurveBatch:
 
     @property
     def v_last(self) -> np.ndarray:
-        return self.values[:, -1]
+        return self._pick(self.lengths)
 
     def _knot(self, cols) -> np.ndarray:
         """Row ``i``'s knot in column ``cols[i]``."""
@@ -534,12 +649,37 @@ class CurveBatch:
     def _pick(self, counts, rows=slice(None)):
         """Values of rows ``rows`` (a slice) after the given knot counts (one
         column per query): one gather from the values led by ones, so a
-        count of 0 reads 1."""
+        count of 0 reads 1. A hazard batch gathers its hazard led by 0 and
+        computes the values there."""
+        if self._led is None:
+            risks = self.risks[rows] if counts.ndim == 1 else self.risks[rows, None]
+            cells = self._hazard.take(counts)
+            # -h * r in place, as the dense matrix forms it; the product
+            # overflows to -inf where the value is 0, and is NaN for 0 * inf
+            np.negative(cells, out=cells)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cells *= risks
+            np.exp(cells, out=cells)
+            # after no knot every row reads 1, an infinite risk's too
+            return np.where(counts == 0, 1.0, cells) if self._infinite else cells
         led = self._led
         if led.strides[0] == 0:
             return led[0].take(counts)
         rows = self._rows[rows] if counts.ndim == 1 else self._rows[rows, None]
         return led.ravel().take(counts + rows * led.shape[1])
+
+    def _heights(self, rows, cols):
+        """The values led by ones (column ``c``: the value after ``c`` knots)
+        of rows ``rows`` (a slice or index array) in columns ``cols`` (a
+        slice): a view or gather of a dense batch's, computed for a hazard
+        batch."""
+        if self._led is not None:
+            return self._led[rows, cols]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = np.exp(-self._hazard[None, cols] * self.risks[rows, None])
+        if self._infinite and cols.start in (None, 0):
+            cells[:, 0] = 1.0  # exp(-0 * inf) is NaN
+        return cells
 
     def value(self, t) -> np.ndarray:
         """Row ``i`` at ``t[i]`` (right-continuous); a scalar ``t`` serves every row."""
@@ -575,12 +715,42 @@ class CurveBatch:
         of valid query times."""
         return self._pick(self._grid_counts(grid, rows), rows)
 
+    def _median_index(self) -> np.ndarray:
+        """Per row of a hazard batch whose hazard never falls, the index of
+        its first value at or below one half, or K where there is none: a
+        binary search of the hazard for ``ln 2 / risk``, then, where the
+        computed values disagree, steps over whole runs of equal hazards (so
+        of equal values) until the value before the index is above one half
+        and the value at it is not. Each row moves one way only."""
+        hazard, size = self.hazard, self.hazard.size
+        with np.errstate(divide="ignore", over="ignore"):  # ln 2 / 0 or a subnormal: inf
+            first = np.searchsorted(hazard, np.log(2.0) / self.risks)
+        while True:
+            # the value before the index already at or below one half: back
+            # to the start of its run
+            back = self._pick(first) <= 0.5
+            first = np.where(back, np.searchsorted(hazard, hazard[np.maximum(first - 1, 0)]), first)
+            # the value at the index still above one half: on past its run
+            on = (first < size) & (self._pick(np.minimum(first + 1, size)) > 0.5)
+            ahead = np.searchsorted(hazard, hazard[np.minimum(first, size - 1)], side="right")
+            first = np.where(on, ahead, first)
+            if not (back.any() or on.any()):
+                return first
+
     def median_times(self) -> np.ndarray:
         """:meth:`StepCurve.median_time` of every row. Rows that share one
-        broadcast value row find its median index once."""
-        values = self.values
-        below = (values[:1] if values.strides[0] == 0 else values) <= 0.5
-        hit = below.any(axis=1)
+        broadcast value row find its median index once; a hazard batch whose
+        hazard never falls finds it by :meth:`_median_index`; other rows are
+        scanned in blocks (``_row_blocks``)."""
+        size = self.knots.shape[-1]
+        if self._led is None and self._monotone:
+            first = self._median_index()
+        else:
+            first = np.empty(1 if self._shared else len(self), dtype=np.intp)
+            for rows in _row_blocks(first.size, size):
+                below = self._heights(rows, slice(1, None)) <= 0.5
+                first[rows] = np.where(below.any(axis=1), np.argmax(below, axis=1), size)
+        hit = first < size
         v_last = self.v_last
         flat = np.flatnonzero(~hit & (v_last >= 1.0))
         if flat.size:
@@ -589,7 +759,7 @@ class CurveBatch:
             )
         with np.errstate(divide="ignore"):
             chord = 0.5 * self.t_last / (1.0 - v_last)
-        return np.where(hit, self._knot(np.argmax(below, axis=1)), chord)
+        return np.where(hit, self._knot(np.minimum(first, size - 1)), chord)
 
     def mean_times(self) -> np.ndarray:
         """:meth:`StepCurve.mean_time` of every row, bit for bit.
@@ -605,7 +775,7 @@ class CurveBatch:
         flat = np.flatnonzero(self.v_last >= 1.0)
         if flat.size:
             raise DegenerateCurveError(f"subject {flat[0]}: curve never descends; mean undefined")
-        n = 1 if self.knots.ndim == 1 and self._led.strides[0] == 0 else len(self)
+        n = 1 if self.knots.ndim == 1 and self._shared else len(self)
         knots = np.atleast_2d(self.knots)
         # a row whose first knot is 0 has no piece from 0 to that knot
         at_zero = np.broadcast_to(knots[:, 0] == 0.0, (n,))
@@ -618,7 +788,7 @@ class CurveBatch:
             for block in np.split(rows, range(step, rows.size, step)):
                 edges = knots[:, :size] if knots.shape[0] == 1 else knots[block, :size]
                 widths = np.diff(edges, prepend=0.0)[:, skip:]
-                area[block] = np.sum(self._led[block, skip:size] * widths, axis=1)
+                area[block] = np.sum(self._heights(block, slice(skip, size)) * widths, axis=1)
         t_last, v_last = self.t_last[:n], self.v_last[:n]
         with np.errstate(over="ignore"):  # Python floats overflow to inf silently
             tail = v_last * (t_last / (1.0 - v_last) - t_last) / 2.0
@@ -869,13 +1039,27 @@ def _chunks(head, fh):
 
 
 def _put(array, n, rows) -> None:
-    """Write ``rows`` below the first ``n`` rows of ``array``, first growing
-    it in place, to at least twice its rows, when they do not fit."""
+    """Write ``rows`` below the first ``n`` rows of ``array``, into its last
+    columns, first growing it in place, to at least twice its rows, when
+    they do not fit."""
     stop = n + len(rows)
     if stop > len(array):
         # no view of the array is alive, so it may move
         array.resize((max(stop, 2 * len(array)), *array.shape[1:]), refcheck=False)
-    array[n:stop] = rows
+    array[n:stop][..., -rows.shape[-1] :] = rows
+
+
+def _room(fh, chunk, rows) -> int:
+    """Rows to make room for once the first ``chunk`` of the binary file
+    ``fh``, of ``rows`` rows, is read: those, and the rest of the file at the
+    chunk's bytes per row, a quarter more. A pipe gets room for the chunk's
+    rows alone. Room that no row fills is never written, so an array of
+    more than a few pages takes no memory there."""
+    try:
+        rest = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
+    except OSError:  # no size or no position: a pipe
+        rest = 0
+    return rows + 5 * rest * rows // (4 * len(chunk))
 
 
 def _read_rows(fh, head, text, start, width, parse, index=False):
@@ -883,19 +1067,22 @@ def _read_rows(fh, head, text, start, width, parse, index=False):
     the binary ``fh`` and returned ``head``, ``text`` and ``start``.
 
     Chunk after chunk of the file is parsed by :func:`_read_columns` into one
-    table that grows in place. From the first chunk it declines on, the rest
+    table, made with room for the file's rows (:func:`_room`), that grows in
+    place should they not fit. From the first chunk it declines on, the rest
     of the file is decoded and read by :func:`_read_lines` with ``parse``
     (``width`` fields a row); the chunks before held only plain numbers, so
     no quoted field crosses the hand-off. Every read goes to the end of the
     file, so that a pipe is drained.
 
     Returns the table of the rows the chunks gave, as :func:`_read_columns`
-    returns it for ``index``; the entries of the line reader; the file line
-    of every row, the table's first (a chunk with a blank row is declined,
-    so row ``i`` of the table is line ``start + i``); and the line reader's
-    error or None.
+    returns it for ``index``, save that the table then keeps the index
+    column's place, filled with ones: a curve file's table is the values of
+    its rows led by ones, which a :class:`CurveBatch` adopts as it is. Then
+    the entries of the line reader; the file line of every row, the table's
+    first (a chunk with a blank row is declined, so row ``i`` of the table
+    is line ``start + i``); and the line reader's error or None.
     """
-    table = np.empty((0, width - 1 if index else width))
+    table = np.empty((0, width))
     first = np.empty(0, dtype=np.int64)
     n = 0
     if text is None:
@@ -905,13 +1092,18 @@ def _read_rows(fh, head, text, start, width, parse, index=False):
                 text = io.TextIOWrapper(_Stream(fh, chunk), newline="")
                 break
             if index:
+                if not n:
+                    first = np.empty(_room(fh, chunk, len(got[0])), dtype=np.int64)
                 _put(first, n, got[0])
                 got = got[1]
+            if not n:
+                table = np.empty((_room(fh, chunk, len(got)), width))
             _put(table, n, got)
             n += len(got)
-    table.resize((n, table.shape[1]), refcheck=False)
+    table.resize((n, width), refcheck=False)
     if index:
         first.resize(n, refcheck=False)
+        table[:, 0] = 1.0
         table = first, table
     lines = range(start, start + n)
     entries, failure = [], None

@@ -131,7 +131,8 @@ class CumulativeHazard:
 
     Its knots must be finite, nonnegative and strictly increasing, as a
     :class:`~survmae.core.StepCurve`'s are, and its values finite, nonnegative
-    and nondecreasing; a broken rule raises ``ValueError``.
+    and nondecreasing; a broken rule raises ``ValueError`` whose reason
+    begins with the word ``knots`` or ``values``.
     """
 
     knots: np.ndarray
@@ -149,9 +150,9 @@ class CumulativeHazard:
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         if (knots.size and knots[0] < 0) or np.any(knots[1:] <= knots[:-1]):
-            raise ValueError("knots must be nonnegative and strictly increasing")
+            raise ValueError("knots must be strictly increasing from a nonnegative first knot")
         if np.any(values[1:] < values[:-1] - 1e-12) or (values.size and values[0] < 0):
-            raise ValueError("cumulative hazard must be nonnegative and nondecreasing")
+            raise ValueError("values must be nonnegative and nondecreasing")
 
     def value(self, t):
         """Right-continuous lookup; 0 before the first knot. Accepts scalars
@@ -339,13 +340,13 @@ def cox_survival_curve(model: CoxModel, x):
 
     A covariate vector ``x`` gives its :class:`StepCurve`; a matrix with one
     row per subject gives a :class:`CurveBatch` on the shared baseline knots
-    whose row i is ``exp(-H0 * risks[i])``.
+    whose row i is ``exp(-H0 * risks[i])``, held as the baseline hazard and
+    the risks, never as an n x K matrix.
     """
     h = model.baseline_cumhaz
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        risks = model.risks(x)
-        return CurveBatch(knots=h.knots, values=np.exp(-h.values[None, :] * risks[:, None]))
+        return CurveBatch(knots=h.knots, hazard=h.values, risks=model.risks(x))
     r = model.risk(x)
     return StepCurve(knots=h.knots, values=np.exp(-h.values * r))
 
@@ -499,8 +500,8 @@ def model_from_json(source):
     A payload :func:`model_to_json` could not have written raises
     ``ValueError`` naming the field: a missing field, a non-finite number, a
     Weibull shape or scale <= 0, a Kaplan-Meier count that is not a whole
-    number >= 0, parallel lists of unequal lengths, or Cox baseline knots
-    that do not strictly increase.
+    number >= 0, parallel lists of unequal lengths, or a Cox baseline that
+    :class:`CumulativeHazard` refuses, with that class's reason.
     """
     if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
         data = json.loads(source)
@@ -522,13 +523,12 @@ def model_from_json(source):
     if kind == "coxph":
         beta, means = _json_arrays(data, "beta", "feature_means")
         knots, values = _json_arrays(data, "baseline_knots", "baseline_values")
-        if np.any(knots[1:] <= knots[:-1]):
-            raise ValueError("field 'baseline_knots' must be strictly increasing")
-        return CoxModel(
-            beta=beta,
-            baseline_cumhaz=CumulativeHazard(knots=knots, values=values),
-            feature_means=means,
-        )
+        try:
+            baseline = CumulativeHazard(knots=knots, values=values)
+        except ValueError as exc:  # the reason names the knots or the values first
+            name, rule = str(exc).split(" ", 1)
+            raise ValueError(f"field 'baseline_{name}' {rule}") from None
+        return CoxModel(beta=beta, baseline_cumhaz=baseline, feature_means=means)
     if kind == "weibull_aft":
         return WeibullAFTModel(
             shape=_json_positive(data, "shape"), scale=_json_positive(data, "scale")

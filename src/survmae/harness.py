@@ -308,9 +308,12 @@ def load_curve_file(path) -> CurveTable:
                 raise DataFormatError(f"line {line}: non-numeric field") from None
             return idx, values
 
-        (first, values), rows, lines, failure = _read_rows(
+        (first, table), rows, lines, failure = _read_rows(
             fh, head, text, start, grid.size + 1, parse, index=True
         )
+    # the values led by ones: the batch of a file read whole by the chunks
+    # keeps the table, not a copy
+    values = table[:, 1:]
     subjects = first.tolist() + [i for i, _ in rows]
     if rows:
         values = np.concatenate((values, [v for _, v in rows]))

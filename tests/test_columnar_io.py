@@ -1229,16 +1229,18 @@ def test_save_dataset_memory_is_bounded_by_its_blocks(tmp_path):
 
 
 def test_load_curve_file_memory_is_bounded_by_its_table(tmp_path):
-    # the file is read in chunks and parsed into a table that grows in place,
-    # so the traced peak stays within 2.5 times the value table: the table at
-    # most doubled, or the table and the batch checking it
+    # the file is read in chunks and parsed into a table made with room for
+    # the file's rows, which the batch adopts, led by its column of ones, and
+    # checks in blocks of rows: the traced peak measured 1.28 times the value
+    # table (2.18 when the table grew by doubling and the batch copied it and
+    # checked it whole). The bound leaves a margin of about a tenth
     rng = np.random.default_rng(3)
     grid = np.linspace(0.3, 30.0, 100)
     medians = 10.0 * rng.weibull(1.5, 20_000) + 0.1
     values = np.exp(-np.log(2.0) * (grid / medians[:, None]) ** 1.5)
     path = tmp_path / "curves.csv"
     save_curve_file(path, grid, values)
-    assert traced_peak(load_curve_file, path) < 2.5 * values.nbytes
+    assert traced_peak(load_curve_file, path) < 1.4 * values.nbytes
 
 
 @pytest.mark.parametrize(

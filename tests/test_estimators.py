@@ -338,9 +338,9 @@ def test_cumulative_hazard_refuses_nan_and_negative_times(t):
 @pytest.mark.parametrize(
     "knots, message",
     [
-        ([2.0, 1.0], "nonnegative and strictly increasing"),
-        ([1.0, 1.0], "nonnegative and strictly increasing"),
-        ([-1.0, 1.0], "nonnegative and strictly increasing"),
+        ([2.0, 1.0], "strictly increasing from a nonnegative first knot"),
+        ([1.0, 1.0], "strictly increasing from a nonnegative first knot"),
+        ([-1.0, 1.0], "strictly increasing from a nonnegative first knot"),
         ([np.nan, 1.0], "finite"),
         ([1.0, np.inf], "finite"),
     ],
@@ -570,6 +570,14 @@ def weibull_payload(**changes):
         (cox_payload(beta=[0.5, float("nan")]), "field 'beta' entry 1 must be a finite number"),
         (cox_payload(beta=[0.5]), "field 'feature_means' has 2 entries but 'beta' has 1"),
         (cox_payload(baseline_knots=[2.0, 1.0]), "field 'baseline_knots' must be strictly"),
+        (
+            cox_payload(baseline_knots=[-1.0, 1.0]),
+            "^field 'baseline_knots' must be strictly increasing from a nonnegative first knot$",
+        ),
+        (
+            cox_payload(baseline_values=[0.3, 0.1]),
+            "^field 'baseline_values' must be nonnegative and nondecreasing$",
+        ),
         (cox_payload(baseline_values=[0.1]), "field 'baseline_values' has 1 entries"),
         (cox_payload(beta=0.5), "field 'beta' must be a list of numbers"),
         ('{"kind": "weibull_aft", "shape": 1.5}', "model JSON lacks the field 'scale'"),

@@ -38,6 +38,7 @@ from survmae import (
     brier_score_at,
     concordance_index,
     d_calibration,
+    dataset_stats,
     evaluate_dataset,
     integrated_brier_score,
     km_fit,
@@ -45,10 +46,12 @@ from survmae import (
     load_dataset,
     log_likelihood,
     mae_hinge,
+    make_semi_synthetic,
     mae_ipcw_d,
     mae_uncensored,
     one_calibration,
     run_experiment,
+    sample_censor_times,
     save_dataset,
     stratified_kfold,
     true_mae,
@@ -226,6 +229,32 @@ INTEGER_CALLS = {
         "seed must be a nonnegative integer, got -1",
     ),
 }
+# a bool is no seed, as it is no fold count: True would seed as 1
+for flag in (True, False):
+    INTEGER_CALLS.update({
+        f"kfold-{flag}-seed": (
+            lambda ds, flag=flag: stratified_kfold(ds, 2, flag),
+            f"seed must be a nonnegative integer, got {flag}",
+        ),
+        f"experiment-{flag}-seed": (
+            lambda ds, flag=flag: run_experiment(ds, [ModelSpec("km")], k=2, seed=flag),
+            f"seed must be a nonnegative integer, got {flag}",
+        ),
+        f"synth-{flag}-seed": (
+            lambda ds, flag=flag: make_semi_synthetic(ds, CensoringSpec("uniform"), seed=flag),
+            f"seed must be a nonnegative integer, got {flag}",
+        ),
+        f"censor-{flag}-seed": (
+            lambda ds, flag=flag: sample_censor_times(
+                CensoringSpec("uniform"), ds, dataset_stats(ds), seed=flag
+            ),
+            f"seed must be a nonnegative integer, got {flag}",
+        ),
+        f"oracle-{flag}-seed": (
+            lambda ds, flag=flag: harness.noisy_oracle_predictions(ds, 0.1, flag),
+            f"seed must be a nonnegative integer, got {flag}",
+        ),
+    })
 
 
 @pytest.mark.parametrize("call, message", INTEGER_CALLS.values(), ids=INTEGER_CALLS.keys())
