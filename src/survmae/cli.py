@@ -25,6 +25,7 @@ from .core import dataset_stats, load_dataset, save_dataset
 from .errors import ConfigurationError
 from .estimators import model_to_json
 from .harness import (
+    MODEL_KINDS,
     REFERENCE_MODELS,
     _finite_or_none,
     evaluate_dataset,
@@ -64,8 +65,9 @@ _KIND_ALIASES = {
 def _cmd_synth(args) -> int:
     ds = _load(args)
     args.kind = _KIND_ALIASES.get(args.kind, args.kind)
-    if args.kind == "external" and not args.external:
-        raise ConfigurationError("--external is required for the external kind")
+    # a kind that reads a reference gets it only from --external
+    if "reference" in CENSORING_KINDS[args.kind].reads and not args.external:
+        raise ConfigurationError(f"--external is required for the {args.kind} kind")
     # another kind refuses the reference, as it would not read it
     params = {"reference": args.external} if args.external else {}
     spec = CensoringSpec(kind=args.kind, params=params)
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "--models",
         required=True,
-        help="comma list: km, coxph, weibull_aft, noisy:<sd>, external:<path>",
+        help="comma list: " + ", ".join(row.spelling for row in MODEL_KINDS.values()),
     )
     p_exp.add_argument("--k", type=int, default=5, help="number of folds")
     p_exp.add_argument("--seed", type=int, default=0)

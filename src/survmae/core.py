@@ -121,6 +121,18 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _kind_row(what, kind, params, table):
+    """The row of ``table`` for ``kind``, whose ``reads`` are the keys of
+    ``params`` it reads; ``ConfigurationError`` for a kind that names no row
+    or for the first key of ``params`` that the kind does not read."""
+    if not (isinstance(kind, str) and kind in table):
+        raise ConfigurationError(f"unknown {what} kind {kind!r}; expected one of {sorted(table)}")
+    unread = [key for key in params or () if key not in table[kind].reads]
+    if unread:
+        raise ConfigurationError(f"{what} kind {kind!r} does not read params[{unread[0]!r}]")
+    return table[kind]
+
+
 def _first_repeat(items):
     """Index of the first of ``items`` equal to an earlier one, or None."""
     if len(set(items)) == len(items):

@@ -10,14 +10,16 @@ the true MAE whenever the dataset carries ground truth.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import warnings
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset, stratified_kfold
+from .core import CurveBatch, SurvivalDataset, _kind_row, stratified_kfold
 from .core import _check_count, _check_seed, _first_repeat, _read_rows, _split_csv, _write_columns
 from .errors import (
     BinningError,
@@ -150,48 +152,110 @@ _NOISE_RULE = "noise must be a finite number >= 0"
 
 
 def _valid_noise(noise) -> bool:
-    """Whether ``noise`` keeps the noisy oracle's rule, ``_NOISE_RULE``."""
+    """Whether ``noise`` keeps the noisy oracle's rule, ``_NOISE_RULE``; a
+    bool or a string does not."""
+    if isinstance(noise, bool) or not isinstance(noise, numbers.Real):
+        return False
     try:
         return 0.0 <= float(noise) < math.inf
     except (TypeError, ValueError, OverflowError):
         return False
 
 
+def _valid_path(path) -> bool:
+    """Whether ``path`` may name a curve file: a string or path that is not
+    empty (``Path("")`` is the working directory, ``.``)."""
+    return isinstance(path, (str, os.PathLike)) and str(path) not in ("", ".")
+
+
+@dataclass(frozen=True)
+class _ModelKind:
+    """A row of ``MODEL_KINDS``: a model kind, and the one param it may read."""
+
+    spelling: str  # on the command line: the bare kind, or "<prefix>:<...>" setting the param
+    # factory(param value) of the fold function ``(train, test, test_indices,
+    # seed) -> CurveBatch``; it runs once per experiment, so a curve file is
+    # read once
+    fold_curves: Callable
+    needs_feature: bool = False
+    key: str | None = None  # the param's key in ``ModelSpec.params``, None for no param
+    default: object = None  # the param's value when the key is absent
+    valid: Callable | None = None  # value -> whether it keeps ``rule``
+    rule: str = ""
+    parse: Callable = str  # the command-line text after the prefix -> value
+    base_name: Callable | None = None  # value -> the model's base name in a report
+
+    @property
+    def reads(self) -> tuple:
+        return (self.key,) if self.key else ()
+
+    def value(self, params):
+        """The param's value in ``params``; None for a kind without one."""
+        return params.get(self.key, self.default) if self.key else None
+
+
+def _reference_model(kind):
+    fit, predict = REFERENCE_MODELS[kind]
+    return lambda _: lambda train, test, *_: predict(fit(train), test)
+
+
+def _noisy_oracle(noise):
+    noise = float(noise)
+    return lambda train, test, _, seed: noisy_oracle_predictions(test, noise, seed)
+
+
+def _external_curves(path):
+    table = load_curve_file(path)
+    return lambda train, test, test_indices, seed: table.select(test_indices)
+
+
+# model kind -> its row; factories look functions up by global name when called
+MODEL_KINDS = {
+    "km": _ModelKind("km", _reference_model("km")),
+    "coxph": _ModelKind("coxph", _reference_model("coxph"), needs_feature=True),
+    "weibull_aft": _ModelKind("weibull_aft", _reference_model("weibull_aft")),
+    "noisy_oracle": _ModelKind(
+        "noisy:<sd>", _noisy_oracle, key="noise", default=0.0, valid=_valid_noise,
+        rule=_NOISE_RULE, parse=float, base_name=lambda noise: f"noisy_{noise:g}",
+    ),
+    "external_curves": _ModelKind(
+        "external:<path>", _external_curves, key="path", default="", valid=_valid_path,
+        rule="path must name a curve file", base_name=lambda path: f"external_{Path(path).stem}",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model to evaluate: a reference fit, a noisy oracle, or external curves.
 
-    A noisy oracle's ``noise`` must be a finite number >= 0; any other value
-    raises :class:`ConfigurationError` naming the spec.
+    ``noisy_oracle`` reads ``noise`` (default 0), a finite real number >= 0,
+    and ``external_curves`` reads ``path``, a nonempty string or path; the
+    other kinds read no params. An unknown kind, a key the kind does not read
+    or a value that breaks its rule raises :class:`ConfigurationError`.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (isinstance(self.kind, str) and self.kind in MODEL_KINDS):
-            raise ConfigurationError(
-                f"unknown model kind {self.kind!r}; expected one of {sorted(MODEL_KINDS)}"
-            )
-        if self.kind == "noisy_oracle":
-            noise = self.params.get("noise", 0.0)
-            if not _valid_noise(noise):
-                spec = f"noisy:{noise}"
-                raise ConfigurationError(f"model spec {spec!r}: {_NOISE_RULE}")
+        row = _kind_row("model", self.kind, self.params, MODEL_KINDS)
+        value = row.value(self.params)
+        if row.key and not row.valid(value):
+            spec = f"{row.spelling.partition(':')[0]}:{value}"
+            raise ConfigurationError(f"model spec {spec!r}: {row.rule}")
 
 
 def parse_model_spec(text: str) -> ModelSpec:
-    """Parse CLI notation: ``km``, ``coxph``, ``weibull_aft``, ``noisy:<sd>``,
-    ``external:<path>``."""
-    if text in REFERENCE_MODELS:
-        return ModelSpec(kind=text)
-    if text.startswith("noisy:"):
-        try:
-            return ModelSpec(kind="noisy_oracle", params={"noise": float(text[6:])})
-        except ValueError:
-            raise ConfigurationError(f"model spec {text!r}: {_NOISE_RULE}") from None
-    if text.startswith("external:"):
-        return ModelSpec(kind="external_curves", params={"path": text[9:]})
+    """Parse CLI notation, the spelling of a ``MODEL_KINDS`` row: ``km``,
+    ``coxph``, ``weibull_aft``, ``noisy:<sd>``, ``external:<path>``."""
+    head, colon, rest = text.partition(":")
+    for kind, row in MODEL_KINDS.items():
+        if row.spelling.partition(":")[:2] == (head, colon):
+            try:
+                return ModelSpec(kind=kind, params={row.key: row.parse(rest)} if row.key else {})
+            except ValueError:
+                raise ConfigurationError(f"model spec {text!r}: {row.rule}") from None
     raise ConfigurationError(f"cannot parse model spec {text!r}")
 
 
@@ -479,43 +543,13 @@ def rank_agreement(true_scores: dict, metric_scores: dict):
 def _unique_names(models) -> tuple:
     names = []
     for spec in models:
-        if spec.kind == "noisy_oracle":
-            base = f"noisy_{spec.params.get('noise', 0.0):g}"
-        elif spec.kind == "external_curves":
-            stem = Path(str(spec.params.get("path", "external"))).stem
-            base = f"external_{stem}" if spec.params.get("path") else "external"
-        else:
-            base = spec.kind
+        row = MODEL_KINDS[spec.kind]
+        base = row.base_name(row.value(spec.params)) if row.key else spec.kind
         name, bump = base, 2
         while name in names:
             name, bump = f"{base}_{bump}", bump + 1
         names.append(name)
     return tuple(names)
-
-
-def _external_curves(params):
-    table = load_curve_file(params["path"])
-    return lambda train, test, test_indices, seed: table.select(test_indices)
-
-
-def _noisy_oracle(params):
-    noise = float(params.get("noise", 0.0))
-    return lambda train, test, _, seed: noisy_oracle_predictions(test, noise, seed)
-
-
-def _reference_model(kind):
-    fit, predict = REFERENCE_MODELS[kind]
-    return lambda params: lambda train, test, *_: predict(fit(train), test)
-
-
-# model kind -> factory(params) of the model's fold function
-# ``(train, test, test_indices, seed) -> CurveBatch``; a factory runs once per
-# experiment, so a curve file is read once
-MODEL_KINDS = {
-    **{kind: _reference_model(kind) for kind in REFERENCE_MODELS},
-    "noisy_oracle": _noisy_oracle,
-    "external_curves": _external_curves,
-}
 
 
 def _attempt(fn, *args, **kwargs):
@@ -609,21 +643,23 @@ def run_experiment(
     missing cells rather than failures. Deterministic for a fixed seed.
 
     Raises :class:`ConfigurationError`, before any fold starts, for an
-    unknown ``pred_method`` or a ``coxph`` model on a dataset without features.
+    unknown ``pred_method`` or, on a dataset without features, a model whose
+    kind needs one (``coxph``).
     """
     _check_pred_method(pred_method)
     models = list(models)
     if not models:
         raise ConfigurationError("need at least one model")
     names = _unique_names(models)
+    kind_rows = [MODEL_KINDS[spec.kind] for spec in models]
     if not ds.feature_names:
-        for spec, name in zip(models, names):
-            if spec.kind == "coxph":
+        for row, name in zip(kind_rows, names):
+            if row.needs_feature:
                 raise ConfigurationError(
                     f"model {name!r} needs at least one feature column; the dataset has none"
                 )
     split = stratified_kfold(ds, k, seed)
-    fold_curves = [MODEL_KINDS[spec.kind](spec.params) for spec in models]
+    fold_curves = [row.fold_curves(row.value(spec.params)) for row, spec in zip(kind_rows, models)]
     per_fold = {n: {met: [None] * k for met in METRICS} for n in names}
     t_max_all = float(ds.times[ds.events].max()) if ds.events.any() else None
 

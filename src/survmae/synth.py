@@ -14,6 +14,7 @@ first uniform draw of all subjects at once (:func:`_first_uniforms`).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     StepCurve,
     SurvivalDataset,
     _check_seed,
+    _kind_row,
     dataset_stats,
     load_dataset,
 )
@@ -40,18 +42,6 @@ __all__ = [
     "sample_censor_times",
 ]
 
-# censoring kind -> the keys of ``CensoringSpec.params`` it reads
-_KIND_PARAMS = {
-    "uniform": (),
-    "uniform_admin": (),
-    "exponential": (),
-    "original_independent": (),
-    "original_dependent": (),
-    "external": ("reference", "time_column", "event_column"),
-}
-CENSORING_KINDS = frozenset(_KIND_PARAMS)
-
-
 @dataclass(frozen=True)
 class CensoringSpec:
     """Which synthetic censoring mechanism to apply, plus its parameters.
@@ -65,16 +55,7 @@ class CensoringSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (isinstance(self.kind, str) and self.kind in CENSORING_KINDS):
-            raise ConfigurationError(
-                f"unknown censoring kind {self.kind!r}; expected one of "
-                f"{sorted(CENSORING_KINDS)}"
-            )
-        unread = [key for key in self.params or () if key not in _KIND_PARAMS[self.kind]]
-        if unread:
-            raise ConfigurationError(
-                f"censoring kind {self.kind!r} does not read params[{unread[0]!r}]"
-            )
+        _kind_row("censoring", self.kind, self.params, CENSORING_KINDS)
 
 
 @dataclass(frozen=True)
@@ -225,42 +206,10 @@ def sample_censor_times(
     :class:`ExternalCensoringRef` for ``external``.
     """
     seed = _check_seed(seed)
-    kind = spec.kind
-    if kind == "exponential":
-        # NumPy's ziggurat sampler cannot be reproduced in bulk
-        return np.array(
-            [np.random.default_rng([seed, i]).exponential(stats.sigma_event)
-             for i in range(d_prime.n)]
-        )
-    if kind == "original_independent" and not isinstance(aux, KaplanMeierFit):
-        raise ConfigurationError(
-            "original_independent censoring needs a fitted censoring KM"
-        )
-    if kind == "original_dependent" and not isinstance(aux, CoxModel):
-        raise ConfigurationError(
-            "original_dependent censoring needs a fitted Cox censoring model"
-        )
-    if kind == "external" and not isinstance(aux, ExternalCensoringRef):
-        raise ConfigurationError("external censoring needs an ExternalCensoringRef")
-
-    u = _first_uniforms(seed, d_prime.n)
-    if kind == "uniform":
-        return stats.t_max_event * u
-    if kind == "uniform_admin":
-        return np.minimum(stats.t_max_event * u, stats.t_median_event)
-    if kind == "original_independent":
-        return _km_inverse(aux.curve, u)
-    if kind == "original_dependent":
-        base = aux.baseline_cumhaz
-        base_surv = StepCurve(knots=base.knots, values=np.exp(-base.values))
-        exponents = 1.0 / aux.risks(d_prime.feature_matrix)
-        # S(t|x) = S0(t)^r <= u  iff  S0(t) <= u^(1/r); Python's pow, which
-        # np.power does not match bit for bit on every platform
-        return _km_inverse(base_surv, list(map(pow, u.tolist(), exponents.tolist())))
-    if kind == "external":
-        scale = stats.t_max_event / aux.t_max_event
-        return _km_inverse(aux.censoring_km.curve, u) * scale
-    raise ConfigurationError(f"unknown censoring kind {kind!r}")  # pragma: no cover
+    row = CENSORING_KINDS[spec.kind]
+    if not isinstance(aux, row.aux[0]):
+        raise ConfigurationError(f"{spec.kind} censoring needs {row.aux[1]}")
+    return row.draw(seed, d_prime, stats, aux)
 
 
 def apply_censoring(d_prime: SurvivalDataset, censor_times) -> SurvivalDataset:
@@ -290,17 +239,91 @@ def _max_event_time(ds: SurvivalDataset) -> float:
     return float(ds.times[ds.events].max())
 
 
-def _resolve_reference(params: dict) -> SurvivalDataset:
+def _external_reference(params: dict) -> ExternalCensoringRef:
     ref = params.get("reference")
     if ref is None:
         raise ConfigurationError("external censoring needs params['reference']")
-    if isinstance(ref, SurvivalDataset):
-        return ref
-    return load_dataset(
-        ref,
-        time_column=params.get("time_column", "time"),
-        event_column=params.get("event_column", "event"),
+    if not isinstance(ref, SurvivalDataset):
+        ref = load_dataset(
+            ref,
+            time_column=params.get("time_column", "time"),
+            event_column=params.get("event_column", "event"),
+        )
+    return ExternalCensoringRef(censoring_km=censoring_km_fit(ref), t_max_event=_max_event_time(ref))
+
+
+def _from_uniforms(draw):
+    """The kind's draw ``draw(u, d_prime, stats, aux)`` from the first uniform
+    ``u`` of every subject, keyed by (seed, subject)."""
+    return lambda seed, d_prime, stats, aux: draw(
+        _first_uniforms(seed, d_prime.n), d_prime, stats, aux
     )
+
+
+def _exponential_draws(seed, d_prime, stats, aux):
+    # NumPy's ziggurat sampler cannot be reproduced in bulk
+    return np.array(
+        [np.random.default_rng([seed, i]).exponential(stats.sigma_event) for i in range(d_prime.n)]
+    )
+
+
+def _external_draws(u, d_prime, stats, aux):
+    scale = stats.t_max_event / aux.t_max_event
+    return _km_inverse(aux.censoring_km.curve, u) * scale
+
+
+def _cox_draws(u, d_prime, stats, aux):
+    base = aux.baseline_cumhaz
+    base_surv = StepCurve(knots=base.knots, values=np.exp(-base.values))
+    exponents = 1.0 / aux.risks(d_prime.feature_matrix)
+    # S(t|x) = S0(t)^r <= u  iff  S0(t) <= u^(1/r); Python's pow, which
+    # np.power does not match bit for bit on every platform
+    return _km_inverse(base_surv, list(map(pow, u.tolist(), exponents.tolist())))
+
+
+@dataclass(frozen=True)
+class _CensoringKind:
+    """A row of the censoring kinds' table."""
+
+    # ``(seed, d_prime, stats, aux) -> censor times``; every kind but
+    # ``exponential`` draws from the shared first uniforms
+    draw: Callable
+    reads: tuple = ()  # the keys of ``CensoringSpec.params`` it reads
+    # ``(raw dataset, params) -> aux``, the censoring model that
+    # ``make_semi_synthetic`` fits; None for a kind that needs none
+    fit: Callable | None = None
+    aux: tuple = (object, "")  # the type ``sample_censor_times`` requires of aux, and its name
+    needs_feature: bool = False  # refused on raw data without a feature column
+
+
+# censoring kind -> its row; every row looks functions up by global name when
+# called
+CENSORING_KINDS = {
+    "uniform": _CensoringKind(_from_uniforms(lambda u, d, stats, aux: stats.t_max_event * u)),
+    "uniform_admin": _CensoringKind(
+        _from_uniforms(
+            lambda u, d, stats, aux: np.minimum(stats.t_max_event * u, stats.t_median_event)
+        )
+    ),
+    "exponential": _CensoringKind(_exponential_draws),
+    "original_independent": _CensoringKind(
+        _from_uniforms(lambda u, d, stats, aux: _km_inverse(aux.curve, u)),
+        fit=lambda raw, params: censoring_km_fit(raw),
+        aux=(KaplanMeierFit, "a fitted censoring KM"),
+    ),
+    "original_dependent": _CensoringKind(
+        _from_uniforms(_cox_draws),
+        fit=lambda raw, params: coxph_fit(flip_censor_bits(raw)),
+        aux=(CoxModel, "a fitted Cox censoring model"),
+        needs_feature=True,
+    ),
+    "external": _CensoringKind(
+        _from_uniforms(_external_draws),
+        reads=("reference", "time_column", "event_column"),
+        fit=lambda raw, params: _external_reference(params),
+        aux=(ExternalCensoringRef, "an ExternalCensoringRef"),
+    ),
+}
 
 
 def make_semi_synthetic(
@@ -317,19 +340,9 @@ def make_semi_synthetic(
     seed = _check_seed(seed)
     d_prime = keep_uncensored(ds_raw)
     stats = dataset_stats(d_prime)
-    aux = None
-    if spec.kind == "original_independent":
-        aux = censoring_km_fit(ds_raw)
-    elif spec.kind == "original_dependent":
-        if not ds_raw.feature_names:
-            raise ConfigurationError(
-                "original_dependent censoring needs at least one feature"
-            )
-        aux = coxph_fit(flip_censor_bits(ds_raw))
-    elif spec.kind == "external":
-        ref = _resolve_reference(spec.params)
-        aux = ExternalCensoringRef(
-            censoring_km=censoring_km_fit(ref), t_max_event=_max_event_time(ref)
-        )
+    row = CENSORING_KINDS[spec.kind]
+    if row.needs_feature and not ds_raw.feature_names:
+        raise ConfigurationError(f"{spec.kind} censoring needs at least one feature")
+    aux = None if row.fit is None else row.fit(ds_raw, spec.params)
     censor_times = sample_censor_times(spec, d_prime, stats, aux=aux, seed=seed)
     return apply_censoring(d_prime, censor_times)

@@ -12,7 +12,7 @@ import survmae.cli as cli
 from survmae import SurvivalDataset, load_dataset, save_dataset
 from survmae.cli import _KIND_ALIASES, build_parser, main
 from survmae.estimators import KaplanMeierFit, model_from_json
-from survmae.harness import METRICS, save_curve_file
+from survmae.harness import METRICS, MODEL_KINDS, parse_model_spec, save_curve_file
 from survmae.synth import CENSORING_KINDS
 
 
@@ -211,11 +211,31 @@ def test_synth_hyphenated_kind_is_an_alias(plain_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("kind", sorted(CENSORING_KINDS) + sorted(_KIND_ALIASES))
+# every spelling of a censoring kind that ``synth --kind`` takes
+SYNTH_KINDS = sorted(CENSORING_KINDS) + sorted(_KIND_ALIASES)
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
 def test_synth_parser_accepts_every_kind_and_alias(kind):
     args = build_parser().parse_args(["synth", "data.csv", "--kind", kind, "-o", "out.csv"])
     assert args.kind == kind
     assert _KIND_ALIASES.get(kind, kind) in CENSORING_KINDS
+
+
+def subcommand(name):
+    parser = build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices[name]
+
+
+def test_the_command_line_offers_every_row_of_both_kind_tables():
+    synth_kind = next(a for a in subcommand("synth")._actions if a.dest == "kind")
+    assert synth_kind.choices == sorted(SYNTH_KINDS)
+    help_text = " ".join(subcommand("experiment").format_help().split())
+    sample = {"noise": "0.5", "path": "runs/curves.csv"}  # a command-line value of each param
+    for kind, row in MODEL_KINDS.items():
+        head, colon, _ = row.spelling.partition(":")
+        assert parse_model_spec(head + colon + sample.get(row.key, "")).kind == kind
+        assert row.spelling in help_text
 
 
 def test_synth_refuses_an_unknown_kind(plain_csv, tmp_path, capsys):

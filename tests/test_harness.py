@@ -49,6 +49,8 @@ def test_parse_model_spec():
     assert parse_model_spec("noisy:0.25") == ModelSpec(
         kind="noisy_oracle", params={"noise": 0.25}
     )
+    # the command line's text is parsed to a float; the spec takes no string
+    assert parse_model_spec("noisy: 0.5") == ModelSpec(kind="noisy_oracle", params={"noise": 0.5})
     assert parse_model_spec("external:a/b.csv") == ModelSpec(
         kind="external_curves", params={"path": "a/b.csv"}
     )

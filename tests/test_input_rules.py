@@ -15,6 +15,8 @@ input applies that one rule.
 * A model or censoring kind that names no table entry, hashable or not, is
   refused by name; a noisy oracle's noise has one rule for the spec and
   the oracle.
+* A model or censoring spec refuses a param its kind does not read, in one
+  wording, and a model param that breaks its kind's rule, before any fold.
 """
 
 import math
@@ -375,7 +377,10 @@ def test_an_unhashable_kind_is_refused_by_name(make, message):
 
 
 @pytest.mark.parametrize(
-    "noise", [0, 0.0, -0.0, 0.25, 2.0, True, -1, -0.5, math.nan, math.inf, -math.inf, "x", None, 10**400]
+    "noise",
+    [0, 0.0, -0.0, 0.25, 2.0, True, False, -1, -0.5, math.nan, math.inf, -math.inf, "x", None,
+     10**400, pytest.param(np.float64(0.5), id="numpy-0.5"),
+     pytest.param(np.True_, id="numpy-True"), pytest.param("0.5", id="string-0.5")],
 )
 def test_a_noisy_spec_and_the_oracle_keep_one_noise_rule(noise):
     ds = SurvivalDataset.from_arrays([1.0, 2.0], [True, True], true_times=[1.0, 2.0])
@@ -395,6 +400,96 @@ def test_a_noisy_spec_and_the_oracle_keep_one_noise_rule(noise):
 def test_a_censoring_kind_refuses_a_param_it_never_reads(kind):
     with pytest.raises(ConfigurationError, match=r"does not read params\['tmax'\]"):
         CensoringSpec(kind=kind, params={"tmax": 3.0})
+
+
+@pytest.mark.parametrize("kind", sorted(harness.MODEL_KINDS))
+def test_a_model_kind_refuses_a_param_it_never_reads(kind):
+    with pytest.raises(ConfigurationError, match=rf"^model kind '{kind}' does not read params\['tmax'\]$"):
+        ModelSpec(kind=kind, params={"tmax": 3.0})
+
+
+def no_folds(*args):
+    raise AssertionError("a fold was split")
+
+
+def experiment_of(spec):
+    """``run_experiment`` on a small dataset with ground truth, for a model
+    spec built only when it runs."""
+    ds = SurvivalDataset.from_arrays(
+        [1.0, 2.0, 3.0, 4.0], [True] * 4, true_times=[1.0, 2.0, 3.0, 4.0]
+    )
+    return lambda: run_experiment(ds, [ModelSpec("km"), spec()], k=2)
+
+
+NOISE_RULE = "noise must be a finite number >= 0"
+PATH_RULE = "path must name a curve file"
+
+# a model spec that breaks a rule -> the refusal, before any fold starts
+MODEL_SPEC_CALLS = {
+    "km reads no noise": (
+        experiment_of(lambda: ModelSpec("km", {"noise": 3})),
+        "model kind 'km' does not read params['noise']",
+    ),
+    "a misspelt noise": (
+        experiment_of(lambda: ModelSpec("noisy_oracle", {"nois": 3})),
+        "model kind 'noisy_oracle' does not read params['nois']",
+    ),
+    "a noise as a string": (
+        experiment_of(lambda: ModelSpec("noisy_oracle", {"noise": "0.5"})),
+        f"model spec 'noisy:0.5': {NOISE_RULE}",
+    ),
+    "a noise of True": (
+        experiment_of(lambda: ModelSpec("noisy_oracle", {"noise": True})),
+        f"model spec 'noisy:True': {NOISE_RULE}",
+    ),
+    "a noise of numpy's True": (
+        experiment_of(lambda: ModelSpec("noisy_oracle", {"noise": np.True_})),
+        f"model spec 'noisy:True': {NOISE_RULE}",
+    ),
+    "external curves without a path": (
+        experiment_of(lambda: ModelSpec("external_curves")),
+        f"model spec 'external:': {PATH_RULE}",
+    ),
+    "external curves with an empty path": (
+        experiment_of(lambda: ModelSpec("external_curves", {"path": ""})),
+        f"model spec 'external:': {PATH_RULE}",
+    ),
+    "external curves with the empty Path": (
+        experiment_of(lambda: ModelSpec("external_curves", {"path": Path("")})),
+        f"model spec 'external:.': {PATH_RULE}",
+    ),
+    "external curves with a path that is no path": (
+        experiment_of(lambda: ModelSpec("external_curves", {"path": 3})),
+        f"model spec 'external:3': {PATH_RULE}",
+    ),
+    "the command-line spelling of an empty path": (
+        lambda: harness.parse_model_spec("external:"),
+        f"model spec 'external:': {PATH_RULE}",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", MODEL_SPEC_CALLS.values(), ids=MODEL_SPEC_CALLS.keys())
+def test_a_model_spec_that_breaks_a_rule_is_refused_by_name_before_any_fold(
+    call, message, monkeypatch
+):
+    monkeypatch.setattr(harness, "stratified_kfold", no_folds)
+    with pytest.raises(ConfigurationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_experiment_refuses_an_empty_external_path(tmp_path, capsys):
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, True, False, True])
+    data = tmp_path / "data.csv"
+    save_dataset(ds, data)
+    report = tmp_path / "report.json"
+    argv = ["experiment", str(data), "--models", "km,external:", "-o", str(report)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: model spec 'external:': {PATH_RULE}\n"
+    assert captured.out == ""
+    assert not report.exists()
 
 
 def test_synth_refuses_a_reference_its_kind_never_reads(tmp_path, capsys):
