@@ -68,8 +68,10 @@ def _cmd_synth(args) -> int:
     # a kind that reads a reference gets it only from --external
     if "reference" in CENSORING_KINDS[args.kind].reads and not args.external:
         raise ConfigurationError(f"--external is required for the {args.kind} kind")
-    # another kind refuses the reference, as it would not read it
-    params = {"reference": args.external} if args.external else {}
+    # another kind refuses the reference, as it would not read it; the
+    # reference is read with the data's column names
+    columns = {"time_column": args.time_column, "event_column": args.event_column}
+    params = {"reference": args.external, **columns} if args.external else {}
     spec = CensoringSpec(kind=args.kind, params=params)
     out = make_semi_synthetic(ds, spec, seed=args.seed)
     save_dataset(out, args.output)

@@ -127,7 +127,7 @@ def _kind_row(what, kind, params, table):
     or for the first key of ``params`` that the kind does not read."""
     if not (isinstance(kind, str) and kind in table):
         raise ConfigurationError(f"unknown {what} kind {kind!r}; expected one of {sorted(table)}")
-    unread = [key for key in params or () if key not in table[kind].reads]
+    unread = [key for key in params if key not in table[kind].reads]
     if unread:
         raise ConfigurationError(f"{what} kind {kind!r} does not read params[{unread[0]!r}]")
     return table[kind]
@@ -329,10 +329,12 @@ class StepCurve:
 _PIECE_BLOCK = 1 << 16
 
 
-def _row_blocks(n, width):
+def _row_blocks(n, width, cells=None):
     """Slices that cut ``n`` rows of ``width`` cells into blocks of at most
-    ``_PIECE_BLOCK`` cells (one row at least), in order."""
-    step = max(1, _PIECE_BLOCK // width)
+    ``cells`` cells (one row at least), in order. The budget is read at each
+    call: ``_PIECE_BLOCK`` by default (batch checks, median and mean times),
+    ``metrics._IBS_CELLS`` (the IBS) or ``_BLOCK_CELLS`` (``_write_columns``)."""
+    step = max(1, (_PIECE_BLOCK if cells is None else cells) // width)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -796,8 +798,7 @@ class CurveBatch:
         for group in np.unique(groups):
             size, skip = divmod(int(group), 2)
             rows = np.flatnonzero(groups == group)
-            step = max(1, _PIECE_BLOCK // size)
-            for block in np.split(rows, range(step, rows.size, step)):
+            for block in map(rows.__getitem__, _row_blocks(rows.size, size)):
                 edges = knots[:, :size] if knots.shape[0] == 1 else knots[block, :size]
                 widths = np.diff(edges, prepend=0.0)[:, skip:]
                 area[block] = np.sum(self._heights(block, slice(skip, size)) * widths, axis=1)
@@ -1188,12 +1189,10 @@ def _write_columns(path, header, columns) -> None:
     break, so csv would quote none, and the quotes are dropped."""
     import orjson
 
-    n = len(columns[0])
-    step = max(1, _BLOCK_CELLS // len(columns))
     with Path(path).open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, n, step):
-            rows = zip(*(_spelled(column[start : start + step]) for column in columns))
+        for block in _row_blocks(len(columns[0]), len(columns), _BLOCK_CELLS):
+            rows = zip(*(_spelled(column[block]) for column in columns))
             text = orjson.dumps(list(rows))[2:-2]  # [[row],[row],...]
             fh.write(text.replace(b"],[", b"\r\n").replace(b'"', b"").decode() + "\r\n")
 

@@ -231,14 +231,17 @@ class ModelSpec:
 
     ``noisy_oracle`` reads ``noise`` (default 0), a finite real number >= 0,
     and ``external_curves`` reads ``path``, a nonempty string or path; the
-    other kinds read no params. An unknown kind, a key the kind does not read
-    or a value that breaks its rule raises :class:`ConfigurationError`.
+    other kinds read no params; None means no params. An unknown kind, a key
+    the kind does not read or a value that breaks its rule raises
+    :class:`ConfigurationError`.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.params is None:
+            object.__setattr__(self, "params", {})
         row = _kind_row("model", self.kind, self.params, MODEL_KINDS)
         value = row.value(self.params)
         if row.key and not row.valid(value):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset, _at_least, _check_count
+from .core import CurveBatch, SurvivalDataset, _at_least, _check_count, _row_blocks
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
 from .estimators import KaplanMeierFit
 from .mae import PredictedTimes
@@ -281,10 +281,8 @@ def integrated_brier_score(
     if weights.undefined:
         raise UndefinedMetricError("all subjects lost their censoring weight")
     grid = weights.grid
-    step = max(1, _IBS_CELLS // grid.size)
     sums = np.zeros(grid.size)
-    for start in range(0, ds.n, step):
-        rows = slice(start, start + step)
+    for rows in _row_blocks(ds.n, grid.size, _IBS_CELLS):
         s_block = batch._grid_values(grid, rows)  # subjects x grid
         # numpy sums axis 0 row after row, so the sums carried in front of a
         # block's terms give the floats of one sum over every subject

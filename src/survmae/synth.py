@@ -48,13 +48,16 @@ class CensoringSpec:
 
     Only the external kind reads ``params``: ``reference`` (a loaded dataset,
     or the path of a CSV whose ``time_column`` and ``event_column`` it names);
-    a key the kind does not read raises :class:`ConfigurationError`.
+    None means no params. A key the kind does not read raises
+    :class:`ConfigurationError`.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.params is None:
+            object.__setattr__(self, "params", {})
         _kind_row("censoring", self.kind, self.params, CENSORING_KINDS)
 
 

@@ -274,6 +274,23 @@ def test_synth_external_kind(plain_csv, truth_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_synth_reads_the_external_reference_with_the_column_options(plain_csv, tmp_path, capsys):
+    # the same file with its time and event columns renamed, as data and as
+    # its own reference, gives the bytes of the file under the default names
+    header, rest = plain_csv.read_text().split("\n", 1)
+    assert header.startswith("time,event,")
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text(header.replace("time,event,", "T,E,", 1) + "\n" + rest)
+    plain_out, renamed_out = tmp_path / "plain_ext.csv", tmp_path / "renamed_ext.csv"
+    argv = ["synth", str(plain_csv), "--kind", "external", "--external", str(plain_csv)]
+    assert main(argv + ["-o", str(plain_out)]) == 0
+    argv = ["synth", str(renamed), "--time-column", "T", "--event-column", "E",
+            "--kind", "external", "--external", str(renamed), "-o", str(renamed_out)]
+    assert main(argv) == 0
+    assert renamed_out.read_bytes() == plain_out.read_bytes()
+    capsys.readouterr()
+
+
 # --------------------------------------------------------------------- fit
 
 

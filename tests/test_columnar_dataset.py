@@ -8,8 +8,6 @@ results must match it bit for bit. ``save_dataset`` must write the same bytes
 as a writer that formats one subject at a time.
 """
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +22,7 @@ from survmae import (
     load_dataset,
     save_dataset,
 )
+from test_columnar_io import oracle_save_dataset
 
 PROPERTY = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -131,19 +130,6 @@ def test_apply_censoring_matches_the_oracle(ds, data):
 
 
 # ---------------------------------------------------------------- csv i/o
-
-
-def oracle_save_dataset(ds, path):
-    header = ["time", "event"] + (["true_time"] if ds.true_times is not None else [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + list(ds.feature_names))
-        for i in range(ds.n):
-            row = [repr(float(ds.times[i])), str(int(ds.events[i]))]
-            if ds.true_times is not None:
-                row.append(repr(float(ds.true_times[i])))
-            row.extend(repr(float(v)) for v in ds.feature_matrix[i])
-            writer.writerow(row)
 
 
 @PROPERTY

@@ -727,6 +727,29 @@ def test_a_line_over_the_csv_limit_is_refused_where_it_lies(tmp_path, load, head
     assert got == ("error", DataFormatError, f"line {FAULT_LINE}: {TOO_LONG}")
 
 
+def wide_rows(load, width=10_000):
+    """The header and three rows of a file ``width`` cells wide, each row
+    longer than csv's size limit, though no field is."""
+    values = -np.sort(-np.random.default_rng(5).uniform(0.0, 1.0, (3, width)), axis=1)
+    if load is load_curve_file:
+        header = "t," + ",".join(map(repr, np.arange(1.0, width + 1.0).tolist()))
+        lead = ["0", "1", "2"]
+    else:
+        header = "time,event," + ",".join(f"f{j}" for j in range(width))
+        lead = ["1.5,1", "2.5,0", "3.5,1"]
+    return header, [",".join([first, *map(repr, row)]) for first, row in zip(lead, values.tolist())]
+
+
+@pytest.mark.parametrize("load", [load_dataset, load_curve_file], ids=["dataset", "curves"])
+def test_lines_over_the_csv_limit_without_a_long_field_take_the_block_reader(tmp_path, load):
+    header, rows = wide_rows(load)
+    assert min(map(len, rows)) > csv.field_size_limit()
+    path = write(tmp_path, "\n".join([header] + rows) + "\n")
+    got = assert_same_as_line_reader(load, path)
+    assert got[0] != "error"
+    assert rows_read(load, path) == [1]
+
+
 @st.composite
 def numeric_files(draw):
     """A csv file of up to 1000 rows of plain numbers, mostly valid: its

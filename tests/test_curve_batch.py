@@ -281,6 +281,14 @@ def test_nan_query_times_rejected(method, query):
         batch.value_on(np.atleast_1d(query))
 
 
+def test_query_times_of_the_wrong_shape_are_refused():
+    batch = CurveBatch(knots=[1.0, 2.0], values=[[0.8, 0.3], [0.9, 0.1]])
+    with pytest.raises(ValueError, match=r"^need one time per row \(2\), got shape \(3,\)$"):
+        batch.value([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^grid must be a 1-d array of times$"):
+        batch.value_on([[1.0, 2.0]])
+
+
 @pytest.mark.parametrize(
     "content, fragment",
     [
@@ -398,6 +406,8 @@ def test_ragged_padding_is_ignored():
     assert_array_equal(batch[1].knots, [2.0])
     with pytest.raises(ValueError, match="lengths"):
         CurveBatch(knots=knots, values=values, lengths=[0, 1])
+    with pytest.raises(ValueError, match="^ragged rows need an n x K knot matrix$"):
+        CurveBatch(knots=[1.0, 2.0, 3.0], values=values, lengths=[2, 1])
 
 
 def test_from_curves_layouts():

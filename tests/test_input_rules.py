@@ -16,7 +16,8 @@ input applies that one rule.
   refused by name; a noisy oracle's noise has one rule for the spec and
   the oracle.
 * A model or censoring spec refuses a param its kind does not read, in one
-  wording, and a model param that breaks its kind's rule, before any fold.
+  wording, and a model param that breaks its kind's rule, before any fold;
+  params None means no params.
 """
 
 import math
@@ -279,8 +280,9 @@ HUGE = [1.7e308, -1.7e308]
         (lambda: CumulativeHazard(knots=[1.0, 2.0], values=HUGE), "nondecreasing"),
         (lambda: CumulativeHazard(knots=[1.0, 2.0], values=[0.1, np.nan]), "finite"),
         (lambda: CumulativeHazard(knots=[1.0, 2.0], values=[0.1, np.inf]), "finite"),
+        (lambda: CumulativeHazard(knots=[1.0, 2.0], values=[0.1]), "1-d arrays of equal length"),
     ],
-    ids=["step-knots", "hazard-knots", "hazard-values", "hazard-nan", "hazard-inf"],
+    ids=["step-knots", "hazard-knots", "hazard-values", "hazard-nan", "hazard-inf", "hazard-sizes"],
 )
 def test_bad_knots_or_hazards_raise_a_value_error_not_a_warning(make, message):
     with warnings.catch_warnings():
@@ -462,6 +464,10 @@ MODEL_SPEC_CALLS = {
         experiment_of(lambda: ModelSpec("external_curves", {"path": 3})),
         f"model spec 'external:3': {PATH_RULE}",
     ),
+    "external curves with params None": (
+        experiment_of(lambda: ModelSpec("external_curves", None)),
+        f"model spec 'external:': {PATH_RULE}",
+    ),
     "the command-line spelling of an empty path": (
         lambda: harness.parse_model_spec("external:"),
         f"model spec 'external:': {PATH_RULE}",
@@ -508,6 +514,26 @@ def test_external_censoring_reads_its_three_params():
     assert CensoringSpec(kind="external", params=params).params == params
     with pytest.raises(ConfigurationError, match=r"params\['refrence'\]"):
         CensoringSpec(kind="external", params={"refrence": "ref.csv"})
+
+
+def test_external_censoring_with_params_none_asks_for_a_reference():
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [True, True, False])
+    with pytest.raises(ConfigurationError, match=r"^external censoring needs params\['reference'\]$"):
+        make_semi_synthetic(ds, CensoringSpec("external", None))
+
+
+# a spec with params None equals the spec with no params, so a noisy oracle
+# gets noise 0 (an external_curves spec without a path is refused above)
+NO_PARAMS_SPECS = [
+    *[pytest.param(ModelSpec, kind, id=f"model-{kind}") for kind in sorted(harness.MODEL_KINDS)
+      if kind != "external_curves"],
+    *[pytest.param(CensoringSpec, kind, id=f"censoring-{kind}") for kind in sorted(CENSORING_KINDS)],
+]
+
+
+@pytest.mark.parametrize("spec, kind", NO_PARAMS_SPECS)
+def test_params_none_means_no_params(spec, kind):
+    assert spec(kind, None) == spec(kind)
 
 
 # ------------------------------------------------------------ JSON scores

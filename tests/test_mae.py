@@ -390,3 +390,5 @@ def test_predicted_times_validation():
         PredictedTimes(values=np.array([np.inf]))
     with pytest.raises(ValueError):
         PredictedTimes(values=np.array([1.0]), method="mode")
+    with pytest.raises(ValueError, match="^predicted times must form a 1-d array$"):
+        PredictedTimes(values=np.array([[1.0, 2.0]]))
