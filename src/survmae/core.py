@@ -27,6 +27,7 @@ import math
 import operator
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,14 +124,22 @@ def _check_seed(seed) -> int:
 
 def _kind_row(what, kind, params, table):
     """The row of ``table`` for ``kind``, whose ``reads`` are the keys of
-    ``params`` it reads; ``ConfigurationError`` for a kind that names no row
-    or for the first key of ``params`` that the kind does not read."""
+    ``params`` it reads, and ``params``, None read as ``{}``;
+    ``ConfigurationError`` for a kind that names no row, for params that are
+    no mapping or for the first key of ``params`` that the kind does not
+    read."""
     if not (isinstance(kind, str) and kind in table):
         raise ConfigurationError(f"unknown {what} kind {kind!r}; expected one of {sorted(table)}")
+    if params is None:
+        params = {}
+    if not isinstance(params, Mapping):
+        raise ConfigurationError(
+            f"{what} kind {kind!r} takes params as a mapping, got {type(params).__name__}"
+        )
     unread = [key for key in params if key not in table[kind].reads]
     if unread:
         raise ConfigurationError(f"{what} kind {kind!r} does not read params[{unread[0]!r}]")
-    return table[kind]
+    return table[kind], params
 
 
 def _first_repeat(items):
@@ -495,9 +504,12 @@ class CurveBatch:
         if self.lengths is None:
             lengths = np.full(n, width)
         else:
-            lengths = np.asarray(self.lengths, dtype=int)
-            if lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > width):
+            lengths = np.asarray(self.lengths)
+            # a fraction would truncate, and a bool pass as a count
+            whole = lengths.dtype.kind in "iu" or not lengths.size
+            if not whole or lengths.shape != (n,) or np.any(lengths < 1) or np.any(lengths > width):
                 raise ValueError(f"lengths must hold one count in [1, {width}] per row")
+            lengths = lengths.astype(int, copy=False)
             if np.any(lengths < width):
                 if knots.ndim == 1:
                     raise ValueError("ragged rows need an n x K knot matrix")

@@ -231,19 +231,18 @@ class ModelSpec:
 
     ``noisy_oracle`` reads ``noise`` (default 0), a finite real number >= 0,
     and ``external_curves`` reads ``path``, a nonempty string or path; the
-    other kinds read no params; None means no params. An unknown kind, a key
-    the kind does not read or a value that breaks its rule raises
-    :class:`ConfigurationError`.
+    other kinds read no params; None means no params. An unknown kind, params
+    that are no mapping, a key the kind does not read or a value that breaks
+    its rule raises :class:`ConfigurationError`.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.params is None:
-            object.__setattr__(self, "params", {})
-        row = _kind_row("model", self.kind, self.params, MODEL_KINDS)
-        value = row.value(self.params)
+        row, params = _kind_row("model", self.kind, self.params, MODEL_KINDS)
+        object.__setattr__(self, "params", params)
+        value = row.value(params)
         if row.key and not row.valid(value):
             spec = f"{row.spelling.partition(':')[0]}:{value}"
             raise ConfigurationError(f"model spec {spec!r}: {row.rule}")

@@ -138,10 +138,18 @@ def comparable_pair_ratio(ds: SurvivalDataset) -> float:
     return _comparable_count(ds.times, ds.events) / (ds.n * (ds.n - 1) / 2)
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number, a bool not counted."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except TypeError:  # None, a string
+        return False
+
+
 def _check_t_star(t_star) -> None:
     """ValueError unless the horizon ``t_star`` is a finite, nonnegative
-    number; a bool is no horizon."""
-    if isinstance(t_star, (bool, np.bool_)) or not (math.isfinite(t_star) and t_star >= 0):
+    real number."""
+    if not (_finite_real(t_star) and t_star >= 0):
         raise ValueError(f"t_star must be finite and nonnegative, got {t_star!r}")
 
 
@@ -212,7 +220,7 @@ def _brier_weights(
         if not ds.events.any():
             raise UndefinedMetricError("no event time available to set the horizon")
         horizon = float(ds.times[ds.events].max())
-    if isinstance(horizon, (bool, np.bool_)) or not (math.isfinite(horizon) and horizon > 0):
+    if not (_finite_real(horizon) and horizon > 0):
         raise ValueError(f"t_max must be finite and positive, got {horizon!r}")
     if grid_size == 1:
         return _BrierWeights(ds, g_train, grid_size, t_max, horizon)
@@ -505,7 +513,7 @@ def d_calibration(curves, ds: SurvivalDataset, n_bins: int = 10) -> CalibrationR
     mass[spread] = np.where(np.arange(n_bins) < top_s, width / p_s, 0.0)
     mass[rows[spread], top[spread]] = ((p_s - top_s * width) / p_s)[:, 0]
     # added up in subject order, as one subject at a time would
-    masses = np.cumsum(mass, axis=0)[-1]
+    masses = mass.sum(axis=0)
     expected = ds.n / n_bins
     statistic = float(np.sum((masses - expected) ** 2 / expected))
     p_value = _chi2_sf(statistic, n_bins - 1)

@@ -6,14 +6,15 @@ mechanism. The result carries both the new observed data and the hidden true
 event times, so evaluation metrics can be compared against the truth.
 
 Censor-time sampling is keyed by (seed, subject index): subject ``i``'s
-censor time depends only on ``(seed, i)`` and is computed from the first draw
-of ``np.random.default_rng([seed, i])``, so it is independent of evaluation
-order and of the other subjects. Every kind but ``exponential`` takes the
-first uniform draw of all subjects at once (:func:`_first_uniforms`).
+censor time is a function of ``u_i``, the first uniform draw of
+``np.random.default_rng([seed, i])``, so it depends only on ``(seed, i)``
+and is independent of evaluation order and of the other subjects. Every kind
+takes the uniforms of all subjects at once (:func:`_first_uniforms`).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -48,17 +49,16 @@ class CensoringSpec:
 
     Only the external kind reads ``params``: ``reference`` (a loaded dataset,
     or the path of a CSV whose ``time_column`` and ``event_column`` it names);
-    None means no params. A key the kind does not read raises
-    :class:`ConfigurationError`.
+    None means no params. Params that are no mapping, or a key the kind does
+    not read, raise :class:`ConfigurationError`.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.params is None:
-            object.__setattr__(self, "params", {})
-        _kind_row("censoring", self.kind, self.params, CENSORING_KINDS)
+        _, params = _kind_row("censoring", self.kind, self.params, CENSORING_KINDS)
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -212,18 +212,22 @@ def sample_censor_times(
     row = CENSORING_KINDS[spec.kind]
     if not isinstance(aux, row.aux[0]):
         raise ConfigurationError(f"{spec.kind} censoring needs {row.aux[1]}")
-    return row.draw(seed, d_prime, stats, aux)
+    return row.draw(_first_uniforms(seed, d_prime.n), d_prime, stats, aux)
 
 
 def apply_censoring(d_prime: SurvivalDataset, censor_times) -> SurvivalDataset:
     """Censor each subject whose drawn censor time lands before its event.
 
     Ties go to the event, matching the global convention. The true event time
-    is retained for every subject.
+    is retained for every subject. A censor time of ``inf`` never censors; a
+    NaN one raises ``ValueError`` naming the first such subject.
     """
     censor_times = np.asarray(censor_times, dtype=float)
     if censor_times.shape != (d_prime.n,):
         raise ValueError("need exactly one censor time per subject")
+    nan = np.flatnonzero(np.isnan(censor_times))
+    if nan.size:
+        raise ValueError(f"subject {nan[0]}: censor time is NaN")
     times = d_prime.times
     censored = censor_times < times
     truths = times if d_prime.true_times is None else d_prime.true_times
@@ -255,19 +259,10 @@ def _external_reference(params: dict) -> ExternalCensoringRef:
     return ExternalCensoringRef(censoring_km=censoring_km_fit(ref), t_max_event=_max_event_time(ref))
 
 
-def _from_uniforms(draw):
-    """The kind's draw ``draw(u, d_prime, stats, aux)`` from the first uniform
-    ``u`` of every subject, keyed by (seed, subject)."""
-    return lambda seed, d_prime, stats, aux: draw(
-        _first_uniforms(seed, d_prime.n), d_prime, stats, aux
-    )
-
-
-def _exponential_draws(seed, d_prime, stats, aux):
-    # NumPy's ziggurat sampler cannot be reproduced in bulk
-    return np.array(
-        [np.random.default_rng([seed, i]).exponential(stats.sigma_event) for i in range(d_prime.n)]
-    )
+def _exponential_draws(u, d_prime, stats, aux):
+    # inverse of the distribution function; Python's log1p, like the pow of
+    # _cox_draws, gives the same float on every platform
+    return -stats.sigma_event * np.array(list(map(math.log1p, (-u).tolist())))
 
 
 def _external_draws(u, d_prime, stats, aux):
@@ -288,8 +283,8 @@ def _cox_draws(u, d_prime, stats, aux):
 class _CensoringKind:
     """A row of the censoring kinds' table."""
 
-    # ``(seed, d_prime, stats, aux) -> censor times``; every kind but
-    # ``exponential`` draws from the shared first uniforms
+    # ``(u, d_prime, stats, aux) -> censor times`` from every subject's
+    # first uniform ``u``
     draw: Callable
     reads: tuple = ()  # the keys of ``CensoringSpec.params`` it reads
     # ``(raw dataset, params) -> aux``, the censoring model that
@@ -299,29 +294,27 @@ class _CensoringKind:
     needs_feature: bool = False  # refused on raw data without a feature column
 
 
-# censoring kind -> its row; every row looks functions up by global name when
-# called
+# censoring kind -> its row; every row looks public functions up by global
+# name when called
 CENSORING_KINDS = {
-    "uniform": _CensoringKind(_from_uniforms(lambda u, d, stats, aux: stats.t_max_event * u)),
+    "uniform": _CensoringKind(lambda u, d, stats, aux: stats.t_max_event * u),
     "uniform_admin": _CensoringKind(
-        _from_uniforms(
-            lambda u, d, stats, aux: np.minimum(stats.t_max_event * u, stats.t_median_event)
-        )
+        lambda u, d, stats, aux: np.minimum(stats.t_max_event * u, stats.t_median_event)
     ),
     "exponential": _CensoringKind(_exponential_draws),
     "original_independent": _CensoringKind(
-        _from_uniforms(lambda u, d, stats, aux: _km_inverse(aux.curve, u)),
+        lambda u, d, stats, aux: _km_inverse(aux.curve, u),
         fit=lambda raw, params: censoring_km_fit(raw),
         aux=(KaplanMeierFit, "a fitted censoring KM"),
     ),
     "original_dependent": _CensoringKind(
-        _from_uniforms(_cox_draws),
+        _cox_draws,
         fit=lambda raw, params: coxph_fit(flip_censor_bits(raw)),
         aux=(CoxModel, "a fitted Cox censoring model"),
         needs_feature=True,
     ),
     "external": _CensoringKind(
-        _from_uniforms(_external_draws),
+        _external_draws,
         reads=("reference", "time_column", "event_column"),
         fit=lambda raw, params: _external_reference(params),
         aux=(ExternalCensoringRef, "an ExternalCensoringRef"),

@@ -1,10 +1,13 @@
 """The one-pass censor draws against the per-subject generator loop.
 
-``sample_censor_times`` computes the first draw of ``default_rng([seed, i])``
-for every subject at once. The loop below builds one generator per subject,
+``sample_censor_times`` computes the first uniform draw of
+``default_rng([seed, i])`` for every subject at once, and every kind's censor
+time is a function of it. The loop below builds one generator per subject,
 as the draws are defined, and stays here as the oracle: every censoring kind
 must give the same censor times bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ def loop_censor_times(kind, d_prime, stats, aux, seed):
         elif kind == "uniform_admin":
             out[i] = min(rng.uniform(0.0, stats.t_max_event), stats.t_median_event)
         elif kind == "exponential":
-            out[i] = rng.exponential(stats.sigma_event)
+            out[i] = -stats.sigma_event * math.log1p(-rng.random())
         elif kind == "original_independent":
             out[i] = _km_inverse(aux.curve, rng.random())
         elif kind == "original_dependent":

@@ -17,7 +17,8 @@ input applies that one rule.
   the oracle.
 * A model or censoring spec refuses a param its kind does not read, in one
   wording, and a model param that breaks its kind's rule, before any fold;
-  params None means no params.
+  params None means no params, and params that are no mapping are refused
+  by name.
 """
 
 import math
@@ -281,8 +282,14 @@ HUGE = [1.7e308, -1.7e308]
         (lambda: CumulativeHazard(knots=[1.0, 2.0], values=[0.1, np.nan]), "finite"),
         (lambda: CumulativeHazard(knots=[1.0, 2.0], values=[0.1, np.inf]), "finite"),
         (lambda: CumulativeHazard(knots=[1.0, 2.0], values=[0.1]), "1-d arrays of equal length"),
+        # a knot count is an integer: 1.5 would truncate to 1, and True pass as 1
+        (lambda: CurveBatch(knots=[[1.0, 2.0, 3.0]], values=[[0.8, 0.5, 0.2]], lengths=[1.5]),
+         r"^lengths must hold one count in \[1, 3\] per row$"),
+        (lambda: CurveBatch(knots=[[1.0, 2.0, 3.0]], values=[[0.8, 0.5, 0.2]], lengths=[True]),
+         r"^lengths must hold one count in \[1, 3\] per row$"),
     ],
-    ids=["step-knots", "hazard-knots", "hazard-values", "hazard-nan", "hazard-inf", "hazard-sizes"],
+    ids=["step-knots", "hazard-knots", "hazard-values", "hazard-nan", "hazard-inf", "hazard-sizes",
+         "batch-fractional-lengths", "batch-bool-lengths"],
 )
 def test_bad_knots_or_hazards_raise_a_value_error_not_a_warning(make, message):
     with warnings.catch_warnings():
@@ -534,6 +541,27 @@ NO_PARAMS_SPECS = [
 @pytest.mark.parametrize("spec, kind", NO_PARAMS_SPECS)
 def test_params_none_means_no_params(spec, kind):
     assert spec(kind, None) == spec(kind)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: ModelSpec("noisy_oracle", ["noise"]),
+            "model kind 'noisy_oracle' takes params as a mapping, got list",
+        ),
+        (lambda: ModelSpec("km", "abc"), "model kind 'km' takes params as a mapping, got str"),
+        (
+            lambda: CensoringSpec("uniform", 3),
+            "censoring kind 'uniform' takes params as a mapping, got int",
+        ),
+    ],
+    ids=["model-list", "model-string", "censoring-int"],
+)
+def test_params_that_are_no_mapping_are_refused_by_name(make, message):
+    with pytest.raises(ConfigurationError) as err:
+        make()
+    assert str(err.value) == message
 
 
 # ------------------------------------------------------------ JSON scores

@@ -289,7 +289,7 @@ HORIZON_CALLS = {
 
 
 @pytest.mark.parametrize("call", HORIZON_CALLS)
-@pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, -1.0, np.float64(np.inf)])
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, -1.0, np.float64(np.inf), "3"])
 def test_a_horizon_must_be_finite_and_nonnegative(call, horizon):
     fn, name = HORIZON_CALLS[call]
     ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
@@ -311,6 +311,16 @@ def test_a_bool_is_no_horizon(call, horizon):
     curves = [const_curve(v, knot=2.5) for v in (0.2, 0.9, 0.8, 0.6)]
     with pytest.raises(ValueError, match=f"^{name} must be finite.*, got {horizon!r}$"):
         fn(curves, ds, g, horizon)
+
+
+@pytest.mark.parametrize("call", ["one_calibration", "brier_score_at"])
+def test_none_is_no_t_star(call):
+    # only t_max reads None, as the dataset's last event time
+    fn, _ = HORIZON_CALLS[call]
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
+    curves = [const_curve(v, knot=2.5) for v in (0.2, 0.9, 0.8, 0.6)]
+    with pytest.raises(ValueError, match="^t_star must be finite and nonnegative, got None$"):
+        fn(curves, ds, censoring_km_fit(ds), None)
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,13 @@ def test_apply_censoring_needs_one_time_per_subject():
         apply_censoring(d_prime, [1.0])
 
 
+def test_apply_censoring_refuses_a_nan_censor_time_and_never_censors_at_inf():
+    d_prime = keep_uncensored(SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [True] * 3))
+    with pytest.raises(ValueError, match="^subject 1: censor time is NaN$"):
+        apply_censoring(d_prime, [0.5, np.nan, np.nan])
+    assert apply_censoring(d_prime, [np.inf, 0.5, np.inf]).events.tolist() == [True, False, True]
+
+
 def test_censoring_spec_rejects_unknown_kind():
     with pytest.raises(ConfigurationError):
         CensoringSpec(kind="gamma")
