@@ -63,6 +63,9 @@ _KIND_ALIASES = {
 
 
 def _cmd_synth(args) -> int:
+    sidecar_path = Path(args.output).with_suffix(".json")
+    if sidecar_path == Path(args.output):
+        raise ConfigurationError(f"output {args.output} would be overwritten by its .json sidecar")
     ds = _load(args)
     args.kind = _KIND_ALIASES.get(args.kind, args.kind)
     # a kind that reads a reference gets it only from --external
@@ -85,7 +88,6 @@ def _cmd_synth(args) -> int:
     }
     if args.external:
         sidecar["external_reference"] = str(args.external)
-    sidecar_path = Path(args.output).with_suffix(".json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
     print(f"wrote {args.output} and {sidecar_path}")
     return 0

@@ -114,6 +114,15 @@ def _at_least(value, name, least, error=ValueError) -> int:
     return count
 
 
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number, a bool not counted; an int
+    too large to be a float is not finite."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+    except (TypeError, OverflowError):  # None, a string; 10**400
+        return False
+
+
 def _check_seed(seed) -> int:
     """``seed`` as an int; ``ConfigurationError`` unless it is a nonnegative
     integer (a NumPy integer too, not a bool)."""
@@ -434,23 +443,6 @@ def _scan_bad_row(knots, values, real):
     return _first_failure(checks)
 
 
-def _adoptable_led(values):
-    """The matrix whose columns 1: the ``n x K`` array ``values`` are, when
-    it is a C-ordered ``n x (K+1)`` float array whose column 0 holds ones (as
-    :func:`_read_rows` builds a curve file's table), or None."""
-    base = values.base
-    if not (
-        isinstance(base, np.ndarray)
-        and base.dtype == float
-        and base.flags.c_contiguous
-        and base.shape == (values.shape[0], values.shape[1] + 1)
-        and values.strides == base.strides
-        and values.ctypes.data == base.ctypes.data + base.itemsize
-    ):
-        return None
-    return base if (base[:, 0] == 1.0).all() else None
-
-
 @dataclass(frozen=True, eq=False)
 class CurveBatch:
     """Survival curves of ``n`` subjects held as arrays, one row per subject.
@@ -481,7 +473,7 @@ class CurveBatch:
     hazard: np.ndarray | None = None
     risks: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, led=None):
         knots = np.asarray(self.knots, dtype=float)
         dense = self.values is not None
         if dense == (self.hazard is not None) or dense == (self.risks is not None):
@@ -520,16 +512,14 @@ class CurveBatch:
         rows = np.arange(n)
         # the values led by a column of ones: column c holds the value after c
         # knots, so a lookup is one gather at the knot count; one broadcast
-        # row serves rows that share their values, and a table that already
-        # leads its values with ones is kept, not copied
-        if n and values.strides[0] == 0 and real is None:
+        # row serves rows that share their values, and :meth:`_adopt` passes
+        # a table to keep
+        if led is None and n and values.strides[0] == 0 and real is None:
             led = np.broadcast_to(np.concatenate(([1.0], values[0])), (n, width + 1))
-        else:
-            led = None if real is not None else _adoptable_led(values)
-            if led is None:
-                led = np.empty((n, width + 1))
-                led[:, 0] = 1.0
-                led[:, 1:] = values
+        elif led is None:
+            led = np.empty((n, width + 1))
+            led[:, 0] = 1.0
+            led[:, 1:] = values
         if real is not None:
             # padding knots lie beyond every query time and repeat the last value
             knots = np.where(real, knots, np.inf)
@@ -566,6 +556,18 @@ class CurveBatch:
                 bad = _first_bad_row(knots, self._heights(rows, slice(1, None)), None)
                 if bad is not None:
                     raise InvalidCurveError(rows.start + bad[0], bad[1])
+
+    @classmethod
+    def _adopt(cls, knots, led, lengths=None) -> "CurveBatch":
+        """The dense batch whose values are ``led[:, 1:]``, checked as the
+        constructor checks them, that keeps ``led`` itself: an ``n x (K+1)``
+        float array whose column 0 holds ones, such as a curve file's table
+        or a gather of a batch's rows, which no one else writes. ``hazard``
+        and ``risks`` keep their defaults, None."""
+        batch = cls.__new__(cls)
+        batch.__dict__.update(knots=knots, values=led[:, 1:], lengths=lengths)
+        batch.__post_init__(led)
+        return batch
 
     @classmethod
     def broadcast(cls, curve: StepCurve, n: int) -> "CurveBatch":
@@ -616,8 +618,7 @@ class CurveBatch:
         if self._led is None:
             return CurveBatch(knots=self.knots, hazard=self.hazard, risks=self.risks[rows])
         knots = self.knots if self.knots.ndim == 1 else self.knots[rows]
-        # the rows' led values, adopted by the new batch
-        return CurveBatch(knots=knots, values=self._led[rows][:, 1:], lengths=self.lengths[rows])
+        return CurveBatch._adopt(knots, self._led[rows], self.lengths[rows])
 
     @property
     def _shared(self) -> bool:
@@ -673,19 +674,20 @@ class CurveBatch:
         return unsorted
 
     def _pick(self, counts, rows=slice(None)):
-        """Values of rows ``rows`` (a slice) after the given knot counts (one
-        column per query): one gather from the values led by ones, so a
-        count of 0 reads 1. A hazard batch gathers its hazard led by 0 and
-        computes the values there."""
+        """Values of rows ``rows`` (a slice or index array) after the given
+        knot counts (one column per query): one gather from the values led by
+        ones, so a count of 0 reads 1. A hazard batch gathers its hazard led
+        by 0 and computes the values there."""
         if self._led is None:
             risks = self.risks[rows] if counts.ndim == 1 else self.risks[rows, None]
             cells = self._hazard.take(counts)
             # -h * r in place, as the dense matrix forms it; the product
-            # overflows to -inf where the value is 0, and is NaN for 0 * inf
+            # overflows to -inf where the value is 0, and is NaN for 0 * inf;
+            # exp overflows on the hazard below 0 of a batch the check refuses
             np.negative(cells, out=cells)
             with np.errstate(over="ignore", invalid="ignore"):
                 cells *= risks
-            np.exp(cells, out=cells)
+                np.exp(cells, out=cells)
             # after no knot every row reads 1, an infinite risk's too
             return np.where(counts == 0, 1.0, cells) if self._infinite else cells
         led = self._led
@@ -697,15 +699,12 @@ class CurveBatch:
     def _heights(self, rows, cols):
         """The values led by ones (column ``c``: the value after ``c`` knots)
         of rows ``rows`` (a slice or index array) in columns ``cols`` (a
-        slice): a view or gather of a dense batch's, computed for a hazard
-        batch."""
+        slice): a view or gather of a dense batch's, picked by :meth:`_pick`
+        at every column for a hazard batch."""
         if self._led is not None:
             return self._led[rows, cols]
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.exp(-self._hazard[None, cols] * self.risks[rows, None])
-        if self._infinite and cols.start in (None, 0):
-            cells[:, 0] = 1.0  # exp(-0 * inf) is NaN
-        return cells
+        counts = np.arange(self._hazard.size)[cols]
+        return self._pick(np.broadcast_to(counts, (len(self._rows[rows]), counts.size)), rows)
 
     def value(self, t) -> np.ndarray:
         """Row ``i`` at ``t[i]`` (right-continuous); a scalar ``t`` serves every row."""
@@ -783,7 +782,7 @@ class CurveBatch:
             raise DegenerateCurveError(
                 f"subject {flat[0]}: curve never descends; median undefined"
             )
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # inf: refused by extraction
             chord = 0.5 * self.t_last / (1.0 - v_last)
         return np.where(hit, self._knot(np.minimum(first, size - 1)), chord)
 

@@ -11,14 +11,13 @@ Weibull "AFT" fit is, for now, a covariate-free two-parameter Weibull fit.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import CurveBatch, StepCurve, SurvivalDataset
-from .core import _first_bad_subject, _step_lookup
+from .core import _finite_real, _first_bad_subject, _step_lookup
 from .errors import ConvergenceError, InsufficientEventsError, SeparationError
 
 __all__ = [
@@ -459,15 +458,10 @@ def _json_field(data, name):
     return data[name]
 
 
-def _finite_number(value) -> bool:
-    # false for NaN, for +-inf and for an int too large to be a float
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _json_positive(data, name) -> float:
     """The field ``name`` of a model payload, a finite number > 0."""
     value = _json_field(data, name)
-    if not (_finite_number(value) and value > 0):
+    if not (_finite_real(value) and value > 0):
         raise ValueError(f"field {name!r} must be a finite number > 0, got {value!r}")
     return float(value)
 
@@ -480,7 +474,7 @@ def _json_arrays(data, *names):
         value = _json_field(data, name)
         if not isinstance(value, list):
             raise ValueError(f"field {name!r} must be a list of numbers")
-        bad = next((i for i, v in enumerate(value) if not _finite_number(v)), None)
+        bad = next((i for i, v in enumerate(value) if not _finite_real(v)), None)
         if bad is not None:
             raise ValueError(
                 f"field {name!r} entry {bad} must be a finite number, got {value[bad]!r}"

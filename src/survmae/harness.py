@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset, _kind_row, stratified_kfold
+from .core import CurveBatch, SurvivalDataset, _finite_real, _kind_row, stratified_kfold
 from .core import _check_count, _check_seed, _first_repeat, _read_rows, _split_csv, _write_columns
 from .errors import (
     BinningError,
@@ -154,12 +154,7 @@ _NOISE_RULE = "noise must be a finite number >= 0"
 def _valid_noise(noise) -> bool:
     """Whether ``noise`` keeps the noisy oracle's rule, ``_NOISE_RULE``; a
     bool or a string does not."""
-    if isinstance(noise, bool) or not isinstance(noise, numbers.Real):
-        return False
-    try:
-        return 0.0 <= float(noise) < math.inf
-    except (TypeError, ValueError, OverflowError):
-        return False
+    return isinstance(noise, numbers.Real) and _finite_real(noise) and noise >= 0
 
 
 def _valid_path(path) -> bool:
@@ -377,21 +372,20 @@ def load_curve_file(path) -> CurveTable:
         (first, table), rows, lines, failure = _read_rows(
             fh, head, text, start, grid.size + 1, parse, index=True
         )
-    # the values led by ones: the batch of a file read whole by the chunks
-    # keeps the table, not a copy
-    values = table[:, 1:]
     subjects = first.tolist() + [i for i, _ in rows]
     if rows:
-        values = np.concatenate((values, [v for _, v in rows]))
+        # the line reader's rows, led by ones as the chunks' table is
+        led = np.column_stack((np.ones(len(rows)), [v for _, v in rows]))
+        table = np.concatenate((table, led))
     # a line that repeats a subject index ends the rows read, as a failure
     repeat = _first_repeat(subjects)
     if repeat is not None:
         failure = DataFormatError(f"line {lines[repeat]}: duplicate subject index {subjects[repeat]}")
         del subjects[repeat:]
-        values = values[:repeat]
     try:
-        # a bad curve on a line before the failure is the first error
-        batch = CurveBatch(knots=grid, values=values)
+        # a bad curve on a line before the failure is the first error; the
+        # batch keeps the table of values led by ones, not a copy
+        batch = CurveBatch._adopt(grid, table[: len(subjects)])
     except InvalidCurveError as exc:
         raise DataFormatError(f"line {lines[exc.row]}: {exc.reason}") from None
     if failure is not None:

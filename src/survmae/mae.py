@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CurveBatch, SurvivalDataset, _check_count
-from .errors import ConfigurationError, MissingGroundTruthError, UndefinedMetricError
+from .errors import (
+    ConfigurationError,
+    DegenerateCurveError,
+    MissingGroundTruthError,
+    UndefinedMetricError,
+)
 from .estimators import KaplanMeierFit, km_fit
 
 __all__ = [
@@ -99,12 +104,20 @@ def extract_predicted_times(curves, method: str = "median") -> PredictedTimes:
     """Summarize survival curves into point predictions (median by default).
 
     ``curves`` is a :class:`CurveBatch` or a sequence of ``StepCurve``; a
-    curve that never descends raises :class:`DegenerateCurveError` naming its
-    subject; an unknown ``method`` raises :class:`ConfigurationError` first.
+    curve that never descends, or whose predicted time is not finite and
+    positive (a median at a knot at 0), raises :class:`DegenerateCurveError`
+    naming its subject; an unknown ``method`` raises
+    :class:`ConfigurationError` first.
     """
     _check_pred_method(method)
-    batch = CurveBatch.from_curves(curves)
-    return PredictedTimes(values=getattr(batch, _PRED_METHODS[method])(), method=method)
+    times = getattr(CurveBatch.from_curves(curves), _PRED_METHODS[method])()
+    bad = np.flatnonzero(~(np.isfinite(times) & (times > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise DegenerateCurveError(
+            f"subject {i}: {method} time {times[i]} is not finite and positive"
+        )
+    return PredictedTimes(values=times, method=method)
 
 
 def mae_uncensored(preds: PredictedTimes, ds: SurvivalDataset) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CurveBatch, SurvivalDataset, _at_least, _check_count, _row_blocks
+from .core import CurveBatch, SurvivalDataset, _at_least, _check_count, _finite_real, _row_blocks
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
 from .estimators import KaplanMeierFit
 from .mae import PredictedTimes
@@ -136,14 +136,6 @@ def comparable_pair_ratio(ds: SurvivalDataset) -> float:
     if ds.n < 2:
         raise ValueError("need at least two subjects")
     return _comparable_count(ds.times, ds.events) / (ds.n * (ds.n - 1) / 2)
-
-
-def _finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number, a bool not counted."""
-    try:
-        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
-    except TypeError:  # None, a string
-        return False
 
 
 def _check_t_star(t_star) -> None:

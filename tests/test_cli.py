@@ -191,6 +191,15 @@ def test_synth_writes_dataset_and_sidecar(plain_csv, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_synth_refuses_an_output_that_is_its_own_sidecar(plain_csv, tmp_path, capsys):
+    out = tmp_path / "semi.json"
+    code = main(["synth", str(plain_csv), "--kind", "uniform", "-o", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output {out} would be overwritten by its .json sidecar\n"
+    assert not out.exists()
+
+
 def test_synth_sidecar_source_stats_equal_stats_output(plain_csv, tmp_path, capsys):
     assert main(["stats", str(plain_csv)]) == 0
     stats_text = capsys.readouterr().out

@@ -276,6 +276,7 @@ def test_kfold_is_partition():
         ds = random_censored_dataset(rng, n=int(rng.integers(10, 80)))
         k = int(rng.integers(2, 6))
         split = stratified_kfold(ds, k=k, seed=int(rng.integers(1000)))
+        assert split.k == k
         all_idx = np.concatenate(split.folds)
         assert sorted(all_idx.tolist()) == list(range(ds.n))
         sizes = [f.size for f in split.folds]

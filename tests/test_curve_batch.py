@@ -361,6 +361,24 @@ def test_any_other_selection_is_a_fresh_checked_batch(tmp_path, subjects):
     assert_array_equal(picked.values, table.batch.values[subjects])
 
 
+def test_a_ragged_take_keeps_its_gather_of_the_rows():
+    # rows of two lengths: the new batch keeps the gathered rows of values led
+    # by ones, padding and all, as its table
+    batch = CurveBatch(
+        knots=[[1.0, 2.0, 3.0], [1.0, 4.0, 0.0]],
+        values=[[0.9, 0.5, 0.2], [0.8, 0.3, 0.0]],
+        lengths=[3, 2],
+    )
+    with mock.patch.object(CurveBatch, "_adopt", wraps=CurveBatch._adopt) as adopt:
+        picked = batch.take([1, 0, 1])
+    assert adopt.call_count == 1 and picked._led is adopt.call_args.args[1]
+    assert_array_equal(picked.lengths, [2, 3, 2])
+    assert_array_equal(picked.values, [[0.8, 0.3, 0.3], [0.9, 0.5, 0.2], [0.8, 0.3, 0.3]])
+    for row, i in enumerate([1, 0, 1]):
+        assert_array_equal(picked[row].knots, batch[i].knots)
+        assert_array_equal(picked[row].values, batch[i].values)
+
+
 def test_a_table_with_repeated_indices_never_hands_out_its_batch():
     batch = CurveBatch(knots=[1.0, 2.0], values=[[0.9, 0.5], [0.8, 0.1], [0.7, 0.2]])
     table = CurveTable([1, 1, 0], batch)

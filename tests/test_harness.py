@@ -24,6 +24,7 @@ from survmae import (
     rank_agreement,
     run_experiment,
     save_curve_file,
+    stratified_kfold,
 )
 from survmae import harness
 from survmae.harness import MAE_METRICS, METRICS, _unique_names
@@ -389,6 +390,28 @@ def test_run_experiment_external_curves(tmp_path):
     save_curve_file(short, grid, rows[:10])  # misses subjects 10..23
     with pytest.raises(ConfigurationError):
         run_experiment(ds, [parse_model_spec(f"external:{short}")], k=2, seed=4)
+
+
+def test_a_predicted_time_of_zero_is_a_missing_cell(tmp_path):
+    # a curve file whose grid starts at 0, where subject 3 reads 0.4: its
+    # median is 0, so its model's prediction cells go missing where subject 3
+    # is scored, and its curve metrics are still scored
+    rng = np.random.default_rng(81)
+    ds = oracle_ready_dataset(rng, n=24)
+    grid = np.linspace(0.0, 30.0, 40)
+    rows = np.tile(np.linspace(0.95, 0.05, 40), (24, 1))
+    rows[3] = np.linspace(0.4, 0.05, 40)
+    path = tmp_path / "zero.csv"
+    save_curve_file(path, grid, rows)
+    prediction_metrics = set(harness._PREDICTION_METRICS)
+    scores = evaluate_dataset(ds, load_curve_file(path).select(range(ds.n)))
+    assert {met for met, score in scores.items() if score is None} == prediction_metrics
+    rep = run_experiment(ds, [parse_model_spec(f"external:{path}")], k=2, seed=4)
+    folds = stratified_kfold(ds, 2, 4).folds
+    for fold, test in enumerate(folds):
+        cells = {met: rows[fold] for met, rows in rep.per_fold[rep.model_names[0]].items()}
+        missing = {met for met, score in cells.items() if score is None}
+        assert missing == (prediction_metrics if 3 in test else set())
 
 
 def test_run_experiment_requires_models():

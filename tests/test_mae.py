@@ -383,6 +383,24 @@ def test_extract_names_offending_subject():
     assert "subject 1" in str(err.value)
 
 
+@pytest.mark.parametrize("method", ["median", "mean"])
+@pytest.mark.parametrize(
+    "curve, shown",
+    [
+        (StepCurve(knots=[0.0, 1.0], values=[0.0, 0.0]), "0.0"),
+        (StepCurve(knots=[1e308], values=[0.9999]), "inf"),
+    ],
+    ids=["zero", "overflow"],
+)
+def test_extract_names_a_subject_whose_predicted_time_is_not_positive_and_finite(
+    curve, shown, method
+):
+    good = StepCurve(knots=[1.0], values=[0.4])
+    message = f"^subject 1: {method} time {shown} is not finite and positive$"
+    with pytest.raises(DegenerateCurveError, match=message):
+        extract_predicted_times([good, curve], method)
+
+
 def test_predicted_times_validation():
     with pytest.raises(ValueError):
         PredictedTimes(values=np.array([1.0, -2.0]))

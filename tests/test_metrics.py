@@ -289,7 +289,10 @@ HORIZON_CALLS = {
 
 
 @pytest.mark.parametrize("call", HORIZON_CALLS)
-@pytest.mark.parametrize("horizon", [np.nan, np.inf, -np.inf, -1.0, np.float64(np.inf), "3"])
+@pytest.mark.parametrize(
+    "horizon",
+    [np.nan, np.inf, -np.inf, -1.0, np.float64(np.inf), "3", pytest.param(10**400, id="10**400")],
+)
 def test_a_horizon_must_be_finite_and_nonnegative(call, horizon):
     fn, name = HORIZON_CALLS[call]
     ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
