@@ -29,7 +29,6 @@ from .harness import (
     REFERENCE_MODELS,
     _finite_or_none,
     evaluate_dataset,
-    load_curve_file,
     parse_model_spec,
     run_experiment,
 )
@@ -105,8 +104,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_eval(args) -> int:
     ds = _load(args)
-    curves = load_curve_file(args.curves).select(range(ds.n))
-    scores = evaluate_dataset(ds, curves, pred_method=args.pred_method)
+    scores = evaluate_dataset(ds, Path(args.curves), pred_method=args.pred_method)
     print(json.dumps({k: _finite_or_none(v) for k, v in scores.items()}, indent=2))
     return 0
 

@@ -347,12 +347,20 @@ class StepCurve:
 _PIECE_BLOCK = 1 << 16
 
 
+def _block_rows(width, cells=None) -> int:
+    """Rows of ``width`` cells in a block of at most ``cells`` cells, one at
+    least. The budget is read at each call: ``_PIECE_BLOCK`` by default
+    (batch checks, median and mean times), ``metrics._IBS_CELLS`` (the IBS
+    terms, ``d_calibration``'s bin masses), ``harness._CURVE_BLOCK_CELLS``
+    (the curve file blocks a summary takes) or ``_BLOCK_CELLS``
+    (``_write_columns``)."""
+    return max(1, (_PIECE_BLOCK if cells is None else cells) // width)
+
+
 def _row_blocks(n, width, cells=None):
-    """Slices that cut ``n`` rows of ``width`` cells into blocks of at most
-    ``cells`` cells (one row at least), in order. The budget is read at each
-    call: ``_PIECE_BLOCK`` by default (batch checks, median and mean times),
-    ``metrics._IBS_CELLS`` (the IBS) or ``_BLOCK_CELLS`` (``_write_columns``)."""
-    step = max(1, (_PIECE_BLOCK if cells is None else cells) // width)
+    """Slices that cut ``n`` rows of ``width`` cells into blocks of
+    :func:`_block_rows` rows each, the last fewer, in order."""
+    step = _block_rows(width, cells)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
@@ -1086,55 +1094,99 @@ def _room(fh, chunk, rows) -> int:
     return rows + 5 * rest * rows // (4 * len(chunk))
 
 
-def _read_rows(fh, head, text, start, width, parse, index=False):
+def _index_array(indices) -> np.ndarray:
+    """The integers ``indices`` as int64, or as objects when one lies past int64."""
+    try:
+        return np.array(indices, dtype=np.int64)
+    except OverflowError:
+        return np.array(indices, dtype=object)
+
+
+def _read_rows(fh, head, text, start, width, parse, index=False, rows=None):
     """The rows below the header of a csv file, as :func:`_split_csv` left
-    the binary ``fh`` and returned ``head``, ``text`` and ``start``.
+    the binary ``fh`` and returned ``head``, ``text`` and ``start``, yielded
+    in blocks of ``(indices, table, lines)``: the rows' ``width`` fields as
+    a float table, and the file line of each row. With ``index``, the first
+    field of each row is an integer index: ``indices`` holds them, as
+    :func:`_index_array` gives them, and the table keeps their column's
+    place, filled with ones, so that a :class:`CurveBatch` adopts it as the
+    values led by ones. Without, ``indices`` is None.
 
-    Chunk after chunk of the file is parsed by :func:`_read_columns` into one
-    table, made with room for the file's rows (:func:`_room`), that grows in
-    place should they not fit. From the first chunk it declines on, the rest
-    of the file is decoded and read by :func:`_read_lines` with ``parse``
-    (``width`` fields a row); the chunks before held only plain numbers, so
-    no quoted field crosses the hand-off. Every read goes to the end of the
-    file, so that a pipe is drained.
+    Chunk after chunk of the file is parsed by :func:`_read_columns`, whose
+    index field must fit int64. From the first chunk it declines on, the
+    rest of the file is decoded and read by :func:`_read_lines` with
+    ``parse``, which gives a row's numbers (with ``index``, as ``(index,
+    the other numbers)``); the chunks before held only plain numbers, so no
+    quoted field crosses the hand-off. A chunk with a blank row is
+    declined, so the chunks' rows are lines ``start``, ``start + 1``, ...
+    Once every block is taken, the read has gone to the end of the file, so
+    that a pipe is drained, and the line reader's error is raised, if it
+    met one.
 
-    Returns the table of the rows the chunks gave, as :func:`_read_columns`
-    returns it for ``index``, save that the table then keeps the index
-    column's place, filled with ones: a curve file's table is the values of
-    its rows led by ones, which a :class:`CurveBatch` adopts as it is. Then
-    the entries of the line reader; the file line of every row, the table's
-    first (a chunk with a blank row is declined, so row ``i`` of the table
-    is line ``start + i``); and the line reader's error or None.
+    With ``rows``, each block holds ``rows`` rows (fewer where the rows end
+    or the line reader takes over), in one table that the next block writes
+    over. Without, one block holds every row, in a table made with room for
+    the file's rows (:func:`_room`) that grows in place should they not fit.
     """
-    table = np.empty((0, width))
-    first = np.empty(0, dtype=np.int64)
-    n = 0
+    table = np.empty((rows or 0, width))
+    table[:, 0] = 1.0
+    indices = np.empty(len(table), dtype=np.int64)
+    n, line = 0, start  # rows in the table, and the file line of its first
     if text is None:
         for chunk in _chunks(head, fh):
             got = _read_columns(chunk, width, index)
             if got is None:
                 text = io.TextIOWrapper(_Stream(fh, chunk), newline="")
                 break
-            if index:
+            first, got = got if index else (None, got)
+            if rows is None:
                 if not n:
-                    first = np.empty(_room(fh, chunk, len(got[0])), dtype=np.int64)
-                _put(first, n, got[0])
-                got = got[1]
-            if not n:
-                table = np.empty((_room(fh, chunk, len(got)), width))
-            _put(table, n, got)
-            n += len(got)
-    table.resize((n, width), refcheck=False)
-    if index:
-        first.resize(n, refcheck=False)
-        table[:, 0] = 1.0
-        table = first, table
-    lines = range(start, start + n)
-    entries, failure = [], None
+                    room = _room(fh, chunk, len(got))
+                    table = np.empty((room, width))
+                    indices = np.empty(room if index else 0, dtype=np.int64)
+                if index:
+                    _put(indices, n, first)
+                _put(table, n, got)
+                n += len(got)
+                continue
+            done = 0
+            while done < len(got):
+                take = min(rows - n, len(got) - done)
+                if index:
+                    indices[n : n + take] = first[done : done + take]
+                table[n : n + take, width - got.shape[1] :] = got[done : done + take]
+                n, done = n + take, done + take
+                if n == rows:
+                    yield indices, table, range(line, line + n)
+                    n, line = 0, line + n
+    if rows is None:
+        table.resize((n, width), refcheck=False)
+        if index:
+            indices.resize(n, refcheck=False)
+            table[:, 0] = 1.0
+    failure, lines = None, range(line, line + n)
     if text is not None:
-        entries, more, failure = _read_lines(text.readlines(), start + n, width, parse)
-        lines = [*lines, *more]
-    return table, entries, lines, failure
+        entries, numbers, failure = _read_lines(text.readlines(), line + n, width, parse)
+        if entries:
+            more = _index_array([i for i, _ in entries]) if index else None
+            if index:
+                entries = np.column_stack((np.ones(len(entries)), [v for _, v in entries]))
+            entries = np.asarray(entries, dtype=float)
+            if rows is None:
+                if index:
+                    indices = np.concatenate((indices, more))
+                table = np.concatenate((table, entries))
+                lines = [*lines, *numbers]
+            else:
+                if n:
+                    yield indices[:n], table[:n], lines
+                n, lines = 0, range(0)
+                for part in _row_blocks(len(entries), 1, rows):
+                    yield (more[part] if index else None), entries[part], numbers[part]
+    if rows is None or n:
+        yield (indices[: len(lines)] if index else None), table[: len(lines)], lines
+    if failure is not None:
+        raise failure
 
 
 def _read_lines(lines, start, width, parse):
@@ -1244,16 +1296,23 @@ def load_dataset(
         truth_idx = [header.index("true_time")] if "true_time" in header else []
         feat_idx = [j for j in range(len(header)) if j not in (t_idx, e_idx, *truth_idx)]
         names = tuple(header[j] for j in feat_idx)
-        # both readers give the columns in this order
+        # the columns of the dataset, in the order it takes them
         order = [t_idx, e_idx, *truth_idx, *feat_idx]
 
         def parse(row, line):
-            return [_parse_float(row[j], line, header[j]) for j in order]
+            # the fields in file order, read in the order of the columns
+            values = [0.0] * len(header)
+            for j in order:
+                values[j] = _parse_float(row[j], line, header[j])
+            return values
 
-        table, rows, lines, failure = _read_rows(fh, head, text, start, len(header), parse)
+        failure = None
+        try:  # one block of every row, then the line reader's error
+            for _, table, lines in _read_rows(fh, head, text, start, len(header), parse):
+                pass
+        except DataFormatError as exc:
+            failure = exc
     data = table[:, order]
-    if rows:
-        data = np.concatenate((data, np.array(rows, dtype=float)))
     times, flags, features = data[:, 0], data[:, 1], data[:, 2 + len(truth_idx) :]
     truths = data[:, 2] if truth_idx else None
     if failure is None:

@@ -227,19 +227,22 @@ def _cox_loglik(beta, x_centered, rs: _RiskSets):
 
 
 def _cox_derivatives(rs: _RiskSets, w_sorted, s0):
-    """Gradient and Hessian of the Breslow partial log-likelihood, from the
-    sorted weights and risk-set sums of its likelihood pass."""
+    """Gradient of the Breslow partial log-likelihood, and a function that
+    gives its Hessian, from the sorted weights and risk-set sums of its
+    likelihood pass."""
     d_k = rs.n_events
     xw_sorted = rs.x_sorted * w_sorted[:, None]
     s1 = np.cumsum(xw_sorted[::-1], axis=0)[::-1][rs.pos]
     mean_x = s1 / s0[:, None]
     grad = rs.x_event_sum - (d_k[:, None] * mean_x).sum(axis=0)
 
-    s2_terms = np.einsum("ij,ik->ijk", rs.x_sorted, xw_sorted)
-    s2 = np.cumsum(s2_terms[::-1], axis=0)[::-1][rs.pos]
-    covs = s2 / s0[:, None, None] - mean_x[:, :, None] * mean_x[:, None, :]
-    hess = -np.sum(d_k[:, None, None] * covs, axis=0)
-    return grad, hess
+    def hessian():
+        s2_terms = np.einsum("ij,ik->ijk", rs.x_sorted, xw_sorted)
+        s2 = np.cumsum(s2_terms[::-1], axis=0)[::-1][rs.pos]
+        covs = s2 / s0[:, None, None] - mean_x[:, :, None] * mean_x[:, None, :]
+        return -np.sum(d_k[:, None, None] * covs, axis=0)
+
+    return grad, hessian
 
 
 def _newton(loglik, derivatives, x0, max_iter, halvings, singular, what, params):
@@ -247,9 +250,10 @@ def _newton(loglik, derivatives, x0, max_iter, halvings, singular, what, params)
     the terms of its likelihood pass.
 
     ``loglik(x)`` gives ``(ll, *terms)`` and ``derivatives(x, *terms)`` the
-    gradient and Hessian, so each point tried costs one pass; ``singular(hess,
-    grad)`` is the step at a singular Hessian. A step is halved up to
-    ``halvings`` times. A failure raises :class:`ConvergenceError` carrying
+    gradient and a function of no arguments that gives the Hessian, so each
+    point tried costs one pass and the Hessian is computed only where a step
+    is taken; ``singular(hess, grad)`` is the step at a singular Hessian.
+    A step is halved up to ``halvings`` times. A failure raises :class:`ConvergenceError` carrying
     ``params(x)``; a candidate equal to the iterate, bit for bit, is a fixed
     point, so the budget's error is raised at once.
     """
@@ -258,12 +262,13 @@ def _newton(loglik, derivatives, x0, max_iter, halvings, singular, what, params)
     stalled = f"no convergence after {max_iter} Newton iterations"
     x = x0
     ll, *terms = loglik(x)
-    grad, hess = derivatives(x, *terms)
+    grad, hessian = derivatives(x, *terms)
     done = 0
     while not np.max(np.abs(grad)) < _TOL:  # a NaN gradient has not converged
         if done == max_iter:
             raise ConvergenceError(stalled, last_params=params(x))
         done += 1
+        hess = hessian()
         try:
             step = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -283,7 +288,7 @@ def _newton(loglik, derivatives, x0, max_iter, halvings, singular, what, params)
                 f"step halving failed to improve the {what}", last_params=params(x)
             )
         x, ll, terms = cand, cand_ll, cand_terms
-        grad, hess = derivatives(x, *terms)
+        grad, hessian = derivatives(x, *terms)
     return x, terms
 
 
@@ -386,16 +391,21 @@ def _weibull_loglik(a, b, log_t, e):
 
 
 def _weibull_derivatives(k, u, z, e):
-    """Gradient and Hessian of the censored Weibull log-likelihood, from the
-    shape ``k`` and the terms ``u`` and ``z`` of its likelihood pass."""
+    """Gradient of the censored Weibull log-likelihood, and a function that
+    gives its Hessian, from the shape ``k`` and the terms ``u`` and ``z`` of
+    its likelihood pass."""
     d = float(e.sum())
     zu = z * u
     g_a = d + k * (float(np.sum(u[e])) - float(np.sum(zu)))
     g_b = k * (float(np.sum(z)) - d)
-    h_aa = (g_a - d) - k * k * float(np.sum(zu * u))
-    h_ab = g_b + k * k * float(np.sum(zu))
-    h_bb = -(k * k) * float(np.sum(z))
-    return np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
+
+    def hessian():
+        h_aa = (g_a - d) - k * k * float(np.sum(zu * u))
+        h_ab = g_b + k * k * float(np.sum(zu))
+        h_bb = -(k * k) * float(np.sum(z))
+        return np.array([[h_aa, h_ab], [h_ab, h_bb]])
+
+    return np.array([g_a, g_b]), hessian
 
 
 def weibull_aft_fit(ds: SurvivalDataset, max_iter: int = 100) -> WeibullAFTModel:

@@ -100,24 +100,71 @@ class SurrogateSet:
             raise ValueError("weights must lie in [0, 1]")
 
 
+class _Extraction:
+    """The predicted times by ``method`` of ``n`` subjects, extracted from
+    the batches of their curves that :meth:`add` takes in subject order, and
+    the first fault met: a curve that never descends anywhere, else a time
+    that is not finite and positive. Each time is a function of one curve,
+    so any cut of the subjects into batches gives the same floats."""
+
+    def __init__(self, n: int, method: str):
+        self.method = method
+        self.times = np.empty(n)
+        self.count = 0
+        self.flat = None  # the first subject whose curve never descends
+        self.bad = None  # the first subject whose time is not finite and positive
+
+    def add(self, batch: CurveBatch) -> None:
+        start = self.count
+        self.count += len(batch)
+        if self.flat is not None:
+            return
+        # the one fault of CurveBatch.median_times and mean_times
+        flat = np.flatnonzero(batch.v_last >= 1.0)
+        if flat.size:
+            self.flat = start + int(flat[0])
+        elif self.bad is None:
+            times = getattr(batch, _PRED_METHODS[self.method])()
+            self.times[start : self.count] = times
+            bad = np.flatnonzero(~(np.isfinite(times) & (times > 0)))
+            if bad.size:
+                self.bad = start + int(bad[0])
+
+    def result(self) -> PredictedTimes:
+        """The predicted times of all ``n`` subjects, or the first fault as
+        a :class:`DegenerateCurveError` naming its subject."""
+        _check_count(self.count, self.times.size, "curves")
+        if self.flat is not None:
+            raise DegenerateCurveError(
+                f"subject {self.flat}: curve never descends; {self.method} undefined"
+            )
+        if self.bad is not None:
+            raise DegenerateCurveError(
+                f"subject {self.bad}: {self.method} time {self.times[self.bad]} "
+                "is not finite and positive"
+            )
+        return PredictedTimes(values=self.times, method=self.method)
+
+
 def extract_predicted_times(curves, method: str = "median") -> PredictedTimes:
     """Summarize survival curves into point predictions (median by default).
 
-    ``curves`` is a :class:`CurveBatch` or a sequence of ``StepCurve``; a
-    curve that never descends, or whose predicted time is not finite and
-    positive (a median at a knot at 0), raises :class:`DegenerateCurveError`
-    naming its subject; an unknown ``method`` raises
-    :class:`ConfigurationError` first.
+    ``curves`` is a :class:`CurveBatch`, a sequence of ``StepCurve`` or the
+    predicted times a scoring summary extracted block by block by
+    ``method`` (``ValueError`` for another method); a curve that never
+    descends, or whose predicted time is not finite and positive (a median
+    at a knot at 0), raises :class:`DegenerateCurveError` naming its
+    subject; an unknown ``method`` raises :class:`ConfigurationError` first.
     """
     _check_pred_method(method)
-    times = getattr(CurveBatch.from_curves(curves), _PRED_METHODS[method])()
-    bad = np.flatnonzero(~(np.isfinite(times) & (times > 0)))
-    if bad.size:
-        i = int(bad[0])
-        raise DegenerateCurveError(
-            f"subject {i}: {method} time {times[i]} is not finite and positive"
-        )
-    return PredictedTimes(values=times, method=method)
+    if isinstance(curves, _Extraction):
+        if curves.method != method:
+            raise ValueError(f"the times were extracted by {curves.method}, not {method}")
+        return curves.result()
+    batch = CurveBatch.from_curves(curves)
+    extraction = _Extraction(len(batch), method)
+    extraction.add(batch)
+    return extraction.result()
 
 
 def mae_uncensored(preds: PredictedTimes, ds: SurvivalDataset) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .core import CurveBatch, SurvivalDataset, _at_least, _check_count, _finite_real, _row_blocks
 from .errors import BinningError, DegenerateScoreWarning, UndefinedMetricError
 from .estimators import KaplanMeierFit
-from .mae import PredictedTimes
+from .mae import PredictedTimes, _Extraction
 
 __all__ = [
     "CalibrationResult",
@@ -181,11 +181,14 @@ class _BrierWeights:
     model scored on one test set can share them.
 
     ``grid`` is None for a one-point grid, which scores the plain Brier score
-    at ``horizon``. Otherwise ``g_dead`` is G(t-) at each subject's time,
-    ``g_grid`` is G on the grid, ``dead_term`` and ``alive_term`` mark the
-    subjects x grid entries that add a dead or a surviving term, and
-    ``undefined`` is True when some grid point needs a censoring weight that
-    no subject keeps.
+    at ``horizon``. Otherwise subject ``i`` adds a dead term at the grid
+    points from ``first[i]`` on, those at or past its time, and a surviving
+    term at the points before. ``g_dead`` divides the dead terms: G(t-) at
+    each subject's time, inf where the subject is censored or keeps no
+    censoring weight. ``g_grid`` divides the surviving terms: G on the grid,
+    inf where it is 0. A term divided by inf is 0.0, the term left out.
+    ``undefined`` is True when some grid point needs a censoring weight
+    that no subject keeps.
     """
 
     ds: SurvivalDataset
@@ -194,10 +197,9 @@ class _BrierWeights:
     t_max: float | None  # as requested; None takes the dataset's last event
     horizon: float
     grid: np.ndarray | None = None
+    first: np.ndarray | None = None
     g_dead: np.ndarray | None = None
     g_grid: np.ndarray | None = None
-    dead_term: np.ndarray | None = None
-    alive_term: np.ndarray | None = None
     undefined: bool = False
 
 
@@ -226,10 +228,6 @@ def _brier_weights(
     some_alive = grid < times.max()
     needy = some_alive | (grid >= np.min(times, where=ds.events, initial=np.inf))
     covered = (some_alive & (g_grid > 0.0)) | (grid >= np.min(times, where=weighed, initial=np.inf))
-    # the masks are built whole: the weights of one test set serve every
-    # model, and building them per block took 60 us of a 250 us score of 400
-    # subjects
-    dead = times[:, None] <= grid[None, :]
     return _BrierWeights(
         ds,
         g_train,
@@ -237,12 +235,28 @@ def _brier_weights(
         t_max,
         horizon,
         grid=grid,
-        g_dead=g_dead,
-        g_grid=g_grid,
-        dead_term=dead & weighed[:, None],
-        alive_term=~dead & (g_grid > 0.0),
+        first=np.searchsorted(grid, times, side="left"),
+        g_dead=np.where(weighed, g_dead, np.inf),
+        g_grid=np.where(g_grid > 0.0, g_grid, np.inf),
         undefined=bool(np.any(needy & ~covered)),
     )
+
+
+def _brier_sums(sums, values, weights: _BrierWeights, rows) -> np.ndarray:
+    """``sums`` plus the Brier terms on ``weights.grid`` of the subjects
+    ``rows`` (a slice), whose curves read ``values`` there: S^2 / G(t_i-)
+    where subject i is dead, (1 - S)^2 / G(t) where it is alive. numpy sums
+    axis 0 row after row, so the sums carried in front of the terms give the
+    floats of one sum over every subject, however the subjects are cut."""
+    contrib = np.empty((len(values) + 1, values.shape[1]))
+    contrib[0] = sums
+    terms = contrib[1:]
+    np.square(values, out=terms)
+    np.divide(terms, weights.g_dead[rows, None], out=terms)
+    alive = np.square(1.0 - values)
+    np.divide(alive, weights.g_grid, out=alive)
+    np.copyto(terms, alive, where=np.arange(values.shape[1]) < weights.first[rows, None])
+    return contrib.sum(axis=0)
 
 
 def integrated_brier_score(
@@ -262,7 +276,9 @@ def integrated_brier_score(
     not depend on ``curves``, built once by ``_brier_weights`` with the same
     ``ds``, ``g_train``, ``grid_size`` and ``t_max`` (``ValueError``
     otherwise) and shared by the models scored on one test set; the score is
-    the same float with them or without.
+    the same float with them or without. ``curves`` may be a scoring
+    summary of ``ds`` (:class:`_Summary`) that summed its terms with these
+    ``weights``.
     """
     _check_count(len(curves), ds.n, "curves")
     grid_size = _at_least(grid_size, "grid_size", 1)
@@ -275,27 +291,98 @@ def integrated_brier_score(
         or weights.t_max != t_max
     ):
         raise ValueError("weights were built for another dataset, censoring fit, grid or horizon")
+    summary = _summary_of(curves, ds)
+    if summary is not None and summary.weights is not weights:
+        raise ValueError("the summary summed its Brier terms with other weights")
     if weights.grid is None:
         return brier_score_at(curves, ds, weights.horizon, g_train)
-    batch = CurveBatch.from_curves(curves)
+    batch = None if summary is not None else CurveBatch.from_curves(curves)
     if weights.undefined:
         raise UndefinedMetricError("all subjects lost their censoring weight")
     grid = weights.grid
-    sums = np.zeros(grid.size)
-    for rows in _row_blocks(ds.n, grid.size, _IBS_CELLS):
-        s_block = batch._grid_values(grid, rows)  # subjects x grid
-        # numpy sums axis 0 row after row, so the sums carried in front of a
-        # block's terms give the floats of one sum over every subject
-        contrib = np.zeros((len(s_block) + 1, grid.size))
-        contrib[0] = sums
-        terms = contrib[1:]
-        np.divide(s_block**2, weights.g_dead[rows, None], out=terms, where=weights.dead_term[rows])
-        np.divide((1.0 - s_block) ** 2, weights.g_grid, out=terms, where=weights.alive_term[rows])
-        sums = contrib.sum(axis=0)
+    if summary is not None:
+        sums = summary.ibs_sums
+    else:
+        sums = np.zeros(grid.size)
+        for rows in _row_blocks(ds.n, grid.size, _IBS_CELLS):
+            sums = _brier_sums(sums, batch._grid_values(grid, rows), weights, rows)
     scores = sums / ds.n
     steps = np.diff(weights.grid)
     area = float(np.sum((scores[:-1] + scores[1:]) / 2.0 * steps))
     return area / weights.horizon
+
+
+class _Summary:
+    """What the scoring path reads of the curves of the subjects of ``ds``,
+    one entry per subject, so that no metric needs the curves themselves:
+
+    * ``predictions``, their predicted times by ``method``
+      (:class:`~survmae.mae._Extraction`);
+    * ``s_star``, S(``t_star``), unless ``t_star`` is None;
+    * ``at_times``, S(T_i) at each subject's time T_i, and the mass and
+      width of the piece of its curve that holds T_i
+      (:meth:`CurveBatch.value_and_piece`);
+    * ``ibs_sums``, the column sums of the integrated Brier score's terms
+      with ``weights`` (built by ``_brier_weights`` for ``ds`` on a grid of
+      several points), unless ``weights`` is None or its score undefined.
+
+    :meth:`add` takes the curves of the next subjects, in subject order,
+    and sums their Brier terms in blocks of about ``_IBS_CELLS`` grid cells.
+    Every entry is a function of one curve and the Brier sums are carried in
+    front of each block, so any cut of the subjects into batches and blocks
+    gives the same floats. The curve metrics take a summary of every subject
+    in place of the curves.
+    """
+
+    def __init__(self, ds: SurvivalDataset, method: str, t_star, weights):
+        if weights is not None and weights.grid is None:
+            raise ValueError("a summary sums the Brier terms of a grid of several points")
+        self.ds, self.t_star, self.weights = ds, t_star, weights
+        self.predictions = _Extraction(ds.n, method)
+        self.s_star = None if t_star is None else np.empty(ds.n)
+        self.at_times = np.empty((3, ds.n))
+        keep = weights is not None and not weights.undefined
+        self.ibs_sums = np.zeros(weights.grid.size) if keep else None
+
+    def __len__(self) -> int:
+        """The subjects added so far."""
+        return self.predictions.count
+
+    def add(self, batch: CurveBatch) -> None:
+        """Add the curves of the next ``len(batch)`` subjects."""
+        start, stop = len(self), len(self) + len(batch)
+        if stop > self.ds.n:
+            raise ValueError(f"got {stop} curves for {self.ds.n} subjects")
+        self.predictions.add(batch)
+        if self.s_star is not None:
+            self.s_star[start:stop] = batch.value(self.t_star)
+        self.at_times[:, start:stop] = batch.value_and_piece(self.ds.times[start:stop])
+        if self.ibs_sums is not None:
+            grid = self.weights.grid
+            for rows in _row_blocks(len(batch), grid.size, _IBS_CELLS):
+                at = slice(start + rows.start, start + rows.stop)
+                values = batch._grid_values(grid, rows)
+                self.ibs_sums = _brier_sums(self.ibs_sums, values, self.weights, at)
+
+
+def _summary_of(curves, ds):
+    """``curves`` if it is a :class:`_Summary`, which must be of ``ds``
+    (``ValueError`` otherwise), or None."""
+    if not isinstance(curves, _Summary):
+        return None
+    if curves.ds is not ds:
+        raise ValueError("the summary was made for another dataset")
+    return curves
+
+
+def _at_times(curves, ds: SurvivalDataset):
+    """S(T_i) at each subject's time T_i in ``ds``, and the mass and width
+    of the piece of its curve that holds T_i: read off a summary of ``ds``,
+    or looked up in ``curves``."""
+    summary = _summary_of(curves, ds)
+    if summary is not None:
+        return summary.at_times
+    return CurveBatch.from_curves(curves).value_and_piece(ds.times)
 
 
 def log_likelihood(curves, ds: SurvivalDataset) -> float:
@@ -308,7 +395,7 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
     :class:`DegenerateScoreWarning`.
     """
     _check_count(len(curves), ds.n, "curves")
-    surv, mass, width = CurveBatch.from_curves(curves).value_and_piece(ds.times)
+    surv, mass, width = _at_times(curves, ds)
     usable = np.where(ds.events, mass > 0.0, surv > 0.0)
     contributions = np.full(ds.n, -np.inf)
     contributions[usable] = np.log(np.where(ds.events, mass / width, surv)[usable])
@@ -436,7 +523,13 @@ def one_calibration(
     _check_count(len(curves), ds.n, "curves")
     _check_t_star(t_star)
     n_bins = _at_least(n_bins, "n_bins", 2, BinningError)
-    s_star = CurveBatch.from_curves(curves).value(t_star)
+    summary = _summary_of(curves, ds)
+    if summary is None:
+        s_star = CurveBatch.from_curves(curves).value(t_star)
+    elif summary.t_star != t_star:
+        raise ValueError(f"the summary holds S at t_star={summary.t_star}, not {t_star}")
+    else:
+        s_star = summary.s_star
     if ds.n < n_bins:
         raise BinningError(f"cannot fill {n_bins} bins with {ds.n} subjects")
     order = np.argsort(s_star, kind="stable")
@@ -493,19 +586,25 @@ def d_calibration(curves, ds: SurvivalDataset, n_bins: int = 10) -> CalibrationR
     _check_count(len(curves), ds.n, "curves")
     n_bins = _at_least(n_bins, "n_bins", 2, BinningError)
     width = 1.0 / n_bins
-    p = CurveBatch.from_curves(curves).value(ds.times)
-    top = np.minimum((p * n_bins).astype(int), n_bins - 1)
-    rows = np.arange(ds.n)
-    # one row of bin masses per subject
-    mass = np.zeros((ds.n, n_bins))
-    whole = ds.events | (p <= 0.0)
-    mass[rows[whole], top[whole]] = 1.0  # p = 0 lies in the lowest bin
-    spread = ~whole
-    p_s, top_s = p[spread, None], top[spread, None]
-    mass[spread] = np.where(np.arange(n_bins) < top_s, width / p_s, 0.0)
-    mass[rows[spread], top[spread]] = ((p_s - top_s * width) / p_s)[:, 0]
-    # added up in subject order, as one subject at a time would
-    masses = mass.sum(axis=0)
+    p_all = _at_times(curves, ds)[0]
+    masses = np.zeros(n_bins)
+    for block in _row_blocks(ds.n, n_bins, _IBS_CELLS):
+        p = p_all[block]
+        whole = ds.events[block] | (p <= 0.0)
+        top = np.minimum((p * n_bins).astype(int), n_bins - 1)
+        rows = np.arange(p.size)
+        # one row of bin masses per subject, after the masses so far: numpy
+        # sums axis 0 row after row, so they add up in subject order, as one
+        # subject at a time would, however the blocks cut the subjects
+        carried = np.zeros((p.size + 1, n_bins))
+        carried[0] = masses
+        mass = carried[1:]
+        mass[rows[whole], top[whole]] = 1.0  # p = 0 lies in the lowest bin
+        spread = ~whole
+        p_s, top_s = p[spread, None], top[spread, None]
+        mass[spread] = np.where(np.arange(n_bins) < top_s, width / p_s, 0.0)
+        mass[rows[spread], top[spread]] = ((p_s - top_s * width) / p_s)[:, 0]
+        masses = carried.sum(axis=0)
     expected = ds.n / n_bins
     statistic = float(np.sum((masses - expected) ** 2 / expected))
     p_value = _chi2_sf(statistic, n_bins - 1)

@@ -32,6 +32,7 @@ from survmae import (
     DataFormatError,
     SurvivalDataset,
     core,
+    evaluate_dataset,
     load_curve_file,
     load_dataset,
     save_curve_file,
@@ -309,6 +310,9 @@ CURVE_CASES = {
     "negative-index": "t,1,2\n-3,0.9,0.5\n",
     "underscore-index": "t,1,2\n1_0,0.9,0.5\n",
     "float-index": "t,1,2\n1.0,0.9,0.5\n",
+    "negative-index-after-a-row": "t,1,2\n0,0.9,0.5\n-1,0.7,0.4\n1,0.8,0.4\n",
+    "float-index-after-a-row": "t,1,2\n0,0.9,0.5\n2.0,0.7,0.3\n",
+    "negative-index-after-rule-break": "t,1,2\n0,0.5,0.9\n-1,0.8,0.4\n",
     "index-above-int64": f"t,1,2\n{2**63},0.9,0.5\n{2**64 + 5},0.8,0.1\n",
     "comment-line": "t,1,2\n#0,0.9,0.5\n",
     "trailing-comma": "t,1,2\n0,0.9,0.5,\n",
@@ -335,6 +339,47 @@ CURVE_CASES = {
 @pytest.mark.parametrize("text", CURVE_CASES.values(), ids=CURVE_CASES.keys())
 def test_load_curve_file_fixed_cases(tmp_path, text):
     assert_same_as_line_reader(load_curve_file, write(tmp_path, text))
+
+
+# a subject index is a nonnegative integer: a negative or non-integer index
+# is a fault of its line, named as a duplicate is, in the order of the lines
+INDEX_FAULTS = {
+    "negative": (
+        "t,1,2\n0,0.9,0.5\n-1,0.7,0.4\n1,0.8,0.4\n",
+        "line 3: subject index must be >= 0, got -1",
+    ),
+    "float": (
+        "t,1,2\n0,0.9,0.5\n1,0.8,0.4\n2.0,0.7,0.3\n",
+        "line 4: subject index must be an integer, got '2.0'",
+    ),
+    "exponent": ("t,1,2\n1e0,0.9,0.5\n", "line 2: subject index must be an integer, got '1e0'"),
+    "word": ("t,1,2\nx,0.9,0.5\n", "line 2: non-numeric field"),
+    "rule-break-first": ("t,1,2\n0,0.5,0.9\n-1,0.8,0.4\n", "line 2: values must be non-increasing"),
+    "negative-row-not-checked": (
+        "t,1,2\n-1,0.5,0.9\n0,0.5,0.9\n",
+        "line 2: subject index must be >= 0, got -1",
+    ),
+    "negative-before-a-parse-fault": (
+        "t,1,2\n0,0.9,0.5\n-2,0.8,0.4\n1.5,0.7,0.3\n",
+        "line 3: subject index must be >= 0, got -2",
+    ),
+    "duplicate-before-a-negative": (
+        "t,1,2\n0,0.9,0.5\n0,0.8,0.4\n-1,0.7,0.3\n",
+        "line 3: duplicate subject index 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", INDEX_FAULTS.values(), ids=INDEX_FAULTS.keys())
+def test_a_subject_index_is_a_nonnegative_integer(tmp_path, text, message):
+    path = write(tmp_path, text)
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0], [True, False, True])
+    # the held reader, then the reader that streams its rows into the scores
+    for read in (load_curve_file, lambda path: evaluate_dataset(ds, path)):
+        for reader in (contextlib.nullcontext, slow):
+            with reader(), pytest.raises(DataFormatError) as caught:
+                read(path)
+            assert str(caught.value) == message
 
 
 def test_index_above_int64_keeps_python_ints(tmp_path):
@@ -1118,6 +1163,15 @@ def test_save_curve_file_equals_the_csv_writer(tmp_path, width, n, data):
     grid = data.draw(st.lists(FINITE, min_size=width, max_size=width))
     rows = data.draw(st.lists(st.lists(FINITE, min_size=width, max_size=width), min_size=n, max_size=n))
     indices = data.draw(st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n))
+    if any(i < 0 for i in indices):
+        # a negative index is refused before the file is opened; its
+        # magnitude is written instead
+        refused = tmp_path / "negative.csv"
+        refused.unlink(missing_ok=True)
+        with pytest.raises(ValueError, match="^subject index must be >= 0, got -"):
+            save_curve_file(refused, grid, np.array(rows, dtype=float).reshape(n, width), indices)
+        assert not refused.exists()
+        indices = [abs(i) for i in indices]
     if data.draw(st.booleans()):  # whole numbers held as floats are written as ints
         indices = np.array([i % 2**53 for i in indices], dtype=float)
     values = np.array(rows, dtype=float).reshape(n, width)
@@ -1202,7 +1256,8 @@ def test_save_curve_file_over_several_blocks_equals_the_csv_writer(tmp_path):
     grid = np.linspace(0.0, 30.0, 101)
     n = 3 * (core._BLOCK_CELLS // 102) + 7
     values = edge_floats(rng, n * 101).reshape(n, 101)
-    indices = [int(i) for i in rng.integers(-(2**62), 2**62, n)]
+    # subject indices are nonnegative: the writer refuses a negative one
+    indices = [abs(int(i)) for i in rng.integers(-(2**62), 2**62, n)]
     indices[::50] = [2**70 + i for i in range(len(indices[::50]))]
     save_curve_file(tmp_path / "columns.csv", grid, values, indices=indices)
     oracle_save_curve_file(tmp_path / "rows.csv", grid, values, indices)
@@ -1275,8 +1330,13 @@ def test_load_curve_file_memory_is_bounded_by_its_table(tmp_path):
         ([1.0, 2.0], np.full((2, 3), 0.5), None, r"shape \(2, 3\), expected \(rows, 2\)"),
         ([1.0, 2.0], np.full((2, 2, 1), 0.5), None, r"shape \(2, 2, 1\)"),
         ([[1.0, 2.0]], np.full((2, 2), 0.5), None, "grid must be 1-d, got 2 dimensions"),
+        ([1.0, 2.0], np.full((2, 2), 0.5), [0, -1], "subject index must be >= 0, got -1"),
+        ([1.0, 2.0], np.full((2, 2), 0.5), np.array([-3.0, 1.0]), "subject index must be >= 0, got -3"),
     ],
-    ids=["short-indices", "long-indices", "1-d-values", "wide-values", "3-d-values", "2-d-grid"],
+    ids=[
+        "short-indices", "long-indices", "1-d-values", "wide-values", "3-d-values", "2-d-grid",
+        "negative-index", "negative-float-index",
+    ],
 )
 def test_save_curve_file_refuses_rows_that_do_not_match(tmp_path, grid, rows, indices, message):
     path = tmp_path / "curves.csv"

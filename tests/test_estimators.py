@@ -484,6 +484,39 @@ def test_fits_take_any_integer_budget_and_no_tol(fit):
         fit(ds, tol=1e-8)
 
 
+@pytest.mark.parametrize("max_iter", [100, 2])
+@pytest.mark.parametrize(
+    "fit, derivatives", [(coxph_fit, "_cox_derivatives"), (weibull_aft_fit, "_weibull_derivatives")]
+)
+def test_a_fit_computes_one_hessian_per_step_taken(monkeypatch, fit, derivatives, max_iter):
+    # the derivatives are taken at the start and at every accepted iterate;
+    # the Hessian only where a step is taken from there, so not at the last
+    real = getattr(estimators, derivatives)
+    passes, hessians = [], []
+
+    def counting(*args):
+        grad, hessian = real(*args)
+        passes.append(grad)
+
+        def counted():
+            hessians.append(grad)
+            return hessian()
+
+        return grad, counted
+
+    ds = two_feature_data()
+    want = fit(ds) if max_iter == 100 else None
+    monkeypatch.setattr(estimators, derivatives, counting)
+    try:
+        got = fit(ds, max_iter=max_iter)
+    except ConvergenceError:
+        assert max_iter == 2
+        assert len(passes) == 3
+    else:
+        assert model_to_json(got) == model_to_json(want)
+    assert len(passes) >= 3 and len(hessians) == len(passes) - 1
+
+
 def test_weibull_needs_events():
     ds = SurvivalDataset.from_arrays([1.0, 2.0], [False, False])
     with pytest.raises(InsufficientEventsError):
