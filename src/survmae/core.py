@@ -375,13 +375,19 @@ def _knots_pass(knots) -> bool:
     )
 
 
+def _one_row(values) -> bool:
+    """Whether the rows of ``values`` are one broadcast row: rows of stride
+    0, which numpy may also give an array of no rows."""
+    return values.shape[0] > 0 and values.strides[0] == 0
+
+
 def _batch_passes(knots, values) -> bool:
     """Whether every row of an unpadded batch keeps every :class:`StepCurve`
     rule, in one pass: its knots pass :func:`_knots_pass`, and its values
     lie in [0, 1] (so all are finite) and rise nowhere by more than 1e-12.
     The values are differenced in blocks of rows (``_row_blocks``), so the
     check builds no temporary as large as the batch."""
-    if values.strides[0] == 0:
+    if _one_row(values):
         values = values[:1]
     return bool(
         _knots_pass(knots)
@@ -429,7 +435,7 @@ def _scan_bad_row(knots, values, real):
     that shared knots break is broken by every row. Rows whose values are one
     broadcast row are checked once."""
     n = values.shape[0]
-    if n and values.strides[0] == 0 and real is None:
+    if _one_row(values) and real is None:
         values = values[:1]
     pairs = None if real is None else real[:, 1:]
 
@@ -522,7 +528,7 @@ class CurveBatch:
         # knots, so a lookup is one gather at the knot count; one broadcast
         # row serves rows that share their values, and :meth:`_adopt` passes
         # a table to keep
-        if led is None and n and values.strides[0] == 0 and real is None:
+        if led is None and _one_row(values) and real is None:
             led = np.broadcast_to(np.concatenate(([1.0], values[0])), (n, width + 1))
         elif led is None:
             led = np.empty((n, width + 1))
@@ -631,7 +637,7 @@ class CurveBatch:
     @property
     def _shared(self) -> bool:
         """Whether every row reads one broadcast row of values."""
-        return self._led is not None and self._led.strides[0] == 0
+        return self._led is not None and _one_row(self._led)
 
     @property
     def t_last(self) -> np.ndarray:
@@ -699,7 +705,7 @@ class CurveBatch:
             # after no knot every row reads 1, an infinite risk's too
             return np.where(counts == 0, 1.0, cells) if self._infinite else cells
         led = self._led
-        if led.strides[0] == 0:
+        if _one_row(led):
             return led[0].take(counts)
         rows = self._rows[rows] if counts.ndim == 1 else self._rows[rows, None]
         return led.ravel().take(counts + rows * led.shape[1])

@@ -323,15 +323,9 @@ class CurveTable(Mapping):
         return len(self._row)
 
     def select(self, subjects) -> CurveBatch:
-        """The batch of ``subjects``, in that order; all must be in the file.
-
-        Subjects that are the file's rows, in file order, give the loaded
-        batch itself, with no copy and no second check of its curves; any
-        other selection gives a new batch of copied rows.
-        """
+        """The batch of ``subjects``, in that order, a new batch of copied
+        rows; all must be in the file."""
         subjects = [int(i) for i in subjects]
-        if len(subjects) == len(self.batch) and subjects == list(self._row):
-            return self.batch
         missing = [i for i in subjects if i not in self._row]
         if missing:
             raise _uncovered(missing, len(missing), len(subjects))
@@ -398,7 +392,7 @@ class _Routed:
         self.n = summary.ds.n
         self.held = None  # the values led by ones of subjects start .. n - 1
         self.start = 0
-        self.filled = None
+        self.filled = self.grid = None  # the held rows read, and their knots
 
     def add(self, indices, batch):
         """Send the rows of ``batch``, subjects ``indices``, where they go."""
@@ -418,11 +412,12 @@ class _Routed:
             self.start = len(summary)
             self.held = np.empty((n - self.start, batch.knots.size + 1))
             self.filled = np.zeros(n - self.start, dtype=bool)
+            self.grid = batch.knots
         at = indices[rest].astype(np.intp) - self.start
         self.held[at] = batch._heights(rest, slice(None))
         self.filled[at] = True
 
-    def finish(self, grid) -> None:
+    def finish(self) -> None:
         """Add the held rows, once every subject has its row."""
         summary, n = self.summary, self.n
         if self.held is None:
@@ -432,10 +427,10 @@ class _Routed:
         missing = np.flatnonzero(~self.filled)
         if missing.size:
             raise _uncovered((missing[:5] + self.start).tolist(), missing.size, n)
-        summary.add(CurveBatch._adopt(grid, self.held))
+        summary.add(CurveBatch._adopt(self.grid, self.held))
 
 
-# cells per block of curve file rows that load_curve_file reads, checks and
+# cells per block of curve file rows that evaluate_dataset reads, checks and
 # adds to a summary at once. Over the 8 measured eval_file instances (1000
 # subjects x 100 grid times) on a 2-vCPU host, blocks of 2**14, 2**15 and
 # 2**16 cells peaked at 40.8, 40.9 and 41.3 MB resident after one pass,
@@ -444,30 +439,12 @@ class _Routed:
 _CURVE_BLOCK_CELLS = 1 << 15
 
 
-def load_curve_file(path, *, summary=None) -> CurveTable | None:
-    """Read a curve file: header ``t,<grid times>``, rows ``<index>,<values>``.
-
-    Returns a :class:`CurveTable` mapping subject index to curve on the shared
-    grid. The grid is checked as a row of knots first (a fault of line 1);
-    the curve rules are checked on all rows at once; every error names the
-    first bad line. A subject index is a nonnegative integer, given once.
-
-    With ``summary``, the scoring summary of a dataset's subjects
-    (``metrics._Summary``), the rows are read in blocks of about
-    ``_CURVE_BLOCK_CELLS`` cells instead, each checked and added to it, and
-    nothing is returned or held: rows in subject order go straight in, and
-    the rows from the first out of order on are held until every row is
-    read. The file must cover subjects ``0 .. n - 1`` of the dataset
-    (``ConfigurationError`` otherwise); rows of other subjects are checked
-    and dropped. The errors are those of the table, and come first.
-
-    The file is read once, as bytes, in chunks, so it may be a pipe, and is
-    read as :func:`~survmae.core.load_dataset` reads a CSV file: a leading
-    UTF-8 byte-order mark is dropped, the rows of a valid file are parsed
-    from the bytes, chunk by chunk, by orjson's exact number parser, and from
-    the first chunk that is not plain numbers the rest of the file is
-    decoded and parsed line by line.
-    """
+def _curve_blocks(path, cells=None):
+    """The rows of the curve file at ``path``, yielded as checked blocks
+    ``(indices, batch)`` of about ``cells`` cells each, or as one block
+    without ``cells``: the rules and errors of :func:`load_curve_file`.
+    Every block must be taken: the line reader's error, if it met one, is
+    raised after the last."""
     path = Path(path)
     with path.open("rb") as fh:
         header, start, head, text = _split_csv(fh, path)
@@ -500,19 +477,30 @@ def load_curve_file(path, *, summary=None) -> CurveTable | None:
             return idx, values
 
         width = grid.size + 1
-        rows = None if summary is None else _block_rows(width, _CURVE_BLOCK_CELLS)
+        rows = None if cells is None else _block_rows(width, cells)
         subjects = _Subjects()
-        routed = None if summary is None else _Routed(summary)
         for indices, table, lines in _read_rows(fh, head, text, start, width, parse, True, rows):
-            batch = _checked_rows(grid, indices, table, lines, subjects)
-            if routed is None:
-                curves = CurveTable(indices.tolist(), batch)
-            else:
-                routed.add(indices, batch)
-    if routed is None:
-        return curves
-    routed.finish(grid)
-    return None
+            yield indices, _checked_rows(grid, indices, table, lines, subjects)
+
+
+def load_curve_file(path) -> CurveTable:
+    """Read a curve file: header ``t,<grid times>``, rows ``<index>,<values>``.
+
+    Returns a :class:`CurveTable` mapping subject index to curve on the shared
+    grid. The grid is checked as a row of knots first (a fault of line 1);
+    the curve rules are checked on all rows at once; every error names the
+    first bad line. A subject index is a nonnegative integer, given once.
+
+    The file is read once, as bytes, in chunks, so it may be a pipe, and is
+    read as :func:`~survmae.core.load_dataset` reads a CSV file: a leading
+    UTF-8 byte-order mark is dropped, the rows of a valid file are parsed
+    from the bytes, chunk by chunk, by orjson's exact number parser, and from
+    the first chunk that is not plain numbers the rest of the file is
+    decoded and parsed line by line.
+    """
+    for indices, batch in _curve_blocks(path):
+        curves = CurveTable(indices.tolist(), batch)
+    return curves
 
 
 def save_curve_file(path, grid, value_rows, indices=None) -> None:
@@ -714,11 +702,6 @@ def _reference(train, test, t_max) -> _Reference:
     return _Reference(test, g, t_star, t_max, surrogates, ibs_weights)
 
 
-def _summary(ref: _Reference, pred_method: str) -> _Summary:
-    """An empty summary of curves on ``ref.test``: what every metric reads."""
-    return _Summary(ref.test, pred_method, ref.t_star, ref.ibs_weights)
-
-
 def _score(summary: _Summary, ref: _Reference) -> dict:
     """Every metric of the curves of ``summary`` on ``ref.test``; None where
     undefined."""
@@ -738,10 +721,12 @@ def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -
     """Score one set of per-subject curves on one dataset, no folds.
 
     ``curves`` is a :class:`CurveBatch`, a sequence of ``StepCurve`` or the
-    path (``os.PathLike``) of a curve file that covers the dataset's
-    subjects, which is read by :func:`load_curve_file` in blocks of rows,
-    each added to the scores' summary and dropped, so that its table is
-    never held. Reference quantities (KM curve, censoring KM, calibration
+    path (``os.PathLike``) of a curve file, read by the rules of
+    :func:`load_curve_file` in blocks of rows that go into the scores'
+    summary as :class:`_Routed` sends them, so that its table is never held
+    while the rows are in subject order; it must cover the dataset's
+    subjects (``ConfigurationError`` otherwise, after the file's own
+    errors). Reference quantities (KM curve, censoring KM, calibration
     horizon) come from the dataset itself. Returns a metric-name to score
     map with None for undefined entries; ``true_mae`` appears only when
     ground truth is present. A wrong curve count or ``pred_method`` raises
@@ -753,9 +738,12 @@ def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -
     _check_pred_method(pred_method)
     batch = None if from_file else CurveBatch.from_curves(curves)
     ref = _reference(ds, ds, None)
-    summary = _summary(ref, pred_method)
+    summary = _Summary(ds, pred_method, ref.t_star, ref.ibs_weights)
     if batch is None:
-        load_curve_file(curves, summary=summary)
+        routed = _Routed(summary)
+        for indices, block in _curve_blocks(curves, _CURVE_BLOCK_CELLS):
+            routed.add(indices, block)
+        routed.finish()
     else:
         summary.add(batch)
     scores = _score(summary, ref)
@@ -814,7 +802,7 @@ def run_experiment(
             child_seed = int(np.random.SeedSequence((seed, f, m_idx)).generate_state(1)[0])
             curves = _attempt(curves_of, train, test, test_idx, child_seed)
             if curves is not None:
-                summary = _summary(ref, pred_method)
+                summary = _Summary(test, pred_method, ref.t_star, ref.ibs_weights)
                 summary.add(curves)
                 for met, score in _score(summary, ref).items():
                     per_fold[name][met][f] = score

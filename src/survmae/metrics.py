@@ -3,8 +3,10 @@
 These complement the MAE family: the concordance index measures ranking only,
 Brier scores measure probability accuracy at fixed horizons, and the two
 calibration tests check predicted probabilities against observed frequencies.
-The curve metrics take a :class:`~survmae.core.CurveBatch` or a sequence of
-``StepCurve`` (converted once on entry).
+The curve metrics take a :class:`~survmae.core.CurveBatch`, a sequence of
+``StepCurve`` or their scoring summary (:class:`_Summary`), and read only the
+summary: curves they are given they summarize once, through the same
+:meth:`_Summary.add` that the harness feeds block by block.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ __all__ = [
 # 2-vCPU host, half the subjects events, best of 5 per call: dense 181 us
 # against merge 198 us at n=450, 214 us against 203 us at n=500.
 _DENSE_MAX = 480
-# cells (subjects x grid points) per block of subjects that
-# integrated_brier_score scores at once. With shared weights and the sizes
+# cells (subjects x grid points) per block of subjects whose integrated
+# Brier score terms _Summary.add sums at once. With shared weights and the sizes
 # timed in turn, 400 subjects on a 100-point grid (a test fold of the
 # criterion-6 experiment) took 379 us on a shared grid and 1437 us on
 # noisy-oracle knots in blocks of 2**14 cells, against 721 and 1785 us as one
@@ -157,7 +159,7 @@ def brier_score_at(
     """
     _check_count(len(curves), ds.n, "curves")
     _check_t_star(t_star)
-    s_star = CurveBatch.from_curves(curves).value(t_star)
+    s_star = _summary_of(curves, ds, t_star=t_star).s_star
     dead = (ds.times <= t_star) & ds.events
     alive = ds.times > t_star
     g_dead = g_train.curve.value_before(ds.times)
@@ -291,22 +293,13 @@ def integrated_brier_score(
         or weights.t_max != t_max
     ):
         raise ValueError("weights were built for another dataset, censoring fit, grid or horizon")
-    summary = _summary_of(curves, ds)
-    if summary is not None and summary.weights is not weights:
-        raise ValueError("the summary summed its Brier terms with other weights")
-    if weights.grid is None:
+    # a summary holds no one-point grid's sums: _summary_of refuses it
+    if weights.grid is None and not isinstance(curves, _Summary):
         return brier_score_at(curves, ds, weights.horizon, g_train)
-    batch = None if summary is not None else CurveBatch.from_curves(curves)
+    summary = _summary_of(curves, ds, weights=weights)
     if weights.undefined:
         raise UndefinedMetricError("all subjects lost their censoring weight")
-    grid = weights.grid
-    if summary is not None:
-        sums = summary.ibs_sums
-    else:
-        sums = np.zeros(grid.size)
-        for rows in _row_blocks(ds.n, grid.size, _IBS_CELLS):
-            sums = _brier_sums(sums, batch._grid_values(grid, rows), weights, rows)
-    scores = sums / ds.n
+    scores = summary.ibs_sums / ds.n
     steps = np.diff(weights.grid)
     area = float(np.sum((scores[:-1] + scores[1:]) / 2.0 * steps))
     return area / weights.horizon
@@ -317,7 +310,7 @@ class _Summary:
     one entry per subject, so that no metric needs the curves themselves:
 
     * ``predictions``, their predicted times by ``method``
-      (:class:`~survmae.mae._Extraction`);
+      (:class:`~survmae.mae._Extraction`), unless ``method`` is None;
     * ``s_star``, S(``t_star``), unless ``t_star`` is None;
     * ``at_times``, S(T_i) at each subject's time T_i, and the mass and
       width of the piece of its curve that holds T_i
@@ -330,15 +323,17 @@ class _Summary:
     and sums their Brier terms in blocks of about ``_IBS_CELLS`` grid cells.
     Every entry is a function of one curve and the Brier sums are carried in
     front of each block, so any cut of the subjects into batches and blocks
-    gives the same floats. The curve metrics take a summary of every subject
-    in place of the curves.
+    gives the same floats. The curve metrics read nothing else of the
+    curves: they take a summary of every subject, or summarize the curves
+    they are given (:func:`_summary_of`).
     """
 
     def __init__(self, ds: SurvivalDataset, method: str, t_star, weights):
         if weights is not None and weights.grid is None:
             raise ValueError("a summary sums the Brier terms of a grid of several points")
         self.ds, self.t_star, self.weights = ds, t_star, weights
-        self.predictions = _Extraction(ds.n, method)
+        self.count = 0
+        self.predictions = None if method is None else _Extraction(ds.n, method)
         self.s_star = None if t_star is None else np.empty(ds.n)
         self.at_times = np.empty((3, ds.n))
         keep = weights is not None and not weights.undefined
@@ -346,14 +341,16 @@ class _Summary:
 
     def __len__(self) -> int:
         """The subjects added so far."""
-        return self.predictions.count
+        return self.count
 
     def add(self, batch: CurveBatch) -> None:
         """Add the curves of the next ``len(batch)`` subjects."""
-        start, stop = len(self), len(self) + len(batch)
+        start, stop = self.count, self.count + len(batch)
         if stop > self.ds.n:
             raise ValueError(f"got {stop} curves for {self.ds.n} subjects")
-        self.predictions.add(batch)
+        self.count = stop
+        if self.predictions is not None:
+            self.predictions.add(batch)
         if self.s_star is not None:
             self.s_star[start:stop] = batch.value(self.t_star)
         self.at_times[:, start:stop] = batch.value_and_piece(self.ds.times[start:stop])
@@ -365,24 +362,21 @@ class _Summary:
                 self.ibs_sums = _brier_sums(self.ibs_sums, values, self.weights, at)
 
 
-def _summary_of(curves, ds):
-    """``curves`` if it is a :class:`_Summary`, which must be of ``ds``
-    (``ValueError`` otherwise), or None."""
+def _summary_of(curves, ds, t_star=None, weights=None) -> _Summary:
+    """``curves`` if it is a :class:`_Summary`, which must be of ``ds`` and
+    of ``t_star`` and ``weights`` where given (``ValueError`` otherwise), or
+    else the summary of these curves, with no predicted times."""
     if not isinstance(curves, _Summary):
-        return None
+        summary = _Summary(ds, None, t_star, weights)
+        summary.add(CurveBatch.from_curves(curves))
+        return summary
     if curves.ds is not ds:
         raise ValueError("the summary was made for another dataset")
+    if t_star is not None and curves.t_star != t_star:
+        raise ValueError(f"the summary holds S at t_star={curves.t_star}, not {t_star}")
+    if weights is not None and curves.weights is not weights:
+        raise ValueError("the summary summed its Brier terms with other weights")
     return curves
-
-
-def _at_times(curves, ds: SurvivalDataset):
-    """S(T_i) at each subject's time T_i in ``ds``, and the mass and width
-    of the piece of its curve that holds T_i: read off a summary of ``ds``,
-    or looked up in ``curves``."""
-    summary = _summary_of(curves, ds)
-    if summary is not None:
-        return summary.at_times
-    return CurveBatch.from_curves(curves).value_and_piece(ds.times)
 
 
 def log_likelihood(curves, ds: SurvivalDataset) -> float:
@@ -395,7 +389,7 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
     :class:`DegenerateScoreWarning`.
     """
     _check_count(len(curves), ds.n, "curves")
-    surv, mass, width = _at_times(curves, ds)
+    surv, mass, width = _summary_of(curves, ds).at_times
     usable = np.where(ds.events, mass > 0.0, surv > 0.0)
     contributions = np.full(ds.n, -np.inf)
     contributions[usable] = np.log(np.where(ds.events, mass / width, surv)[usable])
@@ -523,13 +517,7 @@ def one_calibration(
     _check_count(len(curves), ds.n, "curves")
     _check_t_star(t_star)
     n_bins = _at_least(n_bins, "n_bins", 2, BinningError)
-    summary = _summary_of(curves, ds)
-    if summary is None:
-        s_star = CurveBatch.from_curves(curves).value(t_star)
-    elif summary.t_star != t_star:
-        raise ValueError(f"the summary holds S at t_star={summary.t_star}, not {t_star}")
-    else:
-        s_star = summary.s_star
+    s_star = _summary_of(curves, ds, t_star=t_star).s_star
     if ds.n < n_bins:
         raise BinningError(f"cannot fill {n_bins} bins with {ds.n} subjects")
     order = np.argsort(s_star, kind="stable")
@@ -586,7 +574,7 @@ def d_calibration(curves, ds: SurvivalDataset, n_bins: int = 10) -> CalibrationR
     _check_count(len(curves), ds.n, "curves")
     n_bins = _at_least(n_bins, "n_bins", 2, BinningError)
     width = 1.0 / n_bins
-    p_all = _at_times(curves, ds)[0]
+    p_all = _summary_of(curves, ds).at_times[0]
     masses = np.zeros(n_bins)
     for block in _row_blocks(ds.n, n_bins, _IBS_CELLS):
         p = p_all[block]

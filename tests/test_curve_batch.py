@@ -337,21 +337,11 @@ def curve_checks(table, subjects):
     return picked, check.call_count
 
 
-def test_selecting_the_file_order_returns_the_loaded_batch(tmp_path):
-    path = tmp_path / "curves.csv"
-    path.write_text("t,1,2\n0,0.9,0.5\n1,0.8,0.1\n2,0.7,0.2\n")
-    table = load_curve_file(path)
-    picked, checks = curve_checks(table, range(3))
-    assert picked is table.batch and checks == 0
-    assert_array_equal(picked.values, [[0.9, 0.5], [0.8, 0.1], [0.7, 0.2]])
-    assert_array_equal(picked.knots, [1.0, 2.0])
-
-
 @pytest.mark.parametrize(
-    "subjects", [[2, 0, 1], [0, 1], [1, 2], [0, 1, 2, 2], [0, 0, 1]],
-    ids=["permuted", "partial", "tail", "repeated", "repeated-first"],
+    "subjects", [[0, 1, 2], [2, 0, 1], [0, 1], [1, 2], [0, 1, 2, 2], [0, 0, 1]],
+    ids=["file-order", "permuted", "partial", "tail", "repeated", "repeated-first"],
 )
-def test_any_other_selection_is_a_fresh_checked_batch(tmp_path, subjects):
+def test_every_selection_is_a_fresh_checked_batch(tmp_path, subjects):
     path = tmp_path / "curves.csv"
     path.write_text("t,1,2\n0,0.9,0.5\n1,0.8,0.1\n2,0.7,0.2\n")
     table = load_curve_file(path)
@@ -388,6 +378,28 @@ def test_a_table_with_repeated_indices_never_hands_out_its_batch():
 
 
 # -------------------------------------------------------------- structure
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        CurveBatch(knots=[1.0, 2.0], values=np.empty((0, 2))),
+        CurveBatch(knots=[1.0, 2.0], values=[[0.9, 0.5], [0.8, 0.1]]).take([]),
+        CurveBatch(knots=[[1.0, 2.0], [1.0, 3.0]], values=[[0.9, 0.5], [0.8, 0.1]]).take([]),
+        CurveBatch.from_curves([StepCurve([1.0, 2.0], [0.9, 0.5]), StepCurve([3.0], [0.4])]).take([]),
+        CurveBatch.broadcast(StepCurve([1.0, 2.0], [0.8, 0.3]), 3).take([]),
+        CurveBatch(knots=[1.0, 2.0], hazard=[0.1, 0.2], risks=[1.0, 2.0]).take([]),
+        CurveTable([0, 1], CurveBatch(knots=[1.0, 2.0], values=[[0.9, 0.5], [0.8, 0.1]])).select([]),
+    ],
+    ids=["shared", "shared-take", "per-row", "ragged", "broadcast", "hazard", "selected"],
+)
+def test_an_empty_batch_answers_every_lookup_with_no_rows(batch):
+    # numpy may give an array of no rows stride 0, which is no broadcast row
+    assert len(batch) == 0
+    assert batch.v_last.shape == batch.value(1.5).shape == (0,)
+    assert batch.value_on([0.5, 1.5]).shape == (0, 2)
+    assert [part.shape for part in batch.value_and_piece(np.empty(0))] == [(0,)] * 3
+    assert batch.mean_times().shape == batch.median_times().shape == (0,)
 
 
 def test_batch_row_is_the_step_curve():

@@ -4,8 +4,8 @@
 with the mass and width of the piece that holds T_i, and the integrated
 Brier score's column sums. It is built block by block of rows, and ``survmae
 eval`` streams its curve file into it without holding the file's table. It
-must equal, bit for bit, the whole batch's summary and the metrics of the
-batch itself, however its rows are cut; the streamed file must score as the
+must equal, bit for bit, the whole batch's summary and the per-``StepCurve``
+oracles of ``test_curve_batch``, however its rows are cut; the streamed file must score as the
 held one does, in any row order; and a fault must be named at the line where
 the held reader names it.
 """
@@ -32,6 +32,7 @@ from survmae import (
     DegenerateScoreWarning,
     StepCurve,
     SurvivalDataset,
+    brier_score_at,
     censoring_km_fit,
     core,
     d_calibration,
@@ -49,6 +50,13 @@ from survmae import (
 from survmae.cli import main
 from survmae.harness import _finite_or_none
 from survmae.metrics import _brier_weights, _Summary
+from test_curve_batch import (
+    oracle_brier,
+    oracle_d_calibration,
+    oracle_ibs,
+    oracle_log_likelihood,
+    oracle_one_calibration,
+)
 
 PROPERTY = settings(
     max_examples=200,
@@ -179,28 +187,60 @@ def test_a_summary_in_blocks_equals_the_whole_batch_summary(case, data):
         assert outcome(d_calibration, batch, ds) == calibration
 
 
+def as_scores(got):
+    """An oracle calibration's ``(statistic, p_value, bin_table)`` as the
+    flat tuple that :func:`outcome` makes of a ``CalibrationResult``."""
+    statistic, p_value, table = got
+    return (statistic, p_value, *np.ravel(table))
+
+
 @PROPERTY
-@given(case=scored_batches())
-def test_every_metric_of_a_summary_is_the_metric_of_its_curves(case):
+@given(case=scored_batches(), data=st.data())
+def test_every_metric_of_a_summary_is_the_metric_of_its_curves(case, data):
+    # the per-StepCurve oracles of test_curve_batch, against the summary
+    # added in pieces and blocks, the batch and the batch's StepCurves
     ds, batch, t_star, weights, method = case
-    with mock.patch.object(metrics, "_IBS_CELLS", 2 * (1 if weights is None else weights.grid.size)):
-        summary = summary_of(ds, batch, method, t_star, weights)
-    for curves_or_summary in (batch, summary):
-        assert outcome(log_likelihood, curves_or_summary, ds) == outcome(log_likelihood, batch, ds)
-        assert outcome(d_calibration, curves_or_summary, ds) == outcome(d_calibration, batch, ds)
-    preds = summary.predictions
-    assert outcome(extract_predicted_times, preds, method) == outcome(
+    curves = [batch[i] for i in range(len(batch))]
+    g = censoring_km_fit(ds) if weights is None else weights.g_train
+    n_bins = data.draw(st.integers(2, 10))
+    pieces = data.draw(st.lists(st.integers(1, 9), max_size=5)) + [None]
+    cells = data.draw(st.integers(1, 12)) * (1 if weights is None else weights.grid.size)
+    with mock.patch.object(metrics, "_IBS_CELLS", cells):
+        summary = summary_of(ds, batch, method, t_star, weights, pieces)
+    # metric: (its score of the curves given, the oracle's score)
+    scores = {
+        "log_likelihood": (
+            lambda c: log_likelihood(c, ds),
+            outcome(oracle_log_likelihood, curves, ds),
+        ),
+        "d_calibration": (
+            lambda c: d_calibration(c, ds, n_bins),
+            outcome(lambda: as_scores(oracle_d_calibration(curves, ds, n_bins))),
+        ),
+    }
+    if t_star is not None:
+        scores["brier_score_at"] = (
+            lambda c: brier_score_at(c, ds, t_star, g),
+            outcome(oracle_brier, curves, ds, t_star, g),
+        )
+        if ds.n >= n_bins:
+            scores["one_calibration"] = (
+                lambda c: one_calibration(c, ds, t_star, n_bins),
+                outcome(lambda: as_scores(oracle_one_calibration(curves, ds, t_star, n_bins))),
+            )
+    if weights is not None:
+        scores["ibs"] = (
+            lambda c: integrated_brier_score(
+                c, ds, g, weights.grid_size, weights.t_max, weights=weights
+            ),
+            outcome(oracle_ibs, curves, ds, g, weights.grid_size, weights.horizon),
+        )
+    for given in (summary, batch, curves):
+        for name, (score, want) in scores.items():
+            assert outcome(score, given) == want, name
+    assert outcome(extract_predicted_times, summary.predictions, method) == outcome(
         extract_predicted_times, batch, method
     )
-    if t_star is not None:
-        assert outcome(one_calibration, summary, ds, t_star) == outcome(
-            one_calibration, batch, ds, t_star
-        )
-    if weights is not None:
-        args = (ds, weights.g_train, weights.grid_size, weights.t_max)
-        assert outcome(integrated_brier_score, summary, *args, weights=weights) == outcome(
-            integrated_brier_score, batch, *args
-        )
 
 
 def test_a_summary_answers_only_for_what_it_was_built_for():
