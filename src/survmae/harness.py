@@ -379,57 +379,6 @@ def _checked_rows(grid, indices, table, lines, subjects) -> CurveBatch:
     return batch
 
 
-class _Routed:
-    """Where the rows of a curve file go when they are added to a summary of
-    the dataset's ``n`` subjects: while the rows are subjects ``0, 1, ...``
-    in order, straight into the summary; from the first row of a subject
-    below ``n`` out of order on, into ``held``, at the rows of the subjects
-    not yet added, to be added in subject order once every row is read. Rows
-    of subjects ``n`` and above are dropped."""
-
-    def __init__(self, summary):
-        self.summary = summary
-        self.n = summary.ds.n
-        self.held = None  # the values led by ones of subjects start .. n - 1
-        self.start = 0
-        self.filled = self.grid = None  # the held rows read, and their knots
-
-    def add(self, indices, batch):
-        """Send the rows of ``batch``, subjects ``indices``, where they go."""
-        summary, n = self.summary, self.n
-        first = 0
-        if self.held is None:
-            done = len(summary)
-            ahead = min(len(indices), n - done)
-            off = np.flatnonzero(indices[:ahead] != np.arange(done, done + ahead))
-            first = int(off[0]) if off.size else ahead
-            if first:
-                summary.add(batch if first == len(batch) else batch.take(np.arange(first)))
-        rest = np.flatnonzero(indices[first:] < n) + first
-        if not rest.size:
-            return
-        if self.held is None:
-            self.start = len(summary)
-            self.held = np.empty((n - self.start, batch.knots.size + 1))
-            self.filled = np.zeros(n - self.start, dtype=bool)
-            self.grid = batch.knots
-        at = indices[rest].astype(np.intp) - self.start
-        self.held[at] = batch._heights(rest, slice(None))
-        self.filled[at] = True
-
-    def finish(self) -> None:
-        """Add the held rows, once every subject has its row."""
-        summary, n = self.summary, self.n
-        if self.held is None:
-            if len(summary) < n:
-                raise _uncovered(range(len(summary), n), n - len(summary), n)
-            return
-        missing = np.flatnonzero(~self.filled)
-        if missing.size:
-            raise _uncovered((missing[:5] + self.start).tolist(), missing.size, n)
-        summary.add(CurveBatch._adopt(self.grid, self.held))
-
-
 # cells per block of curve file rows that evaluate_dataset reads, checks and
 # adds to a summary at once. Over the 8 measured eval_file instances (1000
 # subjects x 100 grid times) on a 2-vCPU host, blocks of 2**14, 2**15 and
@@ -723,10 +672,11 @@ def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -
     ``curves`` is a :class:`CurveBatch`, a sequence of ``StepCurve`` or the
     path (``os.PathLike``) of a curve file, read by the rules of
     :func:`load_curve_file` in blocks of rows that go into the scores'
-    summary as :class:`_Routed` sends them, so that its table is never held
-    while the rows are in subject order; it must cover the dataset's
-    subjects (``ConfigurationError`` otherwise, after the file's own
-    errors). Reference quantities (KM curve, censoring KM, calibration
+    summary at their subjects as they are read, in any row order, so that
+    its table is never held; rows of subjects past the dataset's are
+    dropped, and the file must cover the dataset's subjects
+    (``ConfigurationError`` otherwise, after the file's own errors).
+    Reference quantities (KM curve, censoring KM, calibration
     horizon) come from the dataset itself. Returns a metric-name to score
     map with None for undefined entries; ``true_mae`` appears only when
     ground truth is present. A wrong curve count or ``pred_method`` raises
@@ -740,12 +690,14 @@ def evaluate_dataset(ds: SurvivalDataset, curves, pred_method: str = "median") -
     ref = _reference(ds, ds, None)
     summary = _Summary(ds, pred_method, ref.t_star, ref.ibs_weights)
     if batch is None:
-        routed = _Routed(summary)
         for indices, block in _curve_blocks(curves, _CURVE_BLOCK_CELLS):
-            routed.add(indices, block)
-        routed.finish()
+            ours = np.flatnonzero(indices < ds.n)
+            summary.add(block if ours.size == len(block) else block.take(ours), indices[ours])
+        missing = np.flatnonzero(~summary.seen)
+        if missing.size:
+            raise _uncovered(missing[:5].tolist(), missing.size, ds.n)
     else:
-        summary.add(batch)
+        summary.add(batch, slice(None))
     scores = _score(summary, ref)
     if ds.true_times is None:
         scores.pop("true_mae")
@@ -803,7 +755,7 @@ def run_experiment(
             curves = _attempt(curves_of, train, test, test_idx, child_seed)
             if curves is not None:
                 summary = _Summary(test, pred_method, ref.t_star, ref.ibs_weights)
-                summary.add(curves)
+                summary.add(curves, slice(None))
                 for met, score in _score(summary, ref).items():
                     per_fold[name][met][f] = score
 

@@ -102,43 +102,40 @@ class SurrogateSet:
 
 class _Extraction:
     """The predicted times by ``method`` of ``n`` subjects, extracted from
-    the batches of their curves that :meth:`add` takes in subject order, and
-    the first fault met: a curve that never descends anywhere, else a time
-    that is not finite and positive. Each time is a function of one curve,
-    so any cut of the subjects into batches gives the same floats."""
+    the batches of their curves that :meth:`add` takes with their subjects,
+    in any order, and their fault: the lowest subject whose curve never
+    descends anywhere, else the lowest whose time is not finite and
+    positive. Each time is a function of one curve, so any cut and order of
+    the subjects into batches gives the same floats and names the same
+    subject."""
 
     def __init__(self, n: int, method: str):
         self.method = method
         self.times = np.empty(n)
         self.count = 0
-        self.flat = None  # the first subject whose curve never descends
-        self.bad = None  # the first subject whose time is not finite and positive
+        self.flat = n  # the lowest subject whose curve never descends; n if none
+        self.bad = n  # the lowest subject whose time is not finite and positive
 
-    def add(self, batch: CurveBatch) -> None:
-        start = self.count
+    def add(self, batch: CurveBatch, at) -> None:
+        """Add ``batch``, the curves of the subjects ``at`` (an index array)."""
         self.count += len(batch)
-        if self.flat is not None:
-            return
         # the one fault of CurveBatch.median_times and mean_times
-        flat = np.flatnonzero(batch.v_last >= 1.0)
-        if flat.size:
-            self.flat = start + int(flat[0])
-        elif self.bad is None:
+        self.flat = int(np.min(at, where=batch.v_last >= 1.0, initial=self.flat))
+        if self.flat == self.times.size:
             times = getattr(batch, _PRED_METHODS[self.method])()
-            self.times[start : self.count] = times
-            bad = np.flatnonzero(~(np.isfinite(times) & (times > 0)))
-            if bad.size:
-                self.bad = start + int(bad[0])
+            self.times[at] = times
+            bad = ~(np.isfinite(times) & (times > 0))
+            self.bad = int(np.min(at, where=bad, initial=self.bad))
 
     def result(self) -> PredictedTimes:
         """The predicted times of all ``n`` subjects, or the first fault as
         a :class:`DegenerateCurveError` naming its subject."""
         _check_count(self.count, self.times.size, "curves")
-        if self.flat is not None:
+        if self.flat < self.times.size:
             raise DegenerateCurveError(
                 f"subject {self.flat}: curve never descends; {self.method} undefined"
             )
-        if self.bad is not None:
+        if self.bad < self.times.size:
             raise DegenerateCurveError(
                 f"subject {self.bad}: {self.method} time {self.times[self.bad]} "
                 "is not finite and positive"
@@ -163,7 +160,7 @@ def extract_predicted_times(curves, method: str = "median") -> PredictedTimes:
         return curves.result()
     batch = CurveBatch.from_curves(curves)
     extraction = _Extraction(len(batch), method)
-    extraction.add(batch)
+    extraction.add(batch, np.arange(len(batch)))
     return extraction.result()
 
 

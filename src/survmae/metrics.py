@@ -189,6 +189,7 @@ class _BrierWeights:
     each subject's time, inf where the subject is censored or keeps no
     censoring weight. ``g_grid`` divides the surviving terms: G on the grid,
     inf where it is 0. A term divided by inf is 0.0, the term left out.
+    ``trapezoid`` weighs each grid point by half of each step beside it.
     ``undefined`` is True when some grid point needs a censoring weight
     that no subject keeps.
     """
@@ -202,6 +203,7 @@ class _BrierWeights:
     first: np.ndarray | None = None
     g_dead: np.ndarray | None = None
     g_grid: np.ndarray | None = None
+    trapezoid: np.ndarray | None = None
     undefined: bool = False
 
 
@@ -230,6 +232,8 @@ def _brier_weights(
     some_alive = grid < times.max()
     needy = some_alive | (grid >= np.min(times, where=ds.events, initial=np.inf))
     covered = (some_alive & (g_grid > 0.0)) | (grid >= np.min(times, where=weighed, initial=np.inf))
+    half = np.diff(grid) / 2.0
+    trapezoid = np.append(half, 0.0) + np.append(0.0, half)
     return _BrierWeights(
         ds,
         g_train,
@@ -240,25 +244,25 @@ def _brier_weights(
         first=np.searchsorted(grid, times, side="left"),
         g_dead=np.where(weighed, g_dead, np.inf),
         g_grid=np.where(g_grid > 0.0, g_grid, np.inf),
+        trapezoid=trapezoid,
         undefined=bool(np.any(needy & ~covered)),
     )
 
 
-def _brier_sums(sums, values, weights: _BrierWeights, rows) -> np.ndarray:
-    """``sums`` plus the Brier terms on ``weights.grid`` of the subjects
-    ``rows`` (a slice), whose curves read ``values`` there: S^2 / G(t_i-)
-    where subject i is dead, (1 - S)^2 / G(t) where it is alive. numpy sums
-    axis 0 row after row, so the sums carried in front of the terms give the
-    floats of one sum over every subject, however the subjects are cut."""
-    contrib = np.empty((len(values) + 1, values.shape[1]))
-    contrib[0] = sums
-    terms = contrib[1:]
-    np.square(values, out=terms)
-    np.divide(terms, weights.g_dead[rows, None], out=terms)
+def _brier_rows(values, weights: _BrierWeights, at) -> np.ndarray:
+    """The integrated Brier sum of each of the subjects ``at`` (an index
+    array), whose curves read ``values`` on ``weights.grid``: its terms,
+    S^2 / G(t_i-) where it is dead and (1 - S)^2 / G(t) where it is alive,
+    times the trapezoid weights, summed along its row. numpy sums each row
+    alike however many rows there are, so a subject's float is a function
+    of its curve alone."""
+    terms = np.square(values)
+    np.divide(terms, weights.g_dead[at, None], out=terms)
     alive = np.square(1.0 - values)
     np.divide(alive, weights.g_grid, out=alive)
-    np.copyto(terms, alive, where=np.arange(values.shape[1]) < weights.first[rows, None])
-    return contrib.sum(axis=0)
+    np.copyto(terms, alive, where=np.arange(values.shape[1]) < weights.first[at, None])
+    terms *= weights.trapezoid
+    return terms.sum(axis=1)
 
 
 def integrated_brier_score(
@@ -299,10 +303,7 @@ def integrated_brier_score(
     summary = _summary_of(curves, ds, weights=weights)
     if weights.undefined:
         raise UndefinedMetricError("all subjects lost their censoring weight")
-    scores = summary.ibs_sums / ds.n
-    steps = np.diff(weights.grid)
-    area = float(np.sum((scores[:-1] + scores[1:]) / 2.0 * steps))
-    return area / weights.horizon
+    return float(np.sum(summary.ibs_rows)) / ds.n / weights.horizon
 
 
 class _Summary:
@@ -314,61 +315,75 @@ class _Summary:
     * ``s_star``, S(``t_star``), unless ``t_star`` is None;
     * ``at_times``, S(T_i) at each subject's time T_i, and the mass and
       width of the piece of its curve that holds T_i
-      (:meth:`CurveBatch.value_and_piece`);
-    * ``ibs_sums``, the column sums of the integrated Brier score's terms
-      with ``weights`` (built by ``_brier_weights`` for ``ds`` on a grid of
-      several points), unless ``weights`` is None or its score undefined.
+      (:meth:`CurveBatch.value_and_piece`), unless ``at_times`` is False;
+    * ``ibs_rows``, each subject's integrated Brier sum with ``weights``
+      (built by ``_brier_weights`` for ``ds`` on a grid of several points,
+      :func:`_brier_rows`), unless ``weights`` is None or its score
+      undefined.
 
-    :meth:`add` takes the curves of the next subjects, in subject order,
-    and sums their Brier terms in blocks of about ``_IBS_CELLS`` grid cells.
-    Every entry is a function of one curve and the Brier sums are carried in
-    front of each block, so any cut of the subjects into batches and blocks
-    gives the same floats. The curve metrics read nothing else of the
-    curves: they take a summary of every subject, or summarize the curves
-    they are given (:func:`_summary_of`).
+    :meth:`add` takes the curves of any subjects not added yet, in any
+    order, and ``seen`` marks the subjects added. Every entry is a function
+    of one curve, and the Brier sums of a batch are taken in blocks of about
+    ``_IBS_CELLS`` grid cells, so any cut and order of the subjects into
+    batches and blocks gives the same floats. The curve metrics read
+    nothing else of the curves: they take a summary of every subject, or
+    summarize the curves they are given (:func:`_summary_of`).
     """
 
-    def __init__(self, ds: SurvivalDataset, method: str, t_star, weights):
+    def __init__(self, ds: SurvivalDataset, method: str, t_star, weights, at_times=True):
         if weights is not None and weights.grid is None:
             raise ValueError("a summary sums the Brier terms of a grid of several points")
         self.ds, self.t_star, self.weights = ds, t_star, weights
-        self.count = 0
+        self.seen = np.zeros(ds.n, dtype=bool)
         self.predictions = None if method is None else _Extraction(ds.n, method)
         self.s_star = None if t_star is None else np.empty(ds.n)
-        self.at_times = np.empty((3, ds.n))
+        self.at_times = np.empty((3, ds.n)) if at_times else None
         keep = weights is not None and not weights.undefined
-        self.ibs_sums = np.zeros(weights.grid.size) if keep else None
+        self.ibs_rows = np.empty(ds.n) if keep else None
 
     def __len__(self) -> int:
         """The subjects added so far."""
-        return self.count
+        return int(np.count_nonzero(self.seen))
 
-    def add(self, batch: CurveBatch) -> None:
-        """Add the curves of the next ``len(batch)`` subjects."""
-        start, stop = self.count, self.count + len(batch)
-        if stop > self.ds.n:
-            raise ValueError(f"got {stop} curves for {self.ds.n} subjects")
-        self.count = stop
+    def add(self, batch: CurveBatch, at) -> None:
+        """Add ``batch``, the curves of the subjects ``at``: a slice of the
+        subjects, or an index array of them in any order. ``ValueError``
+        names a subject that is not below ``ds.n``, else the lowest one
+        added before or twice."""
+        n = self.ds.n
+        subjects = np.arange(n)[at] if isinstance(at, slice) else np.asarray(at, dtype=np.intp)
+        if len(subjects) != len(batch):
+            raise ValueError(f"got {len(batch)} curves for {len(subjects)} subjects")
+        ordered = np.sort(subjects)
+        if ordered.size and not 0 <= ordered[0] <= ordered[-1] < n:
+            outside = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise ValueError(f"subject {outside} is not one of the {n} subjects")
+        again = self.seen[ordered]
+        again[1:] |= ordered[1:] == ordered[:-1]
+        if again.any():
+            raise ValueError(f"subject {ordered[again][0]} was added before")
+        self.seen[at] = True
         if self.predictions is not None:
-            self.predictions.add(batch)
+            self.predictions.add(batch, subjects)
         if self.s_star is not None:
-            self.s_star[start:stop] = batch.value(self.t_star)
-        self.at_times[:, start:stop] = batch.value_and_piece(self.ds.times[start:stop])
-        if self.ibs_sums is not None:
+            self.s_star[at] = batch.value(self.t_star)
+        if self.at_times is not None:
+            self.at_times[:, at] = batch.value_and_piece(self.ds.times[at])
+        if self.ibs_rows is not None:
             grid = self.weights.grid
             for rows in _row_blocks(len(batch), grid.size, _IBS_CELLS):
-                at = slice(start + rows.start, start + rows.stop)
                 values = batch._grid_values(grid, rows)
-                self.ibs_sums = _brier_sums(self.ibs_sums, values, self.weights, at)
+                self.ibs_rows[subjects[rows]] = _brier_rows(values, self.weights, subjects[rows])
 
 
-def _summary_of(curves, ds, t_star=None, weights=None) -> _Summary:
-    """``curves`` if it is a :class:`_Summary`, which must be of ``ds`` and
-    of ``t_star`` and ``weights`` where given (``ValueError`` otherwise), or
-    else the summary of these curves, with no predicted times."""
+def _summary_of(curves, ds, t_star=None, weights=None, at_times=False) -> _Summary:
+    """``curves`` if it is a :class:`_Summary`, which must be of ``ds``, of
+    ``t_star`` and ``weights`` where given and hold ``at_times`` where asked
+    (``ValueError`` otherwise), or else the summary of these curves with
+    only those entries."""
     if not isinstance(curves, _Summary):
-        summary = _Summary(ds, None, t_star, weights)
-        summary.add(CurveBatch.from_curves(curves))
+        summary = _Summary(ds, None, t_star, weights, at_times)
+        summary.add(CurveBatch.from_curves(curves), slice(None))
         return summary
     if curves.ds is not ds:
         raise ValueError("the summary was made for another dataset")
@@ -376,6 +391,8 @@ def _summary_of(curves, ds, t_star=None, weights=None) -> _Summary:
         raise ValueError(f"the summary holds S at t_star={curves.t_star}, not {t_star}")
     if weights is not None and curves.weights is not weights:
         raise ValueError("the summary summed its Brier terms with other weights")
+    if at_times and curves.at_times is None:
+        raise ValueError("the summary holds no S at the subjects' times")
     return curves
 
 
@@ -389,7 +406,7 @@ def log_likelihood(curves, ds: SurvivalDataset) -> float:
     :class:`DegenerateScoreWarning`.
     """
     _check_count(len(curves), ds.n, "curves")
-    surv, mass, width = _summary_of(curves, ds).at_times
+    surv, mass, width = _summary_of(curves, ds, at_times=True).at_times
     usable = np.where(ds.events, mass > 0.0, surv > 0.0)
     contributions = np.full(ds.n, -np.inf)
     contributions[usable] = np.log(np.where(ds.events, mass / width, surv)[usable])
@@ -574,7 +591,7 @@ def d_calibration(curves, ds: SurvivalDataset, n_bins: int = 10) -> CalibrationR
     _check_count(len(curves), ds.n, "curves")
     n_bins = _at_least(n_bins, "n_bins", 2, BinningError)
     width = 1.0 / n_bins
-    p_all = _summary_of(curves, ds).at_times[0]
+    p_all = _summary_of(curves, ds, at_times=True).at_times[0]
     masses = np.zeros(n_bins)
     for block in _row_blocks(ds.n, n_bins, _IBS_CELLS):
         p = p_all[block]

@@ -90,9 +90,12 @@ def oracle_ibs(curves, ds, g_train, grid_size, t_max):
     with np.errstate(divide="ignore", invalid="ignore"):
         contrib = np.where(usable_dead, s_matrix**2 / g_dead, 0.0)
         contrib += np.where(usable_alive, (1.0 - s_matrix) ** 2 / g_grid, 0.0)
-    scores = contrib.sum(axis=0) / ds.n
-    area = float(np.sum((scores[:-1] + scores[1:]) / 2.0 * np.diff(grid)))
-    return area / t_max
+    # each subject's trapezoid sum, then the sum over the subjects
+    half = np.diff(grid) / 2.0
+    trapezoid = np.zeros(grid_size)
+    trapezoid[:-1] += half
+    trapezoid[1:] += half
+    return float(np.sum((contrib * trapezoid).sum(axis=1))) / ds.n / t_max
 
 
 def oracle_piece(curve, t):

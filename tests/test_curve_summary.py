@@ -1,13 +1,14 @@
 """The per-subject summary that every score of a curve batch is read from.
 
 ``metrics._Summary`` holds, per subject, the predicted time, S(t*), S(T_i)
-with the mass and width of the piece that holds T_i, and the integrated
-Brier score's column sums. It is built block by block of rows, and ``survmae
-eval`` streams its curve file into it without holding the file's table. It
-must equal, bit for bit, the whole batch's summary and the per-``StepCurve``
-oracles of ``test_curve_batch``, however its rows are cut; the streamed file must score as the
-held one does, in any row order; and a fault must be named at the line where
-the held reader names it.
+with the mass and width of the piece that holds T_i, and the subject's
+integrated Brier sum. It is built block by block of rows, in any subject
+order, and ``survmae eval`` streams its curve file into it without holding
+the file's table. It must equal, bit for bit, the whole batch's summary and
+the per-``StepCurve`` oracles of ``test_curve_batch``, however its rows are
+cut and ordered; the streamed file must score as the held one does, in any
+row order and in the same memory; and a fault must be named at the line
+where the held reader names it.
 """
 
 import contextlib
@@ -85,15 +86,19 @@ def outcome(fn, *args, **kwargs):
     return np.asarray(got, dtype=float).tobytes()
 
 
-def summary_of(ds, batch, method, t_star, weights, pieces=(None,)):
-    """The summary of ``batch`` on ``ds``, added in consecutive ``pieces``
-    (row counts; None for the rest)."""
+def summary_of(ds, batch, method, t_star, weights, pieces=(None,), order=None):
+    """The summary on ``ds`` of the rows of ``batch`` of the subjects
+    ``order``, an index array, added in that order in consecutive ``pieces``
+    (row counts; None for the rest); by default every subject, in order, a
+    slice of them at a time."""
     summary = _Summary(ds, method, t_star, weights)
+    subjects = np.arange(len(batch)) if order is None else np.asarray(order)
     start = 0
     for size in pieces:
-        stop = len(batch) if size is None else min(start + size, len(batch))
+        stop = len(subjects) if size is None else min(start + size, len(subjects))
         if stop > start:
-            summary.add(batch.take(np.arange(start, stop)))
+            at = slice(start, stop) if order is None else subjects[start:stop]
+            summary.add(batch.take(subjects[start:stop]), at)
         start = stop
     return summary
 
@@ -101,7 +106,7 @@ def summary_of(ds, batch, method, t_star, weights, pieces=(None,)):
 def state(summary):
     """Everything a summary holds for the metrics, as comparable bytes."""
     method = summary.predictions.method
-    ibs = summary.ibs_sums
+    ibs = summary.ibs_rows
     return (
         outcome(extract_predicted_times, summary.predictions, method),
         None if summary.s_star is None else summary.s_star.tobytes(),
@@ -177,12 +182,14 @@ def test_a_summary_in_blocks_equals_the_whole_batch_summary(case, data):
     with mock.patch.object(metrics, "_IBS_CELLS", 1 << 30):
         whole = state(summary_of(ds, batch, method, t_star, weights))
         calibration = outcome(d_calibration, batch, ds)
-    # blocks of one row and up, and the rows added in pieces of any size
+    # blocks of one row and up, and the rows added in pieces of any size and
+    # in any subject order
     width = 1 if weights is None else weights.grid.size
     cells = data.draw(st.integers(1, 12)) * width
     pieces = data.draw(st.lists(st.integers(1, 9), max_size=5)) + [None]
+    order = data.draw(st.permutations(range(ds.n)))
     with mock.patch.object(metrics, "_IBS_CELLS", cells):
-        assert state(summary_of(ds, batch, method, t_star, weights, pieces)) == whole
+        assert state(summary_of(ds, batch, method, t_star, weights, pieces, order)) == whole
         # d_calibration adds up its bin masses in blocks of the same budget
         assert outcome(d_calibration, batch, ds) == calibration
 
@@ -204,9 +211,10 @@ def test_every_metric_of_a_summary_is_the_metric_of_its_curves(case, data):
     g = censoring_km_fit(ds) if weights is None else weights.g_train
     n_bins = data.draw(st.integers(2, 10))
     pieces = data.draw(st.lists(st.integers(1, 9), max_size=5)) + [None]
+    order = data.draw(st.permutations(range(ds.n)))
     cells = data.draw(st.integers(1, 12)) * (1 if weights is None else weights.grid.size)
     with mock.patch.object(metrics, "_IBS_CELLS", cells):
-        summary = summary_of(ds, batch, method, t_star, weights, pieces)
+        summary = summary_of(ds, batch, method, t_star, weights, pieces, order)
     # metric: (its score of the curves given, the oracle's score)
     scores = {
         "log_likelihood": (
@@ -258,16 +266,40 @@ def test_a_summary_answers_only_for_what_it_was_built_for():
         integrated_brier_score(summary, ds, g, 100, None)
     with pytest.raises(ValueError, match="^the times were extracted by median, not mean$"):
         extract_predicted_times(summary.predictions, "mean")
-    with pytest.raises(ValueError, match="^got 4 curves for 3 subjects$"):
-        summary.add(batch.take([0]))
     with pytest.raises(ValueError, match="^a summary sums the Brier terms of a grid of several"):
         _Summary(ds, "median", None, _brier_weights(ds, g, 1, None))
-    part = summary_of(ds, batch.take([0, 1]), "median", None, None)
-    assert len(part) == 2
+    # the curve metrics fill only what they read of curves; a summary that
+    # holds no S(T_i) is refused by the metrics that read it
+    bare = _Summary(ds, None, None, None, at_times=False)
+    bare.add(batch, np.arange(3))
+    for metric in (log_likelihood, d_calibration):
+        with pytest.raises(ValueError, match="^the summary holds no S at the subjects' times$"):
+            metric(bare, ds)
+    part = summary_of(ds, batch, "median", None, None, order=[2, 0])
+    assert len(part) == 2 and part.seen.tolist() == [True, False, True]
     with pytest.raises(ValueError, match="^got 2 curves for 3 subjects$"):
         extract_predicted_times(part.predictions, "median")
     with pytest.raises(ValueError, match="^got 2 curves for 3 subjects$"):
         d_calibration(part, ds)
+
+
+def test_a_summary_takes_each_subject_once_and_below_its_count():
+    ds = SurvivalDataset.from_arrays([1.0, 2.0, 3.0, 4.0], [True, False, True, True])
+    batch = CurveBatch(knots=[0.5, 2.5], values=np.tile([0.8, 0.3], (4, 1)))
+    summary = summary_of(ds, batch, "median", 2.0, None, order=[3, 1])
+    for rows, at, message in (
+        ([0], [1], "^subject 1 was added before$"),
+        ([0, 1], [2, 3], "^subject 3 was added before$"),
+        ([0, 1], [2, 2], "^subject 2 was added before$"),
+        ([0, 1], [2, 4], "^subject 4 is not one of the 4 subjects$"),
+        ([0], [-1], "^subject -1 is not one of the 4 subjects$"),
+        ([0, 1, 2], slice(None), "^got 3 curves for 4 subjects$"),
+        ([0, 1, 2, 3], slice(None), "^subject 1 was added before$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            summary.add(batch.take(rows), at)
+    # a refused batch adds nothing
+    assert len(summary) == 2 and summary.seen.tolist() == [False, True, False, True]
 
 
 def test_a_degenerate_curve_is_named_by_its_subject_across_blocks():
@@ -280,16 +312,19 @@ def test_a_degenerate_curve_is_named_by_its_subject_across_blocks():
     values[11] = [1.0, 1.0, 1.0]
     batch = CurveBatch(knots=[0.0, 1.0, 2.0], values=values)
     ds = SurvivalDataset.from_arrays(np.arange(1.0, n + 1.0), np.ones(n, dtype=bool))
-    for pieces in ((None,), (3, 7, None), (1,) * 15 + (None,)):
-        summary = summary_of(ds, batch, "median", None, None, pieces)
+    # in any order: subject 11's row comes first, in a block of its own
+    later = [11, *range(11), *range(12, n)]
+    for pieces, order in (((None,), None), ((3, 7, None), None), ((1,) * 15 + (None,), later)):
+        summary = summary_of(ds, batch, "median", None, None, pieces, order)
         with pytest.raises(DegenerateCurveError, match="^subject 11: curve never descends; median"):
             extract_predicted_times(summary.predictions, "median")
     with pytest.raises(DegenerateCurveError, match="^subject 11: curve never descends; median"):
         extract_predicted_times(batch, "median")
     batch = CurveBatch(knots=[0.0, 1.0, 2.0], values=values[:11])
-    summary = summary_of(ds.subset(range(11)), batch, "median", None, None, pieces=(2, 2, None))
-    with pytest.raises(DegenerateCurveError, match="^subject 5: median time 0.0 is not finite"):
-        extract_predicted_times(summary.predictions, "median")
+    for order in (None, range(10, -1, -1)):
+        summary = summary_of(ds.subset(range(11)), batch, "median", None, None, (2, 2, None), order)
+        with pytest.raises(DegenerateCurveError, match="^subject 5: median time 0.0 is not finite"):
+            extract_predicted_times(summary.predictions, "median")
 
 
 # ------------------------------------------------------------ the curve file
@@ -405,6 +440,27 @@ def test_an_undefined_median_in_a_late_block_blanks_only_the_prediction_metrics(
     assert blank == {met for met in got if met.startswith("mae_")} | {"true_mae", "c_index"}
 
 
+def test_the_lowest_flat_curve_is_named_from_a_file_in_any_order(eval_files, tmp_path):
+    # subjects 120 and 450 never descend; in the reversed and the shuffled
+    # file subject 450's row comes blocks before subject 120's
+    root, ds, grid, rows = eval_files
+    rows = rows.copy()
+    rows[[120, 450]] = 1.0
+    orders = {
+        "in order": np.arange(ds.n),
+        "reversed": np.arange(ds.n)[::-1],
+        "shuffled": np.random.default_rng(1).permutation(ds.n),
+    }
+    for name, order in orders.items():
+        path = tmp_path / f"{name}.csv"
+        save_curve_file(path, grid, rows[order], indices=order)
+        score = mock.patch.object(harness, "_score", wraps=harness._score)
+        with score as scored, mock.patch.object(harness, "_CURVE_BLOCK_CELLS", 1000):
+            evaluate_dataset(ds, path)
+        with pytest.raises(DegenerateCurveError, match="^subject 120: curve never descends; median"):
+            extract_predicted_times(scored.call_args.args[0].predictions, "median")
+
+
 def file_with(rows_text, grid):
     return "t," + ",".join(map(repr, grid.tolist())) + "\n" + "".join(rows_text)
 
@@ -446,8 +502,9 @@ def test_the_first_bad_line_is_named_across_blocks(tmp_path, capsys, faults, mes
         ([0, 1, 2, 9, 10], r"\[3, 4, 5, 6, 7\] \(6 missing of 9\)"),
         ([0, 4, 2], r"\[1, 3, 5, 6, 7\] \(6 missing of 9\)"),
         ([], r"\[0, 1, 2, 3, 4\] \(9 missing of 9\)"),
+        ([8, 10, 0, 6, 2], r"\[1, 3, 4, 5, 7\] \(5 missing of 9\)"),
     ],
-    ids=["gap", "gap-out-of-order", "tail", "gaps-after-an-out-of-order-row", "no-rows"],
+    ids=["gap", "gap-out-of-order", "tail", "gaps-after-an-out-of-order-row", "no-rows", "shuffled"],
 )
 def test_eval_names_the_subjects_a_curve_file_lacks(tmp_path, capsys, indices, message):
     ds = oracle_set(9, 24)
@@ -464,21 +521,32 @@ def test_eval_names_the_subjects_a_curve_file_lacks(tmp_path, capsys, indices, m
 def test_eval_memory_is_bounded_by_its_blocks(tmp_path):
     # 20,000 subjects on a 100-point grid: the 16 MB value table of the file
     # was held whole (peaking at 2.9 times it, traced); streamed into the
-    # summary block by block, the run must take under half of it
+    # summary block by block, in any row order, the run must take under half
+    # of it
     n, grid = 20_000, np.linspace(0.3, 30.0, 100)
     ds = oracle_set(n, 25)
     rows = curve_rows(ds, grid, 26)
     save_dataset(ds, tmp_path / "data.csv")
-    save_curve_file(tmp_path / "curves.csv", grid, rows)
+    orders = {
+        "in order": np.arange(n),
+        "reversed": np.arange(n)[::-1],
+        "shuffled": np.random.default_rng(27).permutation(n),
+    }
+    for name, order in orders.items():
+        save_curve_file(tmp_path / f"{name}.csv", grid, rows[order], indices=order)
     table = rows.nbytes
     del rows
-    out = io.StringIO()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(out):
-            assert main(["eval", str(tmp_path / "data.csv"), "--curves", str(tmp_path / "curves.csv")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert json.loads(out.getvalue())["ibs"] is not None
-    assert peak < table / 2, (peak, table)
+    outputs = set()
+    for name in orders:
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main(["eval", str(tmp_path / "data.csv"), "--curves", str(tmp_path / f"{name}.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(out.getvalue())["ibs"] is not None
+        assert peak < table / 2, (name, peak, table)
+        outputs.add(out.getvalue())
+    assert len(outputs) == 1
